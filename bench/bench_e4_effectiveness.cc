@@ -196,8 +196,7 @@ int main(int argc, char** argv) {
   bool tophits_identical = true;
   bool modes_agree = true;
   std::vector<std::vector<HitKey>> reference_hits;
-  for (IndexMode mode :
-       {IndexMode::kMemory, IndexMode::kCached, IndexMode::kMmap}) {
+  for (IndexMode mode : {IndexMode::kMemory, IndexMode::kMmap}) {
     Result<IndexReader> reader = IndexReader::Open(idx_path, mode);
     bench::Unwrap(reader.status(), "index open");
     PartitionedSearch engine(&wl->collection, reader->source());

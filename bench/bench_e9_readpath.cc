@@ -1,10 +1,11 @@
-// E9 — Index read paths: mmap (zero-copy) vs cached (LRU block cache).
+// E9 — Index read paths: mmap (zero-copy) vs memory (heap copy).
 //
-// The systems claim behind PR 6: decoding postings straight out of a
-// read-only mapping removes the block cache's lock, copies and warmup,
-// so cold-start drops and coarse-phase throughput holds (or improves)
+// The systems claim: decoding postings straight out of a read-only
+// mapping skips reading the file into a buffer and copying the blob to
+// the heap, so cold start drops while coarse-phase throughput holds,
 // with steady-state heap independent of postings volume. This bench
-// measures both modes on the same index file:
+// measures both storage modes of InvertedIndex::Load on the same index
+// file:
 //
 //   cold start   open the index and answer the first query batch —
 //                the serving-restart scenario cafe_serve cares about
@@ -17,7 +18,6 @@
 // metrics are *ratios between the two modes measured in the same run*
 // (cold_start_speedup, coarse_throughput_ratio), not absolute times.
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -55,12 +55,13 @@ ModeResult MeasureMode(IndexMode mode, const SequenceCollection& col,
   // what a cafe_serve restart pays before it can accept traffic. Each
   // run reopens from scratch; the OS page cache stays warm across runs
   // (the file was just written), so what differs between modes is the
-  // work the mode itself does: both verify the file CRC, but the cached
-  // path then re-reads the whole body into a heap copy where the mmap
-  // path just parses the directory out of the mapping. Separately,
+  // work the mode itself does: both verify the file CRC, but the memory
+  // path first reads the file into a buffer and then copies the blob to
+  // the heap, where the mmap path faults the pages in during the CRC
+  // sweep and parses the directory out of the mapping. Separately,
   // open + the first coarse-only batch (fine_candidates = 0 skips
-  // alignment, which is identical in every mode) adds the cache-miss
-  // warmup the cached path pays on first queries.
+  // alignment, which is identical in every mode) adds whatever the
+  // first queries pay on top, such as page faults after eviction.
   SearchOptions coarse_only = options;
   coarse_only.fine_candidates = 0;
   for (int run = 0; run < kColdRuns; ++run) {
@@ -100,20 +101,7 @@ ModeResult MeasureMode(IndexMode mode, const SequenceCollection& col,
   r.coarse_qps =
       total_queries / (static_cast<double>(trace.coarse_micros) * 1e-6);
   r.postings_decoded = trace.postings_decoded / kWarmRuns;
-  switch (mode) {
-    case IndexMode::kCached:
-      // Open() full-capacity default cache; heap grows toward capacity.
-      r.heap_bytes = 4 << 20;
-      break;
-    case IndexMode::kMmap: {
-      Result<std::unique_ptr<MmapIndex>> m = MmapIndex::Open(idx_path);
-      bench::Unwrap(m.status(), "mmap reopen");
-      r.heap_bytes = (*m)->MemoryBytes();
-      break;
-    }
-    case IndexMode::kMemory:
-      break;
-  }
+  r.heap_bytes = reader->source()->MemoryBytes();
   return r;
 }
 
@@ -126,10 +114,9 @@ int main(int argc, char** argv) {
   bench::Unwrap(flags.Finish(), "flags");
 
   bench::PrintHeader(
-      "E9: index read paths — mmap (zero-copy) vs cached (LRU)",
-      "the mmap read path removes the block cache's lock, copies and "
-      "warmup: >=2x faster cold start at no coarse-phase throughput "
-      "loss");
+      "E9: index read paths — mmap (zero-copy) vs memory (heap copy)",
+      "the mmap read path skips the file read and the blob copy: faster "
+      "cold start at no coarse-phase throughput loss");
 
   SequenceCollection col = bench::MakeCollection(
       bench::MegabasesFromEnv(4.0), bench::SeedFromEnv());
@@ -154,39 +141,39 @@ int main(int argc, char** argv) {
   options.fine_candidates = 100;
   options.threads = 1;  // sequential reference path: clean phase timings
 
-  ModeResult cached =
-      MeasureMode(IndexMode::kCached, col, idx_path, queries, options);
+  ModeResult memory =
+      MeasureMode(IndexMode::kMemory, col, idx_path, queries, options);
   ModeResult mapped =
       MeasureMode(IndexMode::kMmap, col, idx_path, queries, options);
   bench::Unwrap(RemoveFile(idx_path), "cleanup");
 
   eval::TablePrinter table({"read path", "cold-start ms", "first batch ms",
                             "coarse q/s", "total q/s", "heap"});
-  table.AddRow({"cached (DiskIndex)", FormatDouble(cached.open_ms, 1),
-                FormatDouble(cached.first_batch_ms, 1),
-                FormatDouble(cached.coarse_qps, 0),
-                FormatDouble(cached.total_qps, 1),
-                HumanBytes(cached.heap_bytes)});
-  table.AddRow({"mmap (MmapIndex)", FormatDouble(mapped.open_ms, 1),
+  table.AddRow({"memory (heap copy)", FormatDouble(memory.open_ms, 1),
+                FormatDouble(memory.first_batch_ms, 1),
+                FormatDouble(memory.coarse_qps, 0),
+                FormatDouble(memory.total_qps, 1),
+                HumanBytes(memory.heap_bytes)});
+  table.AddRow({"mmap (zero-copy)", FormatDouble(mapped.open_ms, 1),
                 FormatDouble(mapped.first_batch_ms, 1),
                 FormatDouble(mapped.coarse_qps, 0),
                 FormatDouble(mapped.total_qps, 1),
                 HumanBytes(mapped.heap_bytes)});
   table.Print();
 
-  const double cold_speedup = cached.open_ms / mapped.open_ms;
+  const double cold_speedup = memory.open_ms / mapped.open_ms;
   const double first_batch_speedup =
-      cached.first_batch_ms / mapped.first_batch_ms;
-  const double coarse_ratio = mapped.coarse_qps / cached.coarse_qps;
+      memory.first_batch_ms / mapped.first_batch_ms;
+  const double coarse_ratio = mapped.coarse_qps / memory.coarse_qps;
   std::printf(
       "\ncold start (open to ready): mmap %.2fx faster (open + first "
-      "coarse batch: %.2fx);\ncoarse-phase throughput ratio mmap/cached: "
+      "coarse batch: %.2fx);\ncoarse-phase throughput ratio mmap/memory: "
       "%.2f\n"
-      "postings decoded per warm batch: cached %llu, mmap %llu%s\n",
+      "postings decoded per warm batch: memory %llu, mmap %llu%s\n",
       cold_speedup, first_batch_speedup, coarse_ratio,
-      static_cast<unsigned long long>(cached.postings_decoded),
+      static_cast<unsigned long long>(memory.postings_decoded),
       static_cast<unsigned long long>(mapped.postings_decoded),
-      cached.postings_decoded == mapped.postings_decoded
+      memory.postings_decoded == mapped.postings_decoded
           ? " (identical — same bytes, different transport)"
           : " — MISMATCH, read paths disagree");
 
@@ -195,25 +182,24 @@ int main(int argc, char** argv) {
     doc.Add("cold_start_speedup", cold_speedup);
     doc.Add("first_batch_speedup", first_batch_speedup);
     doc.Add("coarse_throughput_ratio", coarse_ratio);
-    doc.Add("cached_cold_ms", cached.open_ms);
+    doc.Add("memory_cold_ms", memory.open_ms);
     doc.Add("mmap_cold_ms", mapped.open_ms);
-    doc.Add("cached_coarse_qps", cached.coarse_qps);
+    doc.Add("memory_coarse_qps", memory.coarse_qps);
     doc.Add("mmap_coarse_qps", mapped.coarse_qps);
     doc.Add("mmap_heap_bytes", static_cast<double>(mapped.heap_bytes));
     doc.Add("postings_decoded_per_batch",
             static_cast<double>(mapped.postings_decoded));
     doc.Add("readpaths_agree",
-            cached.postings_decoded == mapped.postings_decoded ? 1.0 : 0.0);
+            memory.postings_decoded == mapped.postings_decoded ? 1.0 : 0.0);
     doc.Emit(out_path);
   }
 
   std::printf(
-      "\nshape check: the mmap column opens in milliseconds (one CRC "
-      "sweep,\nno blob copy), answers its first batch without cache-miss "
-      "warmup, and\nholds coarse throughput — with heap independent of "
-      "postings volume.\n");
+      "\nshape check: the mmap column opens faster (one CRC sweep, no "
+      "file read,\nno blob copy) and holds coarse throughput — with heap "
+      "independent of\npostings volume.\n");
   return (cold_speedup >= 1.0 &&
-          cached.postings_decoded == mapped.postings_decoded)
+          memory.postings_decoded == mapped.postings_decoded)
              ? 0
              : 1;
 }

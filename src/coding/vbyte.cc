@@ -50,13 +50,15 @@ void AppendVByte(std::vector<uint8_t>* out, uint64_t v) {
 uint64_t ReadVByte(const uint8_t* data, size_t size, size_t* pos) {
   uint64_t x = 0;
   int shift = 0;
-  while (*pos < size) {
+  // Ten 7-bit groups cover 64 bits; like DecodeVByte, stop there so a
+  // run of continuation bytes cannot shift past the word.
+  for (int i = 0; i < 10 && *pos < size; ++i) {
     uint8_t byte = data[(*pos)++];
     x |= static_cast<uint64_t>(byte & 0x7F) << shift;
     if (byte & 0x80) return x + 1;
     shift += 7;
   }
-  return x + 1;  // truncated input; caller validates sizes upstream
+  return x + 1;  // truncated or overlong input; callers validate sizes
 }
 
 }  // namespace cafe::coding

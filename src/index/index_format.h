@@ -1,7 +1,7 @@
-// Internal: shared parser for the on-disk index format's prefix (header,
-// document lengths, term directory). Used by InvertedIndex::Deserialize
-// (which then copies the postings blob into memory) and DiskIndex::Open
-// (which leaves the blob on disk and remembers only its file offset).
+// Internal: parser for the on-disk index format's prefix (header,
+// document lengths, term directory), used by InvertedIndex's one open
+// path, which then either copies the postings blob to the heap or keeps
+// decoding it out of the file's mapping.
 //
 // See index_io.cc for the format layout.
 
@@ -32,6 +32,9 @@ struct IndexPrefix {
 /// Parses everything before the postings blob. `data` must cover the file
 /// contents *without* the trailing CRC-32 (the caller verifies that);
 /// on success, data.substr(out->blob_offset, out->blob_bytes) is the blob.
+/// Checks the structure a CRC cannot vouch for: every term's document
+/// count is at most the number of documents, and every postings offset
+/// lies inside the blob.
 [[nodiscard]] Status ParseIndexPrefix(std::string_view data, IndexPrefix* out);
 
 }  // namespace cafe::index_internal

@@ -15,13 +15,16 @@
 //   u32 CRC-32 of everything above
 
 #include <cstring>
+#include <utility>
 
 #include "coding/vbyte.h"
 #include "index/index_format.h"
 #include "index/interval.h"
 #include "index/inverted_index.h"
+#include "obs/metrics.h"
 #include "util/crc32.h"
 #include "util/env.h"
+#include "util/timer.h"
 
 namespace cafe {
 namespace {
@@ -142,10 +145,17 @@ Status ParseIndexPrefix(std::string_view data, IndexPrefix* out) {
     e->doc_count = static_cast<uint32_t>(p.ReadVByte());
     e->posting_count = static_cast<uint32_t>(p.ReadVByte());
     e->position_param = static_cast<uint32_t>(p.ReadVByte());
-    offset += p.ReadVByte() - 1;
+    // Offsets are a running sum of gaps from the file: bound each step
+    // by the file size so the sum cannot wrap, and the last one by the
+    // blob below.
+    const uint64_t offset_gap = p.ReadVByte() - 1;
+    if (offset_gap > data.size() * 8 - offset) {
+      return Status::Corruption("index: postings offset out of range");
+    }
+    offset += offset_gap;
     e->bit_offset = offset;
-    if (e->doc_count == 0 || e->posting_count < e->doc_count ||
-        e->position_param == 0) {
+    if (e->doc_count == 0 || e->doc_count > num_docs ||
+        e->posting_count < e->doc_count || e->position_param == 0) {
       return Status::Corruption("index: bad term entry");
     }
     total_postings += e->posting_count;
@@ -155,6 +165,11 @@ Status ParseIndexPrefix(std::string_view data, IndexPrefix* out) {
   if (p.failed()) return Status::Corruption("index: truncated directory");
   if (8 + p.pos() + blob_bytes != data.size()) {
     return Status::Corruption("index: blob size mismatch");
+  }
+  // Offsets never decrease, so the last one is the largest; every list
+  // holds at least one posting, so it starts strictly inside the blob.
+  if (num_terms > 0 && offset >= blob_bytes * 8) {
+    return Status::Corruption("index: postings offset out of range");
   }
   out->blob_offset = 8 + p.pos();
   out->blob_bytes = blob_bytes;
@@ -206,8 +221,9 @@ void InvertedIndex::Serialize(std::string* out) const {
     first = false;
   });
 
-  AppendVByteStr(out, blob_.size() + 1);
-  out->append(reinterpret_cast<const char*>(blob_.data()), blob_.size());
+  const std::span<const uint8_t> blob = Blob();
+  AppendVByteStr(out, blob.size() + 1);
+  out->append(reinterpret_cast<const char*>(blob.data()), blob.size());
 
   uint32_t crc = Crc32(out->data(), out->size());
   char buf[4];
@@ -226,29 +242,51 @@ uint64_t InvertedIndex::SerializedBytes() const {
   return serialized_bytes_cache_;
 }
 
-Result<InvertedIndex> InvertedIndex::Deserialize(std::string_view data) {
-  if (data.size() < 8 + 14 + 4) {
+Result<InvertedIndex> InvertedIndex::FromFile(std::string_view file,
+                                              MmapFile mapping) {
+  if (file.size() < 8 + 14 + 4) {
     return Status::Corruption("index: too short");
   }
+  // One sequential sweep verifies the CRC. Over a mapping it is also
+  // the first touch of every page, which mmap_index.first_touch_micros
+  // reports. Readahead is wide open for the sweep, then switched to
+  // random for the point lookups that follow (advice on an empty
+  // mapping is a no-op).
+  WallTimer sweep_timer;
+  mapping.Advise(MmapFile::Advice::kSequential);
+  const size_t body = file.size() - 4;
   uint32_t stored_crc;
-  std::memcpy(&stored_crc, data.data() + data.size() - 4, 4);
-  if (Crc32(data.data(), data.size() - 4) != stored_crc) {
+  std::memcpy(&stored_crc, file.data() + body, 4);
+  if (Crc32(file.data(), body) != stored_crc) {
     return Status::Corruption("index: checksum mismatch");
   }
-  data = data.substr(0, data.size() - 4);
+  const auto sweep_micros = static_cast<uint64_t>(sweep_timer.Micros());
+  mapping.Advise(MmapFile::Advice::kRandom);
 
   index_internal::IndexPrefix prefix;
-  CAFE_RETURN_IF_ERROR(index_internal::ParseIndexPrefix(data, &prefix));
+  CAFE_RETURN_IF_ERROR(
+      index_internal::ParseIndexPrefix(file.substr(0, body), &prefix));
 
   InvertedIndex index;
   index.options_ = prefix.options;
   index.doc_lengths_ = std::move(prefix.doc_lengths);
   index.directory_ = std::move(prefix.directory);
   index.stats_ = prefix.stats;
-  const uint8_t* blob =
-      reinterpret_cast<const uint8_t*>(data.data() + prefix.blob_offset);
-  index.blob_.assign(blob, blob + prefix.blob_bytes);
+  if (mapping.size() != 0) {
+    index.blob_offset_ = prefix.blob_offset;
+    index.blob_bytes_ = prefix.blob_bytes;
+    index.first_touch_micros_ = sweep_micros;
+    index.mapping_ = std::move(mapping);
+  } else {
+    const auto* blob =
+        reinterpret_cast<const uint8_t*>(file.data() + prefix.blob_offset);
+    index.blob_.assign(blob, blob + prefix.blob_bytes);
+  }
   return index;
+}
+
+Result<InvertedIndex> InvertedIndex::Deserialize(std::string_view data) {
+  return FromFile(data, MmapFile());
 }
 
 Status InvertedIndex::Save(const std::string& path) const {
@@ -257,11 +295,41 @@ Status InvertedIndex::Save(const std::string& path) const {
   return WriteStringToFile(path, data);
 }
 
-Result<InvertedIndex> InvertedIndex::Load(const std::string& path) {
+Result<InvertedIndex> InvertedIndex::Load(const std::string& path,
+                                          IndexMode mode) {
+  if (mode == IndexMode::kMmap) {
+    Result<MmapFile> mapped = MmapFile::Open(path);
+    if (!mapped.ok()) return mapped.status();
+    // The view stays valid across the move: the mapped pages stay put,
+    // only their ownership passes to FromFile.
+    const std::string_view file = mapped->view();
+    return FromFile(file, std::move(*mapped));
+  }
   std::string data;
-  Status s = ReadFileToString(path, &data);
-  if (!s.ok()) return s;
-  return Deserialize(data);
+  CAFE_RETURN_IF_ERROR(ReadFileToString(path, &data));
+  return FromFile(data, MmapFile());
+}
+
+void InvertedIndex::AttachMetrics(obs::MetricsRegistry* registry) {
+  if (registry == nullptr || mapping_.size() == 0) {
+    metric_lists_ = nullptr;
+    metric_bytes_decoded_ = nullptr;
+    return;
+  }
+  metric_lists_ = registry->GetCounter("mmap_index.lists_scanned");
+  metric_bytes_decoded_ = registry->GetCounter("mmap_index.bytes_decoded");
+  if (!open_facts_recorded_) {
+    open_facts_recorded_ = true;
+    registry->GetCounter("mmap_index.maps")->Add(1);
+    registry->GetCounter("mmap_index.bytes_mapped")->Add(mapping_.size());
+    registry->GetHistogram("mmap_index.first_touch_micros")
+        ->Record(first_touch_micros_);
+  }
+}
+
+void InvertedIndex::RecordScan(uint64_t begin_bit, uint64_t end_bit) const {
+  metric_lists_->Add(1);
+  metric_bytes_decoded_->Add((end_bit + 7) / 8 - begin_bit / 8);
 }
 
 }  // namespace cafe

@@ -6,24 +6,15 @@ namespace cafe {
 
 Result<IndexMode> ParseIndexMode(const std::string& name) {
   if (name == "memory" || name == "mem") return IndexMode::kMemory;
-  if (name == "cached" || name == "disk") return IndexMode::kCached;
   if (name == "mmap") return IndexMode::kMmap;
-  return Status::InvalidArgument(
-      "unknown index mode '" + name + "' (want memory, cached or mmap)");
-}
-
-Result<IndexMode> ResolveIndexModeFlags(const std::string& index_mode,
-                                        bool disk_index) {
-  if (!index_mode.empty()) return ParseIndexMode(index_mode);
-  return disk_index ? IndexMode::kCached : IndexMode::kMemory;
+  return Status::InvalidArgument("unknown index mode '" + name +
+                                 "' (want memory or mmap)");
 }
 
 const char* IndexModeName(IndexMode mode) {
   switch (mode) {
     case IndexMode::kMemory:
       return "memory";
-    case IndexMode::kCached:
-      return "cached";
     case IndexMode::kMmap:
       return "mmap";
   }
@@ -32,46 +23,9 @@ const char* IndexModeName(IndexMode mode) {
 
 Result<IndexReader> IndexReader::Open(const std::string& path,
                                       IndexMode mode) {
-  IndexReader reader;
-  reader.mode_ = mode;
-  switch (mode) {
-    case IndexMode::kMemory: {
-      Result<InvertedIndex> loaded = InvertedIndex::Load(path);
-      if (!loaded.ok()) return loaded.status();
-      reader.memory_ =
-          std::make_unique<InvertedIndex>(std::move(*loaded));
-      reader.source_ = reader.memory_.get();
-      break;
-    }
-    case IndexMode::kCached: {
-      Result<std::unique_ptr<DiskIndex>> opened = DiskIndex::Open(path);
-      if (!opened.ok()) return opened.status();
-      reader.cached_ = std::move(*opened);
-      reader.source_ = reader.cached_.get();
-      break;
-    }
-    case IndexMode::kMmap: {
-      Result<std::unique_ptr<MmapIndex>> opened = MmapIndex::Open(path);
-      if (!opened.ok()) return opened.status();
-      reader.mapped_ = std::move(*opened);
-      reader.source_ = reader.mapped_.get();
-      break;
-    }
-  }
-  return reader;
-}
-
-void IndexReader::AttachMetrics(obs::MetricsRegistry* registry) {
-  if (cached_ != nullptr) cached_->AttachMetrics(registry);
-  if (mapped_ != nullptr) mapped_->AttachMetrics(registry);
-}
-
-void IndexReader::MoveFrom(IndexReader&& other) {
-  mode_ = other.mode_;
-  memory_ = std::move(other.memory_);
-  cached_ = std::move(other.cached_);
-  mapped_ = std::move(other.mapped_);
-  source_ = std::exchange(other.source_, nullptr);
+  Result<InvertedIndex> index = InvertedIndex::Load(path, mode);
+  if (!index.ok()) return index.status();
+  return IndexReader(std::move(*index));
 }
 
 }  // namespace cafe

@@ -1,85 +1,53 @@
 // IndexReader: one entry point for "open this index file and give me a
-// PostingSource", switchable between the three read paths:
+// PostingSource", in either storage mode of InvertedIndex::Load:
 //
-//   kMemory  InvertedIndex::Load — the whole postings blob copied to
-//            heap; fastest steady state, heap grows with the index.
-//   kCached  DiskIndex::Open — directory on heap, postings fetched
-//            through a mutexed LRU block cache; the reference oracle
-//            for byte-identical A/B tests against the mmap path.
-//   kMmap    MmapIndex::Open — directory on heap, postings decoded
-//            zero-copy out of a read-only mapping; no lock, no warmup,
-//            serves indexes larger than RAM.
+//   kMemory  the postings blob copied to the heap; heap grows with the
+//            index.
+//   kMmap    the postings decoded in place from a read-only mapping of
+//            the file; the heap holds only the directory, and opening
+//            costs one CRC sweep of the file and no copy. After that
+//            sweep the kernel may evict mapped pages under memory
+//            pressure and fault them back in on use.
 //
-// cafe_cli and cafe_serve expose the choice as --index-mode=
-// memory|cached|mmap (--disk-index is kept as an alias for cached).
+// cafe_cli and cafe_serve expose the choice as --index-mode=memory|mmap.
 
 #ifndef CAFE_INDEX_INDEX_READER_H_
 #define CAFE_INDEX_INDEX_READER_H_
 
-#include <memory>
 #include <string>
+#include <utility>
 
-#include "index/disk_index.h"
 #include "index/inverted_index.h"
-#include "index/mmap_index.h"
 #include "index/posting_source.h"
 #include "obs/metrics.h"
 #include "util/status.h"
 
 namespace cafe {
 
-enum class IndexMode {
-  kMemory,
-  kCached,
-  kMmap,
-};
-
-/// Parses "memory" | "cached" | "mmap" (plus the legacy spelling
-/// "disk" for cached); InvalidArgument otherwise.
+/// Parses "memory" (or "mem") | "mmap"; InvalidArgument otherwise.
 [[nodiscard]] Result<IndexMode> ParseIndexMode(const std::string& name);
-
-/// One shared resolution of the tools' flag pair: a non-empty
-/// --index-mode value wins (and is parsed exactly once); otherwise the
-/// legacy --disk-index boolean selects cached, default memory. Both
-/// cafe_cli and cafe_serve route through this, so the flag semantics
-/// cannot drift between them.
-[[nodiscard]] Result<IndexMode> ResolveIndexModeFlags(
-    const std::string& index_mode, bool disk_index);
 
 const char* IndexModeName(IndexMode mode);
 
-/// An opened index: owns whichever implementation the mode selected
-/// and exposes it through the PostingSource interface. Move-only;
-/// `source()` stays valid for the lifetime of this object.
+/// An opened index. Move-only; `source()` stays valid for the lifetime
+/// of this object.
 class IndexReader {
  public:
   [[nodiscard]] static Result<IndexReader> Open(const std::string& path,
                                                 IndexMode mode);
 
-  const PostingSource* source() const { return source_; }
-  IndexMode mode() const { return mode_; }
+  const PostingSource* source() const { return &index_; }
 
-  /// Forwards to the implementation's metric mirror where one exists
-  /// (cached -> disk_index.*, mmap -> mmap_index.*; memory has none).
-  void AttachMetrics(obs::MetricsRegistry* registry);
-
-  IndexReader(IndexReader&& other) noexcept { MoveFrom(std::move(other)); }
-  IndexReader& operator=(IndexReader&& other) noexcept {
-    if (this != &other) MoveFrom(std::move(other));
-    return *this;
+  /// Forwards to InvertedIndex::AttachMetrics (mmap_index.* for a
+  /// mapped index; memory mode has none).
+  void AttachMetrics(obs::MetricsRegistry* registry) {
+    index_.AttachMetrics(registry);
   }
-  IndexReader(const IndexReader&) = delete;
-  IndexReader& operator=(const IndexReader&) = delete;
 
  private:
-  IndexReader() = default;
-  void MoveFrom(IndexReader&& other);
+  explicit IndexReader(InvertedIndex index) : index_(std::move(index)) {}
 
-  IndexMode mode_ = IndexMode::kMemory;
-  std::unique_ptr<InvertedIndex> memory_;
-  std::unique_ptr<DiskIndex> cached_;
-  std::unique_ptr<MmapIndex> mapped_;
-  const PostingSource* source_ = nullptr;
+  InvertedIndex index_;
 };
 
 }  // namespace cafe

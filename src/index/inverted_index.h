@@ -2,28 +2,44 @@
 // contributes. Maps every interval term to a compressed postings list over
 // the collection; the coarse search phase drives its ForEachPosting.
 //
+// Storage: the term directory and document lengths live on the heap.
+// The postings blob is either owned (a freshly built index, or one
+// loaded with IndexMode::kMemory) or a range of a read-only mapping of
+// the index file (IndexMode::kMmap), decoded in place with no copy and
+// no lock. Loading a mapped index reads every page once to verify the
+// file CRC; after that the kernel may evict pages under memory pressure
+// and fault them back in when a query touches them. The mapped file
+// must not shrink while loaded (a truncation turns page loads into
+// SIGBUS); replace-by-rename is safe, since the mapping pins the old
+// inode.
+//
 // Reentrancy contract: once built (or loaded), the const query surface —
 // FindTerm, ScanPostings, ForEachPosting, num_docs, doc_length(s),
 // options, stats — is safe for concurrent use from any number of
 // threads; postings decoding uses a thread-local scratch buffer and
 // everything else is read-only. Serialize/SerializedBytes maintain a
-// cached size and are not part of that concurrent-safe surface.
+// cached size and AttachMetrics rewires the metric mirror; neither is
+// part of that concurrent-safe surface.
 
 #ifndef CAFE_INDEX_INVERTED_INDEX_H_
 #define CAFE_INDEX_INVERTED_INDEX_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "index/posting_source.h"
 #include "index/postings.h"
 #include "index/vocabulary.h"
+#include "util/mmap_file.h"
 #include "util/status.h"
 
 namespace cafe {
 
 namespace obs {
+class Counter;
 class MetricsRegistry;
 }  // namespace obs
 
@@ -81,12 +97,18 @@ struct IndexStats {
   double bits_per_posting = 0.0;
 };
 
-class InvertedIndex final : public PostingSource {
+/// Where InvertedIndex::Load keeps the postings blob.
+enum class IndexMode {
+  kMemory,  // copied to the heap
+  kMmap,    // decoded in place from a read-only mapping of the file
+};
+
+class InvertedIndex final {
  public:
   InvertedIndex() : directory_(kMinIntervalLengthForCtor) {}
 
-  const IndexOptions& options() const override { return options_; }
-  uint32_t num_docs() const override {
+  const IndexOptions& options() const { return options_; }
+  uint32_t num_docs() const {
     return static_cast<uint32_t>(doc_lengths_.size());
   }
   uint32_t doc_length(uint32_t doc) const { return doc_lengths_[doc]; }
@@ -94,14 +116,13 @@ class InvertedIndex final : public PostingSource {
 
   /// Directory entry for `term`, or nullptr if the term is unindexed
   /// (never occurred, or stopped).
-  const TermEntry* FindTerm(uint32_t term) const override {
+  const TermEntry* FindTerm(uint32_t term) const {
     return directory_.Find(term);
   }
 
-  /// PostingSource implementation (type-erased callback); prefer the
-  /// ForEachPosting template when the callee type is known statically.
-  void ScanPostings(uint32_t term,
-                    const PostingCallback& fn) const override {
+  /// ForEachPosting through a type-erased callback; prefer the template
+  /// when the callee type is known statically.
+  void ScanPostings(uint32_t term, const PostingCallback& fn) const {
     ForEachPosting(term, fn);
   }
 
@@ -115,14 +136,39 @@ class InvertedIndex final : public PostingSource {
     const TermEntry* e = directory_.Find(term);
     if (e == nullptr) return;
     static thread_local std::vector<uint32_t> pos_buf;
-    DecodePostings(blob_.data(), blob_.size(), e->bit_offset, *e,
-                   num_docs(), options_.granularity, &pos_buf,
-                   std::forward<Fn>(fn));
+    const std::span<const uint8_t> blob = Blob();
+    const uint64_t end_bit =
+        DecodePostings(blob.data(), blob.size(), e->bit_offset, *e,
+                       num_docs(), options_.granularity, &pos_buf,
+                       std::forward<Fn>(fn));
+    if (metric_lists_ != nullptr) RecordScan(e->bit_offset, end_bit);
   }
 
   const TermDirectory& directory() const { return directory_; }
 
   const IndexStats& stats() const { return stats_; }
+
+  /// Heap bytes of the directory plus any owned postings. A mapping is
+  /// file-backed page cache, shared with other readers of the file and
+  /// reclaimable at any time, so it is not counted.
+  uint64_t MemoryBytes() const {
+    return directory_.MemoryBytes() + blob_.size();
+  }
+
+  /// Size of the read-only mapping (the whole index file); 0 when the
+  /// postings live on the heap.
+  uint64_t MappedBytes() const { return mapping_.size(); }
+
+  /// Mirrors the read activity of a mapped index into `registry` under
+  /// the `mmap_index.*` names (docs/OBSERVABILITY.md); a no-op when the
+  /// postings live on the heap. On first attach the open-time facts are
+  /// recorded too: one `mmap_index.maps`, `mmap_index.bytes_mapped`,
+  /// and the duration of the open-time CRC sweep — the first touch of
+  /// every page of the file — into `mmap_index.first_touch_micros`. The
+  /// registry must outlive this index; pass nullptr to detach. Not
+  /// thread-safe against in-flight queries: attach before serving.
+  /// Detached (the default), the hot path pays one null check per list.
+  void AttachMetrics(obs::MetricsRegistry* registry);
 
   /// Serialized size in bytes (same as what Save writes).
   uint64_t SerializedBytes() const;
@@ -130,7 +176,12 @@ class InvertedIndex final : public PostingSource {
   void Serialize(std::string* out) const;
   [[nodiscard]] static Result<InvertedIndex> Deserialize(std::string_view data);
   [[nodiscard]] Status Save(const std::string& path) const;
-  [[nodiscard]] static Result<InvertedIndex> Load(const std::string& path);
+
+  /// Opens an index file written by Save. Returns Status for every
+  /// malformed input (missing file, truncation, a bad CRC, a directory
+  /// inconsistent with the blob) — never a CHECK.
+  [[nodiscard]] static Result<InvertedIndex> Load(
+      const std::string& path, IndexMode mode = IndexMode::kMemory);
 
  private:
   friend class IndexBuilder;
@@ -143,12 +194,41 @@ class InvertedIndex final : public PostingSource {
   // replaces it.
   static constexpr int kMinIntervalLengthForCtor = 4;
 
+  /// The one open path: verifies the CRC over `file` (a whole index
+  /// file), parses the prefix and records the storage. With a non-empty
+  /// `mapping`, `file` is its view and the index keeps the mapping;
+  /// otherwise the blob is copied to the heap.
+  [[nodiscard]] static Result<InvertedIndex> FromFile(std::string_view file,
+                                                      MmapFile mapping);
+
+  /// The postings blob, worked out on every read so that a moved index
+  /// never points into another object's storage.
+  std::span<const uint8_t> Blob() const {
+    if (mapping_.size() == 0) return blob_;
+    return {mapping_.data() + blob_offset_, blob_bytes_};
+  }
+
+  /// Metric mirror hook (see AttachMetrics).
+  void RecordScan(uint64_t begin_bit, uint64_t end_bit) const;
+
   IndexOptions options_;
   std::vector<uint32_t> doc_lengths_;
   TermDirectory directory_;
+  // Owned postings; empty when mapping_ holds them at
+  // [blob_offset_, blob_offset_ + blob_bytes_).
   std::vector<uint8_t> blob_;
+  MmapFile mapping_;
+  size_t blob_offset_ = 0;
+  size_t blob_bytes_ = 0;
   IndexStats stats_;
   mutable uint64_t serialized_bytes_cache_ = 0;
+
+  // Metric mirror of a mapped index (see AttachMetrics); the counter
+  // pointers stay null while detached and for heap storage.
+  uint64_t first_touch_micros_ = 0;  // open-time CRC sweep of the mapping
+  obs::Counter* metric_lists_ = nullptr;
+  obs::Counter* metric_bytes_decoded_ = nullptr;
+  bool open_facts_recorded_ = false;
 };
 
 /// Builds indexes over collections.

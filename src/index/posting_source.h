@@ -1,14 +1,11 @@
-// PostingSource: the interface the coarse search phase consumes.
+// PostingSource: what the coarse and chaining phases read postings from.
 //
-// Three implementations exist: InvertedIndex (everything resident in
-// memory), DiskIndex (directory in memory, postings read from disk on
-// demand with a mutexed LRU cache — the cached reference path), and
-// MmapIndex (directory in memory, postings decoded zero-copy out of a
-// read-only mapping, no lock) — the configuration the CAFE system
-// actually shipped, where the index is much larger than main memory
-// and "index-based approaches do not rely on the entire collection
-// fitting into main memory". Tools select between them with
-// --index-mode=memory|cached|mmap.
+// It is the InvertedIndex itself (inverted_index.h). One class decodes
+// every read path: the postings bytes are either an owned heap buffer
+// (a freshly built index, or one loaded with --index-mode=memory) or a
+// read-only mapping of the index file (--index-mode=mmap). Callers that
+// know their callee type statically use the ForEachPosting template;
+// ScanPostings takes a type-erased PostingCallback for the rest.
 
 #ifndef CAFE_INDEX_POSTING_SOURCE_H_
 #define CAFE_INDEX_POSTING_SOURCE_H_
@@ -16,12 +13,9 @@
 #include <cstdint>
 #include <functional>
 
-#include "index/postings.h"
-#include "index/vocabulary.h"
-
 namespace cafe {
 
-struct IndexOptions;
+class InvertedIndex;
 
 /// Callback invoked once per posting entry:
 /// (doc, tf, positions, npos); positions is nullptr at document
@@ -29,26 +23,7 @@ struct IndexOptions;
 using PostingCallback =
     std::function<void(uint32_t, uint32_t, const uint32_t*, uint32_t)>;
 
-class PostingSource {
- public:
-  virtual ~PostingSource() = default;
-
-  virtual const IndexOptions& options() const = 0;
-  virtual uint32_t num_docs() const = 0;
-
-  /// Directory entry for `term`; nullptr if unindexed.
-  virtual const TermEntry* FindTerm(uint32_t term) const = 0;
-
-  /// Streams the postings of `term` through `fn`; no-op for unindexed
-  /// terms. Implementations must be safe for concurrent calls from
-  /// multiple search threads — the parallel query layer (BatchSearch)
-  /// issues coarse-phase scans from every worker. InvertedIndex and
-  /// MmapIndex decode with thread-local scratch over immutable bytes
-  /// (no lock anywhere); DiskIndex serializes its file reads and cache
-  /// updates behind a mutex and decodes outside the lock.
-  virtual void ScanPostings(uint32_t term, const PostingCallback& fn)
-      const = 0;
-};
+using PostingSource = InvertedIndex;
 
 }  // namespace cafe
 

@@ -51,13 +51,17 @@ uint32_t EncodePostings(const uint32_t* docs, const uint32_t* positions,
 /// `fn(doc, tf, positions, npos)` is invoked once per matching sequence;
 /// `positions` is nullptr (npos = 0) at document granularity. The
 /// positions buffer is owned by the decoder and reused across calls.
+/// Every doc handed to `fn` is below `num_docs`: a corrupt list stops at
+/// the first doc id out of range, as it does when the reader runs past
+/// the blob. Returns the bit position where decoding stopped — for a
+/// well-formed list, the start of the next one.
 template <typename Fn>
-void DecodePostings(const uint8_t* blob, size_t blob_bytes,
-                    uint64_t bit_offset, const TermEntry& entry,
-                    uint32_t num_docs, IndexGranularity granularity,
-                    std::vector<uint32_t>* pos_buf, Fn&& fn) {
-  // Directory offsets are producer-side invariants: the blob and its
-  // directory were either built in-process or admitted past a CRC check,
+uint64_t DecodePostings(const uint8_t* blob, size_t blob_bytes,
+                        uint64_t bit_offset, const TermEntry& entry,
+                        uint32_t num_docs, IndexGranularity granularity,
+                        std::vector<uint32_t>* pos_buf, Fn&& fn) {
+  // Directory offsets were either produced in-process or checked
+  // against the blob size when the file was opened (ParseIndexPrefix),
   // so an out-of-range offset is a bug, not bad input.
   CAFE_DCHECK_LE(bit_offset, blob_bytes * 8);
   BitReader r(blob, blob_bytes);
@@ -65,16 +69,15 @@ void DecodePostings(const uint8_t* blob, size_t blob_bytes,
   const uint64_t b_doc =
       coding::OptimalGolombParameter(entry.doc_count, num_docs);
   const uint64_t b_pos = entry.position_param;
-  uint32_t doc = 0;
-  bool first = true;
+  uint64_t doc = 0;
   for (uint32_t i = 0; i < entry.doc_count; ++i) {
-    uint64_t gap = coding::DecodeGolomb(&r, b_doc);
-    doc = first ? static_cast<uint32_t>(gap - 1)
-                : doc + static_cast<uint32_t>(gap);
-    first = false;
+    const uint64_t gap = coding::DecodeGolomb(&r, b_doc);
+    doc = i == 0 ? gap - 1 : doc + gap;
+    if (doc >= num_docs) break;  // corrupt input
+    const auto id = static_cast<uint32_t>(doc);
     uint32_t tf = static_cast<uint32_t>(coding::DecodeGamma(&r));
     if (granularity == IndexGranularity::kDocument) {
-      fn(doc, tf, static_cast<const uint32_t*>(nullptr), uint32_t{0});
+      fn(id, tf, static_cast<const uint32_t*>(nullptr), uint32_t{0});
       continue;
     }
     pos_buf->resize(tf);
@@ -83,9 +86,10 @@ void DecodePostings(const uint8_t* blob, size_t blob_bytes,
       pos += coding::DecodeGolomb(&r, b_pos);
       (*pos_buf)[k] = static_cast<uint32_t>(pos - 1);
     }
-    fn(doc, tf, pos_buf->data(), tf);
-    if (r.overflowed()) return;  // corrupt input; caller validated via CRC
+    fn(id, tf, pos_buf->data(), tf);
+    if (r.overflowed()) break;  // corrupt input
   }
+  return r.bit_position();
 }
 
 }  // namespace cafe

@@ -201,7 +201,7 @@ MetricsSnapshot MetricsRegistry::Delta(const MetricsSnapshot& current,
 
 namespace {
 
-// disk_index.cache_hits -> cafe_disk_index_cache_hits; characters a
+// mmap_index.lists_scanned -> cafe_mmap_index_lists_scanned; characters a
 // Prometheus metric name cannot hold become underscores.
 std::string PrometheusName(const std::string& name) {
   std::string out = "cafe_";

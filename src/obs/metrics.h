@@ -121,7 +121,7 @@ struct MetricsSnapshot {
 };
 
 /// Name -> metric registry. Names are dotted paths
-/// (`disk_index.cache_hits`); the full catalogue is documented in
+/// (`mmap_index.lists_scanned`); the full catalogue is documented in
 /// docs/OBSERVABILITY.md and cross-checked by tools/doccheck.py.
 class MetricsRegistry {
  public:

@@ -95,7 +95,7 @@ ChainOutcome ChainCandidates(std::string_view query,
   std::vector<std::vector<Anchor>> anchors(candidates.size());
   for (const auto& [term, qpositions] : terms) {
     const std::vector<uint32_t>& qpos_list = qpositions;
-    index.ScanPostings(
+    index.ForEachPosting(
         term, [&](uint32_t doc, uint32_t /*tf*/, const uint32_t* positions,
                   uint32_t npos) {
           auto it = slot_of.find(doc);

@@ -98,7 +98,7 @@ std::vector<CoarseCandidate> CoarseRanker::RankHitCount(
     obs::Span postings_span(spans, "index.postings");
     for (const auto& [term, qpositions] : terms) {
       const auto qtf = static_cast<uint32_t>(qpositions.size());
-      index_->ScanPostings(
+      index_->ForEachPosting(
           term, [&](uint32_t doc, uint32_t tf, const uint32_t*, uint32_t) {
             if (acc[doc] == 0.0) touched.push_back(doc);
             acc[doc] += std::min(qtf, tf);
@@ -142,7 +142,7 @@ std::vector<CoarseCandidate> CoarseRanker::RankDiagonal(
   {
     obs::Span postings_span(spans, "index.postings");
     for (const auto& [term, qpositions] : terms) {
-      index_->ScanPostings(
+      index_->ForEachPosting(
           term, [&](uint32_t doc, uint32_t tf, const uint32_t* positions,
                     uint32_t npos) {
             (void)tf;

@@ -19,7 +19,7 @@ std::string ErrnoMessage(const std::string& what, const std::string& path) {
 
 }  // namespace
 
-Result<MmapFile> MmapFile::Open(const std::string& path, bool populate) {
+Result<MmapFile> MmapFile::Open(const std::string& path) {
   int fd = ::open(path.c_str(), O_RDONLY);  // NOLINT(hicpp-vararg)
   if (fd < 0) {
     return Status::IOError(ErrnoMessage("cannot open", path));
@@ -38,13 +38,7 @@ Result<MmapFile> MmapFile::Open(const std::string& path, bool populate) {
     ::close(fd);
     return MmapFile(nullptr, 0);
   }
-  int flags = MAP_PRIVATE;
-#if defined(MAP_POPULATE)
-  if (populate) flags |= MAP_POPULATE;
-#else
-  (void)populate;
-#endif
-  void* mapped = ::mmap(nullptr, size, PROT_READ, flags, fd, 0);
+  void* mapped = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
   // The mapping holds its own reference to the file; the descriptor is
   // no longer needed either way.
   ::close(fd);

@@ -40,15 +40,10 @@ class MmapFile {
     kDontNeed,    // the pages will not be touched again soon
   };
 
-  /// Maps `path` read-only in its entirety. Empty files map to a valid
-  /// object with size() == 0 and data() == nullptr. With `populate`,
-  /// page tables for the whole file are filled during the mmap call
-  /// (MAP_POPULATE) instead of via one fault per touched page — the
-  /// right call when the consumer is about to sweep every byte anyway,
-  /// as the index CRC check at open does. Best-effort: kernels without
-  /// it just fault lazily.
-  [[nodiscard]] static Result<MmapFile> Open(const std::string& path,
-                                             bool populate = false);
+  /// Maps `path` read-only in its entirety. Pages are faulted in on
+  /// first touch. Empty files map to a valid object with size() == 0
+  /// and data() == nullptr.
+  [[nodiscard]] static Result<MmapFile> Open(const std::string& path);
 
   MmapFile() = default;
   ~MmapFile();

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "index/disk_index.h"
+#include "index/inverted_index.h"
 #include "index/index_merge.h"
 #include "search/exhaustive.h"
 #include "search/partitioned.h"
@@ -138,17 +138,16 @@ TEST(BatchSearchTest, BothStrandsAndRescoreStayDeterministic) {
   ExpectSameBatch(*sequential, *parallel);
 }
 
-TEST(BatchSearchTest, ConcurrentQueriesOverDiskIndex) {
+TEST(BatchSearchTest, ConcurrentQueriesOverMappedIndex) {
   Fixture f = MakeFixture();
   const std::string path = TempDir() + "/cafe_batch_search_test.idx";
   ASSERT_TRUE(f.index.Save(path).ok());
-  // A small cache forces evictions while several queries are in flight.
-  Result<std::unique_ptr<DiskIndex>> disk =
-      DiskIndex::Open(path, /*cache_capacity_bytes=*/1 << 12);
-  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  // Several queries decode out of the same read-only mapping at once.
+  Result<InvertedIndex> mapped = InvertedIndex::Load(path, IndexMode::kMmap);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
   PartitionedSearch mem_engine(&f.collection, &f.index);
-  PartitionedSearch disk_engine(&f.collection, disk->get());
+  PartitionedSearch mmap_engine(&f.collection, &*mapped);
   SearchOptions options;
   options.max_results = 10;
   options.fine_candidates = 30;
@@ -159,7 +158,7 @@ TEST(BatchSearchTest, ConcurrentQueriesOverDiskIndex) {
   ASSERT_TRUE(reference.ok());
   options.threads = 4;
   Result<std::vector<SearchResult>> concurrent =
-      disk_engine.BatchSearch(f.queries, options);
+      mmap_engine.BatchSearch(f.queries, options);
   ASSERT_TRUE(concurrent.ok()) << concurrent.status().ToString();
   ExpectSameBatch(*reference, *concurrent);
   ASSERT_TRUE(RemoveFile(path).ok());

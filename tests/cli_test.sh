@@ -34,9 +34,9 @@ QUERY="$(sed -n '2p' "$DIR/db.fa" | cut -c1-60)"
     --query "$QUERY" --top 3 > "$DIR/log" 2>&1
 grep -q "SYN0" "$DIR/log"
 
-# Disk index + both strands + evalues path.
+# Mapped index + both strands + evalues path.
 "$CLI" search --collection "$DIR/db.col" --index "$DIR/db.idx" \
-    --query "$QUERY" --top 3 --disk-index --both-strands --evalues \
+    --query "$QUERY" --top 3 --index-mode=mmap --both-strands --evalues \
     > "$DIR/log" 2>&1
 grep -q "evalue" "$DIR/log"
 
@@ -54,11 +54,11 @@ grep -q "funnel:" "$DIR/log"
 grep -q "candidates ranked" "$DIR/log"
 
 "$CLI" search --collection "$DIR/db.col" --index "$DIR/db.idx" \
-    --query "$QUERY" --top 3 --disk-index --stats=json > "$DIR/stats.json"
+    --query "$QUERY" --top 3 --index-mode=mmap --stats=json > "$DIR/stats.json"
 grep -q '"trace_total"' "$DIR/stats.json"
 grep -q '"postings_decoded"' "$DIR/stats.json"
 grep -q '"timings_us"' "$DIR/stats.json"
-grep -q 'disk_index.cache_misses' "$DIR/stats.json"
+grep -q 'mmap_index.maps' "$DIR/stats.json"
 if command -v python3 > /dev/null 2>&1; then
   python3 -m json.tool "$DIR/stats.json" > /dev/null
 fi

@@ -8,7 +8,7 @@
 #include <functional>
 #include <memory>
 
-#include "index/disk_index.h"
+#include "index/inverted_index.h"
 #include "search/blast_like.h"
 #include "search/exhaustive.h"
 #include "search/fasta_like.h"
@@ -22,8 +22,8 @@ namespace {
 struct SharedFixture {
   SequenceCollection collection;
   InvertedIndex index;
-  std::unique_ptr<DiskIndex> disk;
-  std::string disk_path;
+  InvertedIndex mapped;  // the same index, loaded from a mapping
+  std::string index_path;
   std::vector<sim::PlantedQuery> queries;
 };
 
@@ -61,12 +61,12 @@ class EngineContractTest : public ::testing::TestWithParam<EngineCase> {
         IndexBuilder::Build(fixture->collection, iopt);
     ASSERT_TRUE(index.ok());
     fixture->index = std::move(*index);
-    fixture->disk_path = TempDir() + "/cafe_engine_param.idx";
-    ASSERT_TRUE(fixture->index.Save(fixture->disk_path).ok());
-    Result<std::unique_ptr<DiskIndex>> disk =
-        DiskIndex::Open(fixture->disk_path);
-    ASSERT_TRUE(disk.ok());
-    fixture->disk = std::move(*disk);
+    fixture->index_path = TempDir() + "/cafe_engine_param.idx";
+    ASSERT_TRUE(fixture->index.Save(fixture->index_path).ok());
+    Result<InvertedIndex> mapped =
+        InvertedIndex::Load(fixture->index_path, IndexMode::kMmap);
+    ASSERT_TRUE(mapped.ok());
+    fixture->mapped = std::move(*mapped);
   }
 };
 
@@ -161,10 +161,10 @@ INSTANTIATE_TEST_SUITE_P(
                      return std::make_unique<PartitionedSearch>(
                          &fixture->collection, &fixture->index);
                    }},
-        EngineCase{"partitioned_disk",
+        EngineCase{"partitioned_mmap",
                    [] {
                      return std::make_unique<PartitionedSearch>(
-                         &fixture->collection, fixture->disk.get());
+                         &fixture->collection, &fixture->mapped);
                    }},
         EngineCase{"exhaustive",
                    [] {

@@ -1,7 +1,7 @@
 // Parameterised sweep over index configurations: every combination of
 // interval length (including the sparse-directory regime), stride and
 // granularity must agree with a brute-force reference, survive
-// serialization, and be served identically by the disk-resident reader.
+// serialization, and be served identically out of a mapping of the file.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include <tuple>
 
 #include "collection/collection.h"
-#include "index/disk_index.h"
 #include "index/interval.h"
 #include "index/inverted_index.h"
 #include "sim/generator.h"
@@ -121,14 +120,14 @@ TEST_P(IndexConfigTest, MatchesBruteForceAndRoundTrips) {
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(Materialize(*back, back->directory(), config.granularity), ref);
 
-  // The disk reader serves the same postings.
+  // The mapped read path serves the same postings.
   std::string path = TempDir() + "/cafe_index_param_" +
                      std::to_string(config.interval_length) + "_" +
                      std::to_string(config.stride) + ".idx";
   ASSERT_TRUE(index->Save(path).ok());
-  Result<std::unique_ptr<DiskIndex>> disk = DiskIndex::Open(path);
-  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
-  EXPECT_EQ(Materialize(**disk, index->directory(), config.granularity),
+  Result<InvertedIndex> mapped = InvertedIndex::Load(path, IndexMode::kMmap);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ(Materialize(*mapped, index->directory(), config.granularity),
             ref);
   ASSERT_TRUE(RemoveFile(path).ok());
 }

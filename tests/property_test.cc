@@ -138,7 +138,7 @@ TEST(CoarsePropertyTest, FrameWidthDoesNotChangeTopContainingDoc) {
                                  gen.RandomSequence(100));
   IndexOptions iopt;
   iopt.interval_length = 8;
-  InvertedIndex index = *IndexBuilder::Build(col, iopt);
+  InvertedIndex index = IndexBuilder::Build(col, iopt).value();
   CoarseRanker ranker(&index);
   for (uint32_t frame_width : {4u, 8u, 16u, 64u, 256u}) {
     SearchStats stats;

@@ -41,7 +41,7 @@ Fixture MakeFixture() {
 
   IndexOptions iopt;
   iopt.interval_length = 8;
-  f.index = *IndexBuilder::Build(f.collection, iopt);
+  f.index = IndexBuilder::Build(f.collection, iopt).value();
   return f;
 }
 

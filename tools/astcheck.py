@@ -4,15 +4,15 @@ regexes can express. Two passes, both scope-sensitive:
 
   astcheck-view-escape
       A std::string_view / span / raw pointer derived from a mapping
-      object (MmapFile::view()/data(), MmapIndex, PostingSource) is
+      object (MmapFile::view()/data(), InvertedIndex, PostingSource) is
       stored into a class member or a member container. Views into a
       mapping are borrows: they die with the mapping (docs/DESIGN.md
       "zero-copy read path"), so parking one in state that outlives
       the stack frame is a use-after-munmap waiting for a remap.
       Storing a view derived from the *same object's own* mapping
-      member (e.g. MmapIndex::blob_ pointing into MmapIndex::file_) is
-      allowed — member lifetimes are tied, that is the zero-copy
-      design itself.
+      member (e.g. a view into InvertedIndex::mapping_ kept by that
+      InvertedIndex) is allowed — member lifetimes are tied, that is
+      the zero-copy design itself.
 
   astcheck-lock-scope
       A blocking call — read/write/pread/pwrite/recv/send/accept/
@@ -52,7 +52,7 @@ RULE_LOCK = "astcheck-lock-scope"
 
 # Types whose instances own (or are) a memory mapping. A view derived
 # from one of these is only valid while that object lives.
-MAPPING_TYPES = ("MmapFile", "MmapIndex", "PostingSource")
+MAPPING_TYPES = ("MmapFile", "InvertedIndex", "PostingSource")
 
 # Accessors on mapping objects that hand out borrowed views/pointers.
 VIEW_ACCESSORS = ("view", "data")
@@ -71,7 +71,7 @@ BLOCKING_CALLS = (
 BLOCKING_RE = re.compile(
     r"\b(?:" + "|".join(BLOCKING_CALLS) + r")\s*\(")
 MUTEXLOCK_DECL_RE = re.compile(r"\b(?:cafe::)?MutexLock\s+\w+\s*[({]")
-# `MmapFile file` / `const MmapIndex& idx` / `MmapFile* f` — captures
+# `MmapFile file` / `const InvertedIndex& idx` / `MmapFile* f` — captures
 # the declared name so the pass knows which identifiers are mappings.
 MAPPING_DECL_RE = re.compile(
     r"\b(" + "|".join(MAPPING_TYPES) + r")\b[&*\s]+(\w+)\s*[,;=)({]")
@@ -450,7 +450,7 @@ SELFTEST_CASES = [
      "  view_ = v;\n"
      "}", RULE_VIEW),  # …via a borrowing local
     ("src/a/b.cc",
-     "void Load(MmapIndex* idx) {\n"
+     "void Load(InvertedIndex* idx) {\n"
      "  ptr_ = idx->data();\n"
      "}", RULE_VIEW),
     ("src/a/b.cc",
@@ -461,8 +461,8 @@ SELFTEST_CASES = [
      "}", RULE_VIEW),  # container store, two-hop borrow
     # --- view-escape: negatives ------------------------------------
     ("src/a/b.cc",
-     "void MmapIndex::Attach() {\n"
-     "  blob_ = file_.data() + header_bytes_;\n"
+     "void InvertedIndex::Attach() {\n"
+     "  blob_ = mapping_.data() + blob_offset_;\n"
      "}", None),  # same-object store: file_ is our own member
     ("src/a/b.cc",
      "void Scan(const MmapFile& file) {\n"

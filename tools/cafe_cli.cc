@@ -12,7 +12,7 @@
 //       [--top 10] [--candidates 100] [--band 48] [--mode diagonal|hitcount]
 //       [--both-strands] [--evalues] [--traceback]
 //       [--chain off|filter] [--min-chain N] [--seed-pattern P]
-//       [--index-mode memory|cached|mmap]   (--disk-index = cached)
+//       [--index-mode memory|mmap]
 //       [--threads N]   (default: one per hardware thread; 1 = sequential)
 //       [--stats[=json]] [--trace-out FILE]
 //   cafe_cli batch ...   (search over --query-file; same flags)
@@ -81,8 +81,7 @@ int Usage() {
       "           [--candidates N] [--band N] [--mode diagonal|hitcount]\n"
       "           [--both-strands] [--evalues] [--traceback]\n"
       "           [--chain off|filter] [--min-chain N] [--seed-pattern P]\n"
-      "           [--index-mode memory|cached|mmap]  (--disk-index = "
-      "cached)\n"
+      "           [--index-mode memory|mmap]\n"
       "           [--threads N]  (0 = one per hardware thread)\n"
       "           [--stats[=json]]  (per-query traces + metrics)\n"
       "           [--trace-out FILE]  (span timeline, Chrome trace JSON)\n"
@@ -195,12 +194,12 @@ Status CmdBuild(FlagParser& flags) {
   // mmap path (one CRC sweep + directory parse, no blob copy) and
   // check the directory it sees against the index just built.
   {
-    Result<std::unique_ptr<MmapIndex>> verify = MmapIndex::Open(idx_path);
+    Result<InvertedIndex> verify =
+        InvertedIndex::Load(idx_path, IndexMode::kMmap);
     if (!verify.ok()) return verify.status();
-    if ((*verify)->stats().num_terms != index->stats().num_terms ||
-        (*verify)->stats().total_postings !=
-            index->stats().total_postings ||
-        (*verify)->num_docs() != index->num_docs()) {
+    if (verify->stats().num_terms != index->stats().num_terms ||
+        verify->stats().total_postings != index->stats().total_postings ||
+        verify->num_docs() != index->num_docs()) {
       return Status::Corruption(
           "saved index disagrees with the built index: " + idx_path);
     }
@@ -339,8 +338,7 @@ Status CmdSearch(FlagParser& flags, bool batch_mode) {
   // the sequential reference path.
   int64_t threads_flag = flags.GetInt("threads", 0);
   bool evalues = flags.GetBool("evalues");
-  bool use_disk = flags.GetBool("disk-index");
-  std::string index_mode_flag = flags.GetString("index-mode", "");
+  std::string index_mode_flag = flags.GetString("index-mode", "memory");
   std::string mode = flags.GetString("mode", "diagonal");
   std::string trace_out = flags.GetString("trace-out", "");
   Result<std::string> stats_flag = ParseStatsMode(flags);
@@ -374,10 +372,8 @@ Status CmdSearch(FlagParser& flags, bool batch_mode) {
   Result<SequenceCollection> col = SequenceCollection::Load(col_path);
   if (!col.ok()) return col.status();
 
-  Result<IndexMode> resolved = ResolveIndexModeFlags(index_mode_flag,
-                                                     use_disk);
-  if (!resolved.ok()) return resolved.status();
-  IndexMode index_mode = *resolved;
+  Result<IndexMode> index_mode = ParseIndexMode(index_mode_flag);
+  if (!index_mode.ok()) return index_mode.status();
 
   // --trace-out records the whole run (index open + every query) into
   // one timeline. Trace id 0 — this is a local run, not a wire request.
@@ -390,7 +386,7 @@ Status CmdSearch(FlagParser& flags, bool batch_mode) {
   obs::MetricsRegistry registry;
   const uint32_t open_span =
       spans != nullptr ? spans->StartSpan("index.open") : 0;
-  Result<IndexReader> reader = IndexReader::Open(idx_path, index_mode);
+  Result<IndexReader> reader = IndexReader::Open(idx_path, *index_mode);
   if (spans != nullptr) spans->EndSpan(open_span);
   if (!reader.ok()) return reader.status();
   if (!stats_mode.empty()) {

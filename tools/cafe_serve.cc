@@ -4,17 +4,18 @@
 //       [--host 127.0.0.1] [--port 0] [--port-file FILE]
 //       [--workers N] [--queue N] [--batch N] [--search-threads N]
 //       [--chain off|filter] [--min-chain N]
-//       [--index-mode memory|cached|mmap]   (--disk-index = cached)
+//       [--index-mode memory|mmap]
 //       [--http-port N] [--http-port-file FILE]
 //       [--slow-ms N] [--flight-capacity N] [--slow-capacity N]
 //       [--span-sample-rate RATE] [--stats-interval SECONDS]
 //   cafe_serve --version
 //
-// --index-mode picks the index read path: memory (blob on heap),
-// cached (DiskIndex block cache — the reference oracle) or mmap
-// (zero-copy, lock-free, near-instant startup; the serving default
-// for indexes larger than RAM). --disk-index is a legacy alias for
-// cached.
+// --index-mode picks where the postings live: memory (blob copied to
+// the heap, the default) or mmap (decoded in place from a read-only
+// mapping; the heap holds only the directory). Opening a mapped index
+// reads the whole file once to verify its CRC; after that the kernel
+// may evict its pages under memory pressure and fault them back in on
+// use.
 //
 // Speaks the length-prefixed binary protocol in src/server/protocol.h;
 // cafe_loadgen and the Client library are the reference peers. With
@@ -89,8 +90,7 @@ int Usage() {
       "           [--workers N] [--queue N] [--batch N]\n"
       "           [--search-threads N]\n"
       "           [--chain off|filter] [--min-chain N]\n"
-      "           [--index-mode memory|cached|mmap]  (--disk-index = "
-      "cached)\n"
+      "           [--index-mode memory|mmap]\n"
       "           [--http-port N] [--http-port-file FILE]\n"
       "           [--slow-ms N] [--flight-capacity N] [--slow-capacity N]\n"
       "           [--span-sample-rate RATE] [--stats-interval SECONDS]\n"
@@ -209,8 +209,7 @@ Status Run(FlagParser& flags) {
   std::string idx_path = flags.GetString("index", "");
   std::string port_file = flags.GetString("port-file", "");
   std::string http_port_file = flags.GetString("http-port-file", "");
-  bool use_disk = flags.GetBool("disk-index");
-  std::string index_mode_flag = flags.GetString("index-mode", "");
+  std::string index_mode_flag = flags.GetString("index-mode", "memory");
   server::ServerOptions options;
   options.bind_address = flags.GetString("host", "127.0.0.1");
   options.port = static_cast<uint16_t>(flags.GetInt("port", 0));
@@ -246,10 +245,9 @@ Status Run(FlagParser& flags) {
 
   Result<SequenceCollection> col = SequenceCollection::Load(col_path);
   if (!col.ok()) return col.status();
-  Result<IndexMode> resolved = ResolveIndexModeFlags(index_mode_flag,
-                                                     use_disk);
-  if (!resolved.ok()) return resolved.status();
-  IndexMode index_mode = *resolved;
+  Result<IndexMode> parsed_mode = ParseIndexMode(index_mode_flag);
+  if (!parsed_mode.ok()) return parsed_mode.status();
+  const IndexMode index_mode = *parsed_mode;
   WallTimer open_timer;
   Result<IndexReader> reader = IndexReader::Open(idx_path, index_mode);
   if (!reader.ok()) return reader.status();
@@ -264,9 +262,9 @@ Status Run(FlagParser& flags) {
   options.dispatcher.span_store = &span_store;
   server::Server server(&engine, options);
   obs::MetricsRegistry* metrics = server.metrics();
-  // Index read-path counters (disk_index.* / mmap_index.*) join the
-  // server registry so they surface on /metrics and the stats verb.
-  // Attach before Start: queries may be in flight afterwards.
+  // Index read-path counters (mmap_index.*) join the server registry
+  // so they surface on /metrics and the stats verb. Attach before
+  // Start: queries may be in flight afterwards.
   reader->AttachMetrics(metrics);
   // SIMD dispatch counters (coarse.packed_* / align.*) likewise: they
   // show which tier is serving the coarse scan and the fine alignments.
