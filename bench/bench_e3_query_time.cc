@@ -7,6 +7,8 @@
 // Waterman, reporting per-query wall time, speedup over exhaustive SW,
 // and the work accounting that explains it (DP cells, candidates).
 
+#include <sys/resource.h>
+
 #include <memory>
 #include <string>
 
@@ -23,6 +25,21 @@
 #include "util/timer.h"
 
 using namespace cafe;
+
+namespace {
+
+// User + system CPU seconds of the whole process so far (all threads).
+double ProcessCpuSeconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           static_cast<double>(tv.tv_usec) * 1e-6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   FlagParser flags(argc, argv);
@@ -94,11 +111,7 @@ int main(int argc, char** argv) {
                             "aligned/query", "top hit agrees"});
   double exhaustive_ms = 0.0;
   std::vector<eval::BatchResult> batches;
-  // One SearchTrace per engine, accumulated over the whole batch — the
-  // same observability layer behind `cafe_cli search --stats`.
-  std::vector<obs::SearchTrace> traces(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
-    rows[i].options.trace = &traces[i];
     batches.push_back(bench::Unwrap(
         eval::RunBatch(rows[i].engine, queries, rows[i].options),
         rows[i].label));
@@ -133,14 +146,15 @@ int main(int argc, char** argv) {
   }
   table.Print();
 
-  // Per-stage and funnel accounting from the traces: where each engine
+  // Per-stage and funnel accounting from each batch's merged traces —
+  // the same record behind `cafe_cli search --stats`: where each engine
   // spends its time and how hard the coarse phase prunes.
   std::printf("\nstage breakdown (per query, from SearchTrace):\n");
   eval::TablePrinter stages({"engine", "coarse us", "fine us", "post us",
                              "lists", "postings", "kept", "aligned"});
   const double nq = static_cast<double>(queries.size());
   for (size_t i = 0; i < rows.size(); ++i) {
-    const obs::SearchTrace& t = traces[i];
+    const obs::SearchTrace& t = batches[i].aggregate;
     stages.AddRow(
         {rows[i].label, FormatDouble(t.coarse_micros / nq, 0),
          FormatDouble(t.fine_micros / nq, 0),
@@ -157,23 +171,28 @@ int main(int argc, char** argv) {
   // Thread-count sweep: the same query batch through the partitioned
   // engine with BatchSearch fanning queries over 1/2/4/8 workers.
   // Rankings are bit-identical across thread counts (asserted below);
-  // only wall time changes.
+  // only wall time changes. The process CPU seconds spent in each row
+  // show whether its threads overlapped: CPU/wall near 1 means the
+  // workers ran one after another, whatever the thread count.
   std::printf("\nthread sweep (partitioned diagonal, %u queries, "
               "%u hardware threads):\n",
               num_queries, ThreadPool::HardwareThreads());
-  eval::TablePrinter sweep(
-      {"threads", "batch seconds", "queries/sec", "speedup vs 1"});
+  eval::TablePrinter sweep({"threads", "batch seconds", "cpu seconds",
+                            "queries/sec", "speedup vs 1"});
   double base_wall = 0.0;
   std::vector<eval::BatchResult> sweep_results;
   for (uint32_t t : {1u, 2u, 4u, 8u}) {
     SearchOptions sweep_options = options;
     sweep_options.threads = t;
+    const double cpu_before = ProcessCpuSeconds();
     eval::BatchResult b = bench::Unwrap(
         eval::RunBatch(&part_diag, queries, sweep_options),
         "thread sweep");
+    const double cpu_seconds = ProcessCpuSeconds() - cpu_before;
     if (t == 1) base_wall = b.wall_seconds;
     sweep.AddRow(
         {std::to_string(t), FormatDouble(b.wall_seconds, 3),
+         FormatDouble(cpu_seconds, 3),
          FormatDouble(static_cast<double>(queries.size()) / b.wall_seconds,
                       1),
          FormatDouble(base_wall / b.wall_seconds, 2) + "x"});

@@ -203,17 +203,15 @@ int main(int argc, char** argv) {
     for (uint32_t threads : {1u, 4u}) {
       SearchOptions off = chain_base;
       off.threads = threads;
-      obs::SearchTrace off_trace;
-      off.trace = &off_trace;
       eval::BatchResult off_batch = bench::Unwrap(
           eval::RunBatch(&engine, queries, off), "chain-off batch");
+      const obs::SearchTrace& off_trace = off_batch.aggregate;
 
       SearchOptions on = off;
       on.chain_mode = ChainMode::kFilter;
-      obs::SearchTrace on_trace;
-      on.trace = &on_trace;
       eval::BatchResult on_batch = bench::Unwrap(
           eval::RunBatch(&engine, queries, on), "chain-on batch");
+      const obs::SearchTrace& on_trace = on_batch.aggregate;
 
       std::vector<std::vector<HitKey>> off_hits =
           SignificantHits(off_batch.results, floors);

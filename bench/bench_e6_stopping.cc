@@ -62,10 +62,9 @@ int main() {
     // The trace's funnel counters show the stopping effect directly:
     // stopped query terms surface as terms_unindexed, and the decoded
     // postings volume shrinks with the stop fraction.
-    obs::SearchTrace trace;
-    options.trace = &trace;
     eval::BatchResult batch = bench::Unwrap(
         eval::RunBatch(&part, queries, options), "partitioned batch");
+    const obs::SearchTrace& trace = batch.aggregate;
 
     double recall = 0;
     for (size_t q = 0; q < queries.size(); ++q) {
@@ -84,10 +83,9 @@ int main() {
     // with 4-5 chance anchors in one diagonal window, so the dial must
     // sit above that tail to separate chance clusters from homology.
     chained_options.min_chain_score = 8;
-    obs::SearchTrace chained_trace;
-    chained_options.trace = &chained_trace;
     eval::BatchResult chained_batch = bench::Unwrap(
         eval::RunBatch(&part, queries, chained_options), "chained batch");
+    const obs::SearchTrace& chained_trace = chained_batch.aggregate;
     double chain_recall = 0;
     for (size_t q = 0; q < queries.size(); ++q) {
       chain_recall += eval::RecallAtK(chained_batch.results[q].hits,
@@ -102,8 +100,8 @@ int main() {
         {FormatDouble(stop, 2), WithCommas(s.stopped_terms),
          FormatDouble(kept, 1),
          FormatDouble(index->SerializedBytes() / 1e6, 2),
-         FormatDouble(batch.aggregate.coarse_seconds /
-                          static_cast<double>(queries.size()) * 1e3,
+         FormatDouble(trace.coarse_micros /
+                          static_cast<double>(queries.size()) * 1e-3,
                       1),
          FormatDouble(batch.mean_query_seconds * 1e3, 1),
          FormatDouble(static_cast<double>(trace.terms_unindexed) /

@@ -131,8 +131,8 @@ int main() {
     ctable.AddRow(
         {std::to_string(n),
          WithCommas(batch.aggregate.postings_decoded / queries.size()),
-         FormatDouble(batch.aggregate.coarse_seconds /
-                          static_cast<double>(queries.size()) * 1e3,
+         FormatDouble(batch.aggregate.coarse_micros /
+                          static_cast<double>(queries.size()) * 1e-3,
                       1),
          FormatDouble(MeanRecall(batch, wl->queries), 3),
          FormatDouble(batch.mean_query_seconds * 1e3, 1)});

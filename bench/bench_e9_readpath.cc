@@ -87,12 +87,11 @@ ModeResult MeasureMode(IndexMode mode, const SequenceCollection& col,
   bench::Unwrap(eval::RunBatch(&engine, queries, options).status(),
                 "warmup batch");
   obs::SearchTrace trace;
-  SearchOptions traced = options;
-  traced.trace = &trace;
   WallTimer timer;
   for (int run = 0; run < kWarmRuns; ++run) {
-    bench::Unwrap(eval::RunBatch(&engine, queries, traced).status(),
-                  "warm batch");
+    eval::BatchResult batch = bench::Unwrap(
+        eval::RunBatch(&engine, queries, options), "warm batch");
+    trace.Merge(batch.aggregate);
   }
   const double wall = timer.Seconds();
   const double total_queries =

@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the observability layer
-// (src/obs/): the detached cost the hot paths pay when no registry,
-// trace, or span recorder is attached (a null check), the attached
+// (src/obs/): the detached cost the hot paths pay when no registry or
+// span recorder is attached (a null check), the stage timer, the attached
 // counter/histogram/span record cost, and contended multi-thread
 // increments — the numbers behind the "near-zero overhead when
 // unattached" claim in docs/OBSERVABILITY.md.
@@ -24,7 +24,6 @@
 #include "bench_common.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "util/timer.h"
 
 namespace cafe {
@@ -66,27 +65,17 @@ void BM_AttachedHistogramRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_AttachedHistogramRecord)->Threads(1)->Threads(4);
 
-// Detached TraceSpan: construction + destruction with a null sink, the
-// per-phase cost every un-traced query pays.
-void BM_DetachedTraceSpan(benchmark::State& state) {
-  double* sink = nullptr;
-  benchmark::DoNotOptimize(sink);
-  for (auto _ : state) {
-    obs::TraceSpan span(sink);
-    benchmark::ClobberMemory();
-  }
-}
-BENCHMARK(BM_DetachedTraceSpan);
-
-void BM_AttachedTraceSpan(benchmark::State& state) {
+// obs::Span with a µs sink and no recorder: the stage timer every
+// query pays on the unsampled path (two steady-clock reads and an add).
+void BM_SinkOnlySpan(benchmark::State& state) {
   double micros = 0.0;
   for (auto _ : state) {
-    obs::TraceSpan span(&micros);
+    obs::Span span(nullptr, "bench.span", &micros);
     benchmark::ClobberMemory();
   }
   benchmark::DoNotOptimize(micros);
 }
-BENCHMARK(BM_AttachedTraceSpan);
+BENCHMARK(BM_SinkOnlySpan);
 
 // Detached obs::Span: the per-phase cost every unsampled request pays
 // at each instrumentation site — constructor and destructor must each

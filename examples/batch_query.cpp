@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
     const SearchResult& r = batch->results[i];
     std::printf("query %2zu: best=%-5d hits=%zu coarse=%.1fms fine=%.1fms\n",
                 i, r.hits.empty() ? 0 : r.hits[0].score, r.hits.size(),
-                r.stats.coarse_seconds * 1e3, r.stats.fine_seconds * 1e3);
+                r.trace.coarse_micros * 1e-3, r.trace.fine_micros * 1e-3);
   }
   std::printf("\n%zu queries in %.3fs wall (%.1f ms/query mean, "
               "%.1f queries/sec)\n",

@@ -73,8 +73,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "search failed\n");
       return 1;
     }
-    part_time += rp->stats.total_seconds;
-    exh_time += re->stats.total_seconds;
+    part_time += rp->trace.total_micros * 1e-6;
+    exh_time += re->trace.total_micros * 1e-6;
     double recall =
         eval::RecallAtK(rp->hits, q.true_positives, options.max_results);
     double overlap = eval::OverlapAtK(rp->hits, re->hits, 5);

@@ -75,7 +75,7 @@ int main() {
   std::printf("hits: %zu (aligned %llu of %u sequences)\n\n",
               result->hits.size(),
               static_cast<unsigned long long>(
-                  result->stats.candidates_aligned),
+                  result->trace.candidates_aligned),
               collection.NumSequences());
   for (const cafe::SearchHit& hit : result->hits) {
     std::printf("  %-10s score=%-4d coarse=%.0f\n",

@@ -16,11 +16,11 @@ Result<BatchResult> RunBatch(SearchEngine* engine,
   out.wall_seconds = wall.Seconds();
   out.results = std::move(*results);
   for (const SearchResult& r : out.results) {
-    out.aggregate.Accumulate(r.stats);
+    out.aggregate.Merge(r.trace);
   }
   if (!queries.empty()) {
-    out.mean_query_seconds =
-        out.aggregate.total_seconds / static_cast<double>(queries.size());
+    out.mean_query_seconds = out.aggregate.total_micros * 1e-6 /
+                             static_cast<double>(queries.size());
   }
   return out;
 }

@@ -1,5 +1,5 @@
 // Batch evaluation harness: run an engine over a query workload,
-// aggregate per-query statistics, and keep the rankings for
+// aggregate the per-query traces, and keep the rankings for
 // effectiveness scoring.
 
 #ifndef CAFE_EVAL_HARNESS_H_
@@ -16,12 +16,12 @@ struct BatchResult {
   std::string engine_name;
   /// One SearchResult per query, in input order.
   std::vector<SearchResult> results;
-  /// Sum over queries.
-  SearchStats aggregate;
+  /// Merge of the per-query traces (SearchResult::trace).
+  obs::SearchTrace aggregate;
   double mean_query_seconds = 0.0;
   /// Wall-clock time of the whole batch. With options.threads > 1 this
-  /// is what shrinks (queries overlap), while the per-query stats the
-  /// aggregate sums stay roughly constant.
+  /// is what shrinks (queries overlap), while the per-query timings
+  /// the aggregate sums stay roughly constant.
   double wall_seconds = 0.0;
 };
 

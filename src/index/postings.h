@@ -52,8 +52,9 @@ uint32_t EncodePostings(const uint32_t* docs, const uint32_t* positions,
 /// `positions` is nullptr (npos = 0) at document granularity. The
 /// positions buffer is owned by the decoder and reused across calls.
 /// Every doc handed to `fn` is below `num_docs`: a corrupt list stops at
-/// the first doc id out of range, as it does when the reader runs past
-/// the blob. Returns the bit position where decoding stopped — for a
+/// the first doc id out of range, at the first tf larger than the bits
+/// left (each position takes at least one), and when the reader runs
+/// past the blob. Returns the bit position where decoding stopped — for a
 /// well-formed list, the start of the next one.
 template <typename Fn>
 uint64_t DecodePostings(const uint8_t* blob, size_t blob_bytes,
@@ -80,6 +81,9 @@ uint64_t DecodePostings(const uint8_t* blob, size_t blob_bytes,
       fn(id, tf, static_cast<const uint32_t*>(nullptr), uint32_t{0});
       continue;
     }
+    // Every position costs at least one bit, so a tf beyond the bits
+    // left is corrupt input — stop before it sizes the buffer.
+    if (tf > r.bits_remaining()) break;
     pos_buf->resize(tf);
     uint64_t pos = 0;
     for (uint32_t k = 0; k < tf; ++k) {

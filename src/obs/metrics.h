@@ -26,7 +26,6 @@
 #include <string>
 
 #include "util/mutex.h"
-#include "util/timer.h"
 
 namespace cafe::obs {
 
@@ -172,24 +171,6 @@ class MetricsRegistry {
       CAFE_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Histogram>> histograms_
       CAFE_GUARDED_BY(mu_);
-};
-
-/// RAII timer recording elapsed microseconds into a histogram on
-/// destruction. Null histogram = no-op (the detached case).
-class Timer {
- public:
-  explicit Timer(Histogram* sink) : sink_(sink) {}
-  ~Timer() {
-    if (sink_ != nullptr) {
-      sink_->Record(static_cast<uint64_t>(timer_.Micros()));
-    }
-  }
-  Timer(const Timer&) = delete;
-  Timer& operator=(const Timer&) = delete;
-
- private:
-  Histogram* sink_;
-  WallTimer timer_;
 };
 
 /// Minimal JSON string escaping (quotes, backslash, control chars) for

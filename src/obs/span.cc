@@ -31,30 +31,26 @@ uint64_t SpanRecorder::NowNanos() {
 }
 
 uint32_t SpanRecorder::StartSpan(const char* name) {
-  uint32_t id = StartSpan(name, current_.load(std::memory_order_relaxed));
+  return StartSpanAt(name, NowNanos());
+}
+
+uint32_t SpanRecorder::StartSpanAt(const char* name, uint64_t begin_ns) {
+  uint32_t id = AddSpan(name, current_.load(std::memory_order_relaxed),
+                        DenseThreadId(), begin_ns, 0);
   if (id != 0) current_.store(id, std::memory_order_relaxed);
   return id;
 }
 
 uint32_t SpanRecorder::StartSpan(const char* name, uint32_t parent) {
-  uint32_t slot = next_.fetch_add(1, std::memory_order_relaxed);
-  if (slot >= slots_.size()) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return 0;
-  }
-  SpanEvent& event = slots_[slot];
-  event.name = name;
-  event.id = slot + 1;
-  event.parent = parent;
-  event.tid = DenseThreadId();
-  event.begin_ns = NowNanos();
-  return slot + 1;
+  return AddSpan(name, parent, DenseThreadId(), NowNanos(), 0);
 }
 
-void SpanRecorder::EndSpan(uint32_t id) {
+void SpanRecorder::EndSpan(uint32_t id) { EndSpanAt(id, NowNanos()); }
+
+void SpanRecorder::EndSpanAt(uint32_t id, uint64_t end_ns) {
   if (id == 0) return;
   SpanEvent& event = slots_[id - 1];
-  event.end_ns = NowNanos();
+  event.end_ns = end_ns;
   // If the ended span is the implicit anchor, the anchor returns to
   // its parent. Out-of-order ends (a still-open sibling) leave the
   // anchor alone rather than guessing.
@@ -122,6 +118,21 @@ std::string SpanRecorder::ChromeTraceJson() const {
   }
   out += "]}";
   return out;
+}
+
+void Span::Open(const char* name) {
+  begin_ns_ = SpanRecorder::NowNanos();
+  if (recorder_ != nullptr) id_ = recorder_->StartSpanAt(name, begin_ns_);
+}
+
+void Span::Close() {
+  const uint64_t end_ns = SpanRecorder::NowNanos();
+  if (recorder_ != nullptr) recorder_->EndSpanAt(id_, end_ns);
+  if (sink_ != nullptr) {
+    *sink_ += static_cast<double>(end_ns - begin_ns_) / 1000.0;
+  }
+  recorder_ = nullptr;
+  sink_ = nullptr;
 }
 
 SpanSampler::SpanSampler(double rate)

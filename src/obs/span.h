@@ -10,23 +10,26 @@
 // dropped() instead of recorded; the timeline stays valid, just
 // truncated.
 //
-// Attachment follows the SearchTrace convention: a null recorder
-// pointer means "sampling off" and every instrumentation site reduces
-// to a single branch (benchmarked by bench_micro_obs --gate). The
-// sampling decision itself lives in SpanSampler: a SplitMix64 hash of
-// the trace id against the configured rate, so the same trace id
-// samples identically on every hop, with a round-robin counter
-// fallback for clients that do not mint trace ids.
+// A null recorder pointer means "sampling off" and every
+// instrumentation site reduces to a single branch (benchmarked by
+// bench_micro_obs --gate). The sampling decision itself lives in
+// SpanSampler: a SplitMix64 hash of the trace id against the
+// configured rate, so the same trace id samples identically on every
+// hop, with a round-robin counter fallback for clients that do not
+// mint trace ids.
 //
 // Spans whose begin and end happen on one thread use the RAII Span
-// wrapper (or StartSpan/EndSpan with the implicit parent anchor).
-// Spans that cross threads — queue.wait begins on the connection
-// thread and ends on a dispatcher worker; fine.worker lives on a pool
-// thread — use AddSpan with an explicit parent id and the begin/end
-// stamps taken where the work happened. Cross-thread visibility of
-// slot contents is the caller's synchronization (the dispatcher's
-// done-publication mutex, ThreadPool's join barrier); the recorder
-// only guarantees unique slot ownership.
+// wrapper (or StartSpan/EndSpan with the implicit parent anchor). Span
+// is also the engines' one stage timer: its pair of clock reads feeds
+// a SearchTrace stage field on every query and, when the request is
+// sampled, the recorded span — so the two never disagree. Spans that
+// cross threads — queue.wait begins on the connection thread and ends
+// on a dispatcher worker; fine.worker lives on a pool thread — use
+// AddSpan with an explicit parent id and the begin/end stamps taken
+// where the work happened. Cross-thread visibility of slot contents is
+// the caller's synchronization (the dispatcher's done-publication
+// mutex, ThreadPool's join barrier); the recorder only guarantees
+// unique slot ownership.
 //
 // Export is Chrome trace-event JSON ("X" complete events, one per
 // span, microsecond timestamps relative to the recorder's creation),
@@ -137,6 +140,13 @@ class SpanRecorder {
   std::string ChromeTraceJson() const;
 
  private:
+  friend class Span;
+
+  /// StartSpan(name) / EndSpan(id) with the caller's clock reads, so a
+  /// Span can hand the same stamps to its µs sink.
+  uint32_t StartSpanAt(const char* name, uint64_t begin_ns);
+  void EndSpanAt(uint32_t id, uint64_t end_ns);
+
   const uint64_t trace_id_;
   const uint64_t origin_ns_;
   std::vector<SpanEvent> slots_;
@@ -145,28 +155,43 @@ class SpanRecorder {
   std::atomic<uint64_t> dropped_{0};
 };
 
-/// RAII span for single-thread sections. A null recorder makes both
-/// constructor and destructor a single branch — the detached cost
-/// bench_micro_obs gates:
-///   obs::Span span(options.spans, "coarse.rank");
+/// RAII span for single-thread sections, and the one stage timer.
+/// One pair of clock reads closes the span in `recorder` (when the
+/// request is sampled) and adds the elapsed microseconds to
+/// `*sink_micros` (when non-null — a SearchTrace stage field). With
+/// both null, constructor and destructor are each a single branch —
+/// the detached cost bench_micro_obs gates:
+///   obs::Span span(options.spans, "coarse.rank", &trace->coarse_micros);
 class Span {
  public:
-  Span(SpanRecorder* recorder, const char* name)
-      : recorder_(recorder),
-        id_(recorder != nullptr ? recorder->StartSpan(name) : 0) {}
-  ~Span() {
-    if (recorder_ != nullptr) recorder_->EndSpan(id_);
+  Span(SpanRecorder* recorder, const char* name,
+       double* sink_micros = nullptr)
+      : recorder_(recorder), sink_(sink_micros) {
+    if (recorder != nullptr || sink_micros != nullptr) Open(name);
   }
+  ~Span() { End(); }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
+
+  /// Closes the span now; later calls (and the destructor) do nothing.
+  /// For a sink that must be written before its owner is moved away —
+  /// an engine's `search` span ends before `return result;`.
+  void End() {
+    if (recorder_ != nullptr || sink_ != nullptr) Close();
+  }
 
   /// Id of the opened span (0 when detached or dropped) — the parent
   /// to hand to AddSpan for children recorded on other threads.
   uint32_t id() const { return id_; }
 
  private:
-  SpanRecorder* const recorder_;
-  const uint32_t id_;
+  void Open(const char* name);
+  void Close();
+
+  SpanRecorder* recorder_;
+  double* sink_;
+  uint32_t id_ = 0;
+  uint64_t begin_ns_ = 0;
 };
 
 /// Sampling gate for the dispatcher: should this request get a

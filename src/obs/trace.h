@@ -1,6 +1,8 @@
-// Per-query search tracing: the pruning funnel and per-phase timings
-// behind one partitioned query, recorded by the engines when a trace is
-// attached to SearchOptions (null pointer = zero work beyond the check).
+// Per-query search accounting: the pruning funnel and per-stage
+// timings behind one query. Every engine fills SearchResult::trace on
+// every Search() call — it is the one per-query record; the stage
+// timings come from obs::Span (obs/span.h), the one stage timer, whose
+// clock reads also time the span of a sampled request.
 //
 // The counter fields are *deterministic*: for a given engine, query,
 // index and options they are identical at every SearchOptions::threads
@@ -14,8 +16,6 @@
 
 #include <cstdint>
 #include <string>
-
-#include "util/timer.h"
 
 namespace cafe::obs {
 
@@ -81,23 +81,6 @@ struct SearchTrace {
 
   /// Human-readable multi-line rendering (the CLI's --stats output).
   std::string ToText() const;
-};
-
-/// RAII span adding elapsed microseconds to a phase field on
-/// destruction. Null sink = no-op, so call sites stay unconditional:
-///   obs::TraceSpan span(trace ? &trace->coarse_micros : nullptr);
-class TraceSpan {
- public:
-  explicit TraceSpan(double* sink_micros) : sink_(sink_micros) {}
-  ~TraceSpan() {
-    if (sink_ != nullptr) *sink_ += timer_.Micros();
-  }
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
- private:
-  double* sink_;
-  WallTimer timer_;
 };
 
 }  // namespace cafe::obs

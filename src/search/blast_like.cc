@@ -5,7 +5,6 @@
 #include "align/smith_waterman.h"
 #include "align/xdrop.h"
 #include "index/interval.h"
-#include "util/timer.h"
 
 namespace cafe {
 
@@ -20,15 +19,10 @@ Result<SearchResult> BlastLikeSearch::Search(std::string_view query,
     return Status::InvalidArgument("query shorter than the seed length");
   }
 
-  WallTimer total;
-  obs::SearchTrace* trace = options.trace;
-  obs::TraceSpan total_span(trace != nullptr ? &trace->total_micros
-                                             : nullptr);
-  obs::TraceSpan fine_span(trace != nullptr ? &trace->fine_micros
-                                            : nullptr);
-  obs::Span search_span(options.spans, "search");
-  if (trace != nullptr) ++trace->queries;
   SearchResult result;
+  obs::SearchTrace& trace = result.trace;
+  obs::Span search_span(options.spans, "search", &trace.total_micros);
+  trace.queries = 1;
   Aligner aligner(options.scoring);
   PairScoreTable table(options.scoring);
   TopHits top(options.max_results);
@@ -39,11 +33,9 @@ Result<SearchResult> BlastLikeSearch::Search(std::string_view query,
                   [&](uint32_t pos, uint32_t term) {
                     words[term].push_back(pos);
                   });
-  if (trace != nullptr) {
-    trace->terms_distinct += words.size();
-    for (const auto& [term, positions] : words) {
-      trace->intervals_extracted += positions.size();
-    }
+  trace.terms_distinct = words.size();
+  for (const auto& [term, positions] : words) {
+    trace.intervals_extracted += positions.size();
   }
 
   std::string seq;
@@ -81,11 +73,11 @@ Result<SearchResult> BlastLikeSearch::Search(std::string_view query,
     });
 
     if (best_ungapped <= 0) continue;
-    ++result.stats.candidates_ranked;
+    ++trace.candidates_ranked;
     if (triggered) {
       best_score =
           aligner.BandedScore(query, seq, best_diag, options.band);
-      ++result.stats.candidates_aligned;
+      ++trace.candidates_aligned;
     } else {
       best_score = best_ungapped;
     }
@@ -108,20 +100,16 @@ Result<SearchResult> BlastLikeSearch::Search(std::string_view query,
     }
   }
 
-  result.stats.cells_computed = aligner.cells_computed();
-  result.stats.fine_seconds = total.Seconds();
-  result.stats.total_seconds = result.stats.fine_seconds;
-  if (trace != nullptr) {
-    trace->candidates_ranked += result.stats.candidates_ranked;
-    trace->candidates_kept += result.stats.candidates_ranked;
-    trace->candidates_aligned += result.stats.candidates_aligned;
-    trace->cells_computed += result.stats.cells_computed;
-    trace->hits_reported += result.hits.size();
-  }
+  trace.candidates_kept = trace.candidates_ranked;
+  trace.cells_computed = aligner.cells_computed();
+  trace.hits_reported = result.hits.size();
   if (options.statistics.has_value()) {
     AnnotateStatistics(&result, query.size(), collection_->TotalBases(),
                        *options.statistics);
   }
+  // No coarse phase to split out: the whole scan is the fine stage.
+  search_span.End();
+  trace.fine_micros = trace.total_micros;
   return result;
 }
 

@@ -73,8 +73,8 @@ ChainOutcome ChainCandidates(std::string_view query,
     // A loaded index has validated options; unreachable in practice.
     return Passthrough(std::move(candidates), options.band);
   }
-  obs::TraceSpan span(trace != nullptr ? &trace->chain_micros : nullptr);
-  obs::Span chain_span(options.spans, "chain.filter");
+  obs::Span chain_span(options.spans, "chain.filter",
+                       trace != nullptr ? &trace->chain_micros : nullptr);
 
   // Query term -> positions, with the index's own extraction plan (the
   // query side always extracts at stride 1, like the coarse phase).

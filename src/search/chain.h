@@ -61,7 +61,7 @@ ChainOutcome ChainCandidates(std::string_view query,
 /// Mirrors the chaining stage's process-wide counters into `registry`
 /// (chain.invocations, chain.anchors, chain.candidates_kept,
 /// chain.candidates_dropped). Null detaches. Same idiom as
-/// AttachPackedScanMetrics: relaxed-atomic counter pointers, zero cost
+/// AttachAlignSimdMetrics: relaxed-atomic counter pointers, zero cost
 /// when detached.
 void AttachChainMetrics(obs::MetricsRegistry* registry);
 

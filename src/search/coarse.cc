@@ -7,7 +7,6 @@
 #include "index/inverted_index.h"
 #include "index/seed_extract.h"
 #include "obs/span.h"
-#include "util/timer.h"
 
 namespace cafe {
 namespace {
@@ -66,28 +65,26 @@ std::vector<CoarseCandidate> SelectTop(std::vector<CoarseCandidate> all,
 
 std::vector<CoarseCandidate> CoarseRanker::Rank(
     std::string_view query, CoarseRankMode mode, uint32_t limit,
-    uint32_t frame_width, SearchStats* stats, obs::SearchTrace* trace,
-    obs::SpanRecorder* spans) const {
-  WallTimer timer;
-  obs::TraceSpan span(trace != nullptr ? &trace->coarse_micros : nullptr);
-  obs::Span rank_span(spans, "coarse.rank");
+    uint32_t frame_width, obs::SpanRecorder* spans,
+    obs::SearchTrace* trace) const {
+  obs::Span rank_span(spans, "coarse.rank",
+                      trace != nullptr ? &trace->coarse_micros : nullptr);
   std::vector<CoarseCandidate> out;
   if (mode == CoarseRankMode::kDiagonal &&
       index_->options().granularity == IndexGranularity::kPositional) {
-    out = RankDiagonal(query, limit, frame_width, stats, trace, spans);
+    out = RankDiagonal(query, limit, frame_width, trace, spans);
   } else {
-    out = RankHitCount(query, limit, stats, trace, spans);
+    out = RankHitCount(query, limit, trace, spans);
   }
   if (trace != nullptr) {
     trace->candidates_kept += out.size();
   }
-  if (stats != nullptr) stats->coarse_seconds += timer.Seconds();
   return out;
 }
 
 std::vector<CoarseCandidate> CoarseRanker::RankHitCount(
-    std::string_view query, uint32_t limit, SearchStats* stats,
-    obs::SearchTrace* trace, obs::SpanRecorder* spans) const {
+    std::string_view query, uint32_t limit, obs::SearchTrace* trace,
+    obs::SpanRecorder* spans) const {
   auto terms = QueryTermPositions(query, index_->options());
   TraceQueryTerms(index_, terms, trace);
 
@@ -112,10 +109,6 @@ std::vector<CoarseCandidate> CoarseRanker::RankHitCount(
   for (uint32_t doc : touched) {
     all.push_back(CoarseCandidate{doc, acc[doc], 0, false});
   }
-  if (stats != nullptr) {
-    stats->postings_decoded += postings;
-    stats->candidates_ranked += all.size();
-  }
   if (trace != nullptr) {
     trace->postings_decoded += postings;
     trace->candidates_ranked += all.size();
@@ -127,8 +120,7 @@ std::vector<CoarseCandidate> CoarseRanker::RankHitCount(
 
 std::vector<CoarseCandidate> CoarseRanker::RankDiagonal(
     std::string_view query, uint32_t limit, uint32_t frame_width,
-    SearchStats* stats, obs::SearchTrace* trace,
-    obs::SpanRecorder* spans) const {
+    obs::SearchTrace* trace, obs::SpanRecorder* spans) const {
   if (frame_width == 0) frame_width = 16;
   auto terms = QueryTermPositions(query, index_->options());
   TraceQueryTerms(index_, terms, trace);
@@ -185,10 +177,6 @@ std::vector<CoarseCandidate> CoarseRanker::RankDiagonal(
   std::vector<CoarseCandidate> all;
   all.reserve(best.size());
   for (auto& [doc, cand] : best) all.push_back(cand);
-  if (stats != nullptr) {
-    stats->postings_decoded += postings;
-    stats->candidates_ranked += all.size();
-  }
   if (trace != nullptr) {
     trace->postings_decoded += postings;
     trace->candidates_ranked += all.size();

@@ -32,28 +32,26 @@ class CoarseRanker {
 
   /// Ranks all matching sequences and returns the best `limit` in
   /// descending score order. `mode` falls back to kHitCount when the
-  /// index lacks positions. Updates stats (postings_decoded,
-  /// candidates_ranked, coarse_seconds) and, when `trace` is non-null,
-  /// the coarse stages of the pruning funnel (interval/term counts,
-  /// lists touched, candidates ranked/kept/discarded, coarse_micros).
-  /// When `spans` is non-null, records the coarse.rank span with a
-  /// nested index.postings span around the postings decode loop.
+  /// index lacks positions. When `spans` is non-null, records the
+  /// coarse.rank span with a nested index.postings span around the
+  /// postings decode loop. When `trace` is non-null, adds the coarse
+  /// stages of the pruning funnel (interval/term counts, lists touched,
+  /// postings decoded, candidates ranked/kept/discarded) and
+  /// coarse_micros, timed by the same clock reads as coarse.rank.
   std::vector<CoarseCandidate> Rank(std::string_view query,
                                     CoarseRankMode mode, uint32_t limit,
-                                    uint32_t frame_width, SearchStats* stats,
-                                    obs::SearchTrace* trace = nullptr,
-                                    obs::SpanRecorder* spans = nullptr) const;
+                                    uint32_t frame_width,
+                                    obs::SpanRecorder* spans,
+                                    obs::SearchTrace* trace = nullptr) const;
 
  private:
   std::vector<CoarseCandidate> RankHitCount(std::string_view query,
                                             uint32_t limit,
-                                            SearchStats* stats,
                                             obs::SearchTrace* trace,
                                             obs::SpanRecorder* spans) const;
   std::vector<CoarseCandidate> RankDiagonal(std::string_view query,
                                             uint32_t limit,
                                             uint32_t frame_width,
-                                            SearchStats* stats,
                                             obs::SearchTrace* trace,
                                             obs::SpanRecorder* spans) const;
 

@@ -59,16 +59,6 @@ Status SearchOptions::Validate() const {
   return Status::OK();
 }
 
-void SearchStats::Accumulate(const SearchStats& other) {
-  coarse_seconds += other.coarse_seconds;
-  fine_seconds += other.fine_seconds;
-  total_seconds += other.total_seconds;
-  candidates_ranked += other.candidates_ranked;
-  candidates_aligned += other.candidates_aligned;
-  cells_computed += other.cells_computed;
-  postings_decoded += other.postings_decoded;
-}
-
 void TopHits::Add(SearchHit hit) {
   if (limit_ == 0) return;
   if (heap_.size() < limit_) {
@@ -92,80 +82,52 @@ int TopHits::Floor() const {
 }
 
 Result<std::vector<SearchResult>> SearchEngine::BatchSearch(
-    const std::vector<std::string>& queries, const SearchOptions& options) {
-  return BatchSearchTraced(queries, options, nullptr);
-}
-
-Result<std::vector<SearchResult>> SearchEngine::BatchSearchTraced(
     const std::vector<std::string>& queries, const SearchOptions& options,
-    std::vector<obs::SearchTrace>* traces,
     const std::vector<Deadline>* deadlines,
     const std::vector<obs::SpanRecorder*>* spans) {
   if (deadlines != nullptr && deadlines->size() != queries.size()) {
     return Status::InvalidArgument(
-        "BatchSearchTraced: deadlines must match queries in size");
+        "BatchSearch: deadlines must match queries in size");
   }
   if (spans != nullptr && spans->size() != queries.size()) {
     return Status::InvalidArgument(
-        "BatchSearchTraced: spans must match queries in size");
+        "BatchSearch: spans must match queries in size");
   }
   std::vector<SearchResult> results(queries.size());
-  // Each query records into its own slot so concurrent queries never
-  // share a trace; options.trace receives the input-order merge at the
-  // end, making batch totals independent of the thread count.
-  std::vector<obs::SearchTrace> local_traces;
-  obs::SearchTrace* caller_trace = options.trace;
-  const bool tracing = traces != nullptr || caller_trace != nullptr;
-  std::vector<obs::SearchTrace>* slots =
-      traces != nullptr ? traces : &local_traces;
-  if (tracing) slots->assign(queries.size(), obs::SearchTrace{});
-
   const uint32_t requested = options.threads == 0
                                  ? ThreadPool::HardwareThreads()
                                  : options.threads;
   const bool concurrent = requested > 1 && queries.size() > 1 &&
                           SupportsConcurrentSearch();
+  // One worker per query slot, each query internally sequential so the
+  // pool is never entered recursively. Each query's trace rides in its
+  // own result, so batch-mates never share accounting and the results
+  // are the same objects the sequential loop would produce.
+  SearchOptions shared = options;
+  if (concurrent) shared.threads = 1;
+  auto run = [&](size_t i) -> Status {
+    SearchOptions per_query = shared;
+    if (deadlines != nullptr) per_query.deadline = &(*deadlines)[i];
+    if (spans != nullptr) per_query.spans = (*spans)[i];
+    Result<SearchResult> r = SearchWithStrands(this, queries[i], per_query);
+    if (!r.ok()) return r.status();
+    results[i] = std::move(*r);
+    return Status::OK();
+  };
   if (!concurrent) {
-    SearchOptions per_query = options;
     for (size_t i = 0; i < queries.size(); ++i) {
-      per_query.trace = tracing ? &(*slots)[i] : nullptr;
-      if (deadlines != nullptr) per_query.deadline = &(*deadlines)[i];
-      if (spans != nullptr) per_query.spans = (*spans)[i];
-      Result<SearchResult> r =
-          SearchWithStrands(this, queries[i], per_query);
-      if (!r.ok()) return r.status();
-      results[i] = std::move(*r);
+      CAFE_RETURN_IF_ERROR(run(i));
     }
-  } else {
-    // One worker per query slot, each query internally sequential so the
-    // pool is never entered recursively. Per-query results are the same
-    // objects the sequential loop would produce, so the batch is
-    // deterministic under any thread count.
-    SearchOptions per_query = options;
-    per_query.threads = 1;
-    per_query.trace = nullptr;
-    const size_t workers = std::min<size_t>(requested, queries.size());
-    std::vector<Status> errors(queries.size(), Status::OK());
-    ThreadPool pool(static_cast<unsigned>(workers));
-    pool.ParallelFor(queries.size(), [&](size_t i, unsigned /*worker*/) {
-      SearchOptions query_options = per_query;
-      query_options.trace = tracing ? &(*slots)[i] : nullptr;
-      if (deadlines != nullptr) query_options.deadline = &(*deadlines)[i];
-      if (spans != nullptr) query_options.spans = (*spans)[i];
-      Result<SearchResult> r =
-          SearchWithStrands(this, queries[i], query_options);
-      if (r.ok()) {
-        results[i] = std::move(*r);
-      } else {
-        errors[i] = r.status();
-      }
-    });
-    for (const Status& s : errors) {
-      if (!s.ok()) return s;
-    }
+    return results;
   }
-  if (caller_trace != nullptr) {
-    for (const obs::SearchTrace& t : *slots) caller_trace->Merge(t);
+  const size_t workers = std::min<size_t>(requested, queries.size());
+  std::vector<Status> errors(queries.size(), Status::OK());
+  ThreadPool pool(static_cast<unsigned>(workers));
+  pool.ParallelFor(queries.size(), [&](size_t i, unsigned /*worker*/) {
+    errors[i] = run(i);
+  });
+  for (const Status& s : errors) {
+    if (!s.ok()) return s;
   }
   return results;
 }
@@ -191,8 +153,8 @@ Result<SearchResult> SearchWithStrands(SearchEngine* engine,
     top.Add(std::move(hit));
   }
   merged.hits = top.Take();
-  merged.stats = forward->stats;
-  merged.stats.Accumulate(reverse->stats);
+  merged.trace = forward->trace;
+  merged.trace.Merge(reverse->trace);
   merged.truncated = forward->truncated || reverse->truncated;
   return merged;
 }

@@ -1,4 +1,4 @@
-// Common search-engine interface, options, results and statistics.
+// Common search-engine interface, options and results.
 //
 // Every engine answers the same question — "which sequences in the
 // collection have a high-quality local alignment with this query?" — so
@@ -121,16 +121,6 @@ struct SearchOptions {
   /// setting — parallelism only changes wall time.
   uint32_t threads = 1;
 
-  /// Observability hook: when non-null, the engine accumulates the
-  /// per-stage pruning funnel and phase timings of every Search() call
-  /// into this trace (+=, never overwritten, so strand passes and
-  /// sequential batches compose). The pointer must stay valid for the
-  /// duration of the call and is written from the calling thread only;
-  /// BatchSearch gives each concurrent query a private trace and merges
-  /// them in input order, so counters stay deterministic at any thread
-  /// count. Null (the default) costs one branch per guarded site.
-  obs::SearchTrace* trace = nullptr;
-
   /// When non-null, the engine records named wall-clock spans (coarse
   /// scan, chaining, per-partition fine workers, merge, post) into this
   /// recorder — the per-request timeline behind /tracez and
@@ -180,25 +170,11 @@ struct SearchHit {
   LocalAlignment alignment;
 };
 
-struct SearchStats {
-  double coarse_seconds = 0.0;
-  double fine_seconds = 0.0;
-  double total_seconds = 0.0;
-  /// Sequences with non-zero coarse evidence.
-  uint64_t candidates_ranked = 0;
-  /// Sequences that received fine (DP) scoring.
-  uint64_t candidates_aligned = 0;
-  /// DP cells computed by the aligner.
-  uint64_t cells_computed = 0;
-  /// Postings entries decoded from the index.
-  uint64_t postings_decoded = 0;
-
-  void Accumulate(const SearchStats& other);
-};
-
 struct SearchResult {
   std::vector<SearchHit> hits;  // sorted by descending score
-  SearchStats stats;
+  /// This query's pruning funnel and stage timings, filled by every
+  /// engine on every call (SearchWithStrands merges both strands).
+  obs::SearchTrace trace;
   /// True when SearchOptions::deadline expired before the search
   /// finished: `hits` is a partial (possibly empty) answer.
   bool truncated = false;
@@ -224,21 +200,12 @@ class SearchEngine {
   /// Evaluates a batch of independent queries — the heavy-traffic
   /// serving shape. Results arrive in input order and each equals what
   /// SearchWithStrands(this, query, options) returns (both strands are
-  /// searched when options.search_both_strands is set). With
-  /// options.threads > 1 and SupportsConcurrentSearch(), queries are
-  /// evaluated concurrently, each internally sequential; otherwise the
-  /// batch runs one query at a time, passing options.threads through so
-  /// engines with an internal parallel phase still use it. Fails with
-  /// the first (lowest-index) query error.
-  Result<std::vector<SearchResult>> BatchSearch(
-      const std::vector<std::string>& queries,
-      const SearchOptions& options);
-
-  /// BatchSearch that also returns one SearchTrace per query (in input
-  /// order; `traces` is resized to queries.size()). Per-query traces are
-  /// recorded into private structs even when queries run concurrently,
-  /// then options.trace (if set) additionally receives their merge in
-  /// input order — so batch totals are identical at every thread count.
+  /// searched when options.search_both_strands is set), trace included.
+  /// With options.threads > 1 and SupportsConcurrentSearch(), queries
+  /// are evaluated concurrently, each internally sequential; otherwise
+  /// the batch runs one query at a time, passing options.threads
+  /// through so engines with an internal parallel phase still use it.
+  /// Fails with the first (lowest-index) query error.
   ///
   /// `deadlines`, when non-null, must hold one Deadline per query; query
   /// i runs with options.deadline pointing at (*deadlines)[i] (the
@@ -249,9 +216,8 @@ class SearchEngine {
   /// query (null entries allowed — only sampled requests in a coalesced
   /// batch carry a recorder); query i runs with options.spans pointing
   /// at (*spans)[i]. Null keeps options.spans for every query.
-  Result<std::vector<SearchResult>> BatchSearchTraced(
+  Result<std::vector<SearchResult>> BatchSearch(
       const std::vector<std::string>& queries, const SearchOptions& options,
-      std::vector<obs::SearchTrace>* traces,
       const std::vector<Deadline>* deadlines = nullptr,
       const std::vector<obs::SpanRecorder*>* spans = nullptr);
 };
@@ -259,7 +225,7 @@ class SearchEngine {
 /// Evaluates the query through `engine`, and — when
 /// options.search_both_strands is set — also its reverse complement,
 /// merging both strands' hits into one ranking of options.max_results.
-/// Statistics from both passes are accumulated.
+/// The result's trace is the merge of both passes' traces.
 Result<SearchResult> SearchWithStrands(SearchEngine* engine,
                                        std::string_view query,
                                        const SearchOptions& options);

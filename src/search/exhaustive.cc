@@ -1,7 +1,6 @@
 #include "search/exhaustive.h"
 
 #include "align/smith_waterman.h"
-#include "util/timer.h"
 
 namespace cafe {
 
@@ -12,15 +11,10 @@ Result<SearchResult> ExhaustiveSearch::Search(std::string_view query,
     return Status::InvalidArgument("empty query");
   }
 
-  WallTimer total;
-  obs::SearchTrace* trace = options.trace;
-  obs::TraceSpan total_span(trace != nullptr ? &trace->total_micros
-                                             : nullptr);
-  obs::TraceSpan fine_span(trace != nullptr ? &trace->fine_micros
-                                            : nullptr);
-  obs::Span search_span(options.spans, "search");
-  if (trace != nullptr) ++trace->queries;
   SearchResult result;
+  obs::SearchTrace& trace = result.trace;
+  obs::Span search_span(options.spans, "search", &trace.total_micros);
+  trace.queries = 1;
   Aligner aligner(options.scoring);
   TopHits top(options.max_results);
   std::string seq;
@@ -28,7 +22,7 @@ Result<SearchResult> ExhaustiveSearch::Search(std::string_view query,
   for (uint32_t doc = 0; doc < num_docs; ++doc) {
     CAFE_RETURN_IF_ERROR(collection_->GetSequence(doc, &seq));
     int score = aligner.ScoreOnly(query, seq);
-    ++result.stats.candidates_aligned;
+    ++trace.candidates_aligned;
     if (score < options.min_score) continue;
     SearchHit hit;
     hit.seq_id = doc;
@@ -46,22 +40,18 @@ Result<SearchResult> ExhaustiveSearch::Search(std::string_view query,
     }
   }
 
-  result.stats.candidates_ranked = num_docs;
-  result.stats.cells_computed = aligner.cells_computed();
-  result.stats.fine_seconds = total.Seconds();
-  result.stats.total_seconds = result.stats.fine_seconds;
-  if (trace != nullptr) {
-    // No coarse phase: every sequence is a kept candidate.
-    trace->candidates_ranked += num_docs;
-    trace->candidates_kept += num_docs;
-    trace->candidates_aligned += result.stats.candidates_aligned;
-    trace->cells_computed += result.stats.cells_computed;
-    trace->hits_reported += result.hits.size();
-  }
+  // No coarse phase: every sequence is a kept candidate.
+  trace.candidates_ranked = num_docs;
+  trace.candidates_kept = num_docs;
+  trace.cells_computed = aligner.cells_computed();
+  trace.hits_reported = result.hits.size();
   if (options.statistics.has_value()) {
     AnnotateStatistics(&result, query.size(), collection_->TotalBases(),
                        *options.statistics);
   }
+  // No coarse phase to split out: the whole scan is the fine stage.
+  search_span.End();
+  trace.fine_micros = trace.total_micros;
   return result;
 }
 

@@ -2,7 +2,6 @@
 
 #include "align/smith_waterman.h"
 #include "index/interval.h"
-#include "util/timer.h"
 
 namespace cafe {
 
@@ -17,15 +16,10 @@ Result<SearchResult> FastaLikeSearch::Search(std::string_view query,
     return Status::InvalidArgument("query shorter than ktup");
   }
 
-  WallTimer total;
-  obs::SearchTrace* trace = options.trace;
-  obs::TraceSpan total_span(trace != nullptr ? &trace->total_micros
-                                             : nullptr);
-  obs::TraceSpan fine_span(trace != nullptr ? &trace->fine_micros
-                                            : nullptr);
-  obs::Span search_span(options.spans, "search");
-  if (trace != nullptr) ++trace->queries;
   SearchResult result;
+  obs::SearchTrace& trace = result.trace;
+  obs::Span search_span(options.spans, "search", &trace.total_micros);
+  trace.queries = 1;
   Aligner aligner(options.scoring);
   TopHits top(options.max_results);
 
@@ -34,10 +28,8 @@ Result<SearchResult> FastaLikeSearch::Search(std::string_view query,
   ForEachInterval(query, k, /*stride=*/1,
                   [&](uint32_t pos, uint32_t term) {
                     lookup[term].push_back(pos);
-                    if (trace != nullptr) {
-                      ++trace->intervals_extracted;
-                      if (lookup[term].size() == 1) ++trace->terms_distinct;
-                    }
+                    ++trace.intervals_extracted;
+                    if (lookup[term].size() == 1) ++trace.terms_distinct;
                   });
 
   const int64_t qlen = static_cast<int64_t>(query.size());
@@ -71,11 +63,11 @@ Result<SearchResult> FastaLikeSearch::Search(std::string_view query,
     for (int64_t idx : touched) histo[idx] = 0;
 
     if (best_hits < params_.min_diagonal_hits) continue;
-    ++result.stats.candidates_ranked;
+    ++trace.candidates_ranked;
 
     // Rescore the best region with a banded alignment (FASTA opt phase).
     int score = aligner.BandedScore(query, seq, best_diag, options.band);
-    ++result.stats.candidates_aligned;
+    ++trace.candidates_aligned;
     if (score < options.min_score) continue;
 
     SearchHit hit;
@@ -95,20 +87,16 @@ Result<SearchResult> FastaLikeSearch::Search(std::string_view query,
     }
   }
 
-  result.stats.cells_computed = aligner.cells_computed();
-  result.stats.fine_seconds = total.Seconds();
-  result.stats.total_seconds = result.stats.fine_seconds;
-  if (trace != nullptr) {
-    trace->candidates_ranked += result.stats.candidates_ranked;
-    trace->candidates_kept += result.stats.candidates_ranked;
-    trace->candidates_aligned += result.stats.candidates_aligned;
-    trace->cells_computed += result.stats.cells_computed;
-    trace->hits_reported += result.hits.size();
-  }
+  trace.candidates_kept = trace.candidates_ranked;
+  trace.cells_computed = aligner.cells_computed();
+  trace.hits_reported = result.hits.size();
   if (options.statistics.has_value()) {
     AnnotateStatistics(&result, query.size(), collection_->TotalBases(),
                        *options.statistics);
   }
+  // No coarse phase to split out: the whole scan is the fine stage.
+  search_span.End();
+  trace.fine_micros = trace.total_micros;
   return result;
 }
 

@@ -8,7 +8,6 @@
 #include "obs/span.h"
 #include "search/chain.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace cafe {
 namespace {
@@ -99,27 +98,24 @@ Result<SearchResult> PartitionedSearch::Search(std::string_view query,
     }
   }
 
-  WallTimer total;
-  obs::SearchTrace* trace = options.trace;
-  obs::TraceSpan total_span(trace != nullptr ? &trace->total_micros
-                                             : nullptr);
-  obs::SpanRecorder* spans = options.spans;
-  obs::Span search_span(spans, "search");
-  if (trace != nullptr) ++trace->queries;
   SearchResult result;
+  obs::SearchTrace& trace = result.trace;
+  obs::SpanRecorder* spans = options.spans;
+  obs::Span search_span(spans, "search", &trace.total_micros);
+  trace.queries = 1;
 
   // Deadline poll at entry: a request that spent its whole budget
   // queued (or on the forward strand) returns immediately.
   if (options.deadline != nullptr && options.deadline->Expired()) {
     result.truncated = true;
-    result.stats.total_seconds += total.Seconds();
+    search_span.End();
     return result;
   }
 
   // Coarse phase: rank by interval evidence, keep the fine-search budget.
-  std::vector<CoarseCandidate> candidates = ranker_.Rank(
-      query, options.coarse_mode, options.fine_candidates,
-      options.frame_width, &result.stats, trace, spans);
+  std::vector<CoarseCandidate> candidates =
+      ranker_.Rank(query, options.coarse_mode, options.fine_candidates,
+                   options.frame_width, spans, &trace);
 
   // Phase boundary: when the deadline fired during the coarse phase,
   // skip fine alignment entirely rather than starting work we cannot
@@ -136,7 +132,7 @@ Result<SearchResult> PartitionedSearch::Search(std::string_view query,
   // pure pass-through when chaining is off or the index lacks
   // positions. Sequential and deterministic, like the coarse phase.
   ChainOutcome chained = ChainCandidates(query, std::move(candidates),
-                                         *index_, options, trace);
+                                         *index_, options, &trace);
   const std::vector<CoarseCandidate>& survivors = chained.kept;
 
   // Fine phase: local alignment on the candidates only. Each candidate
@@ -145,7 +141,6 @@ Result<SearchResult> PartitionedSearch::Search(std::string_view query,
   // and counters are merged in worker order. Top-k selection under the
   // total order (score desc, seq_id asc) is a pure function of the hit
   // set, so the merged ranking is bit-identical to the sequential one.
-  WallTimer fine;
   const uint32_t requested = options.threads == 0
                                  ? ThreadPool::HardwareThreads()
                                  : options.threads;
@@ -158,7 +153,7 @@ Result<SearchResult> PartitionedSearch::Search(std::string_view query,
     // on that worker, stamped with the running thread). The sequential
     // path emits the same span names as the pooled one so the timeline
     // shape is thread-count invariant (span_test asserts this).
-    obs::Span fine_span(spans, "fine.align");
+    obs::Span fine_span(spans, "fine.align", &trace.fine_micros);
     if (workers <= 1) {
       // Sequential reference path (--threads 1): no pool is created.
       FineWorker w(options.scoring, options.max_results);
@@ -177,8 +172,8 @@ Result<SearchResult> PartitionedSearch::Search(std::string_view query,
       }
       obs::Span merge_span(spans, "fine.merge");
       result.hits = w.top.Take();
-      result.stats.candidates_aligned += w.aligned;
-      result.stats.cells_computed += w.aligner.cells_computed();
+      trace.candidates_aligned += w.aligned;
+      trace.cells_computed += w.aligner.cells_computed();
       result.truncated = result.truncated || w.truncated;
     } else {
       std::vector<FineWorker> states;
@@ -220,26 +215,19 @@ Result<SearchResult> PartitionedSearch::Search(std::string_view query,
       TopHits top(options.max_results);
       for (FineWorker& w : states) {
         for (SearchHit& hit : w.top.Take()) top.Add(std::move(hit));
-        result.stats.candidates_aligned += w.aligned;
-        result.stats.cells_computed += w.aligner.cells_computed();
+        trace.candidates_aligned += w.aligned;
+        trace.cells_computed += w.aligner.cells_computed();
         result.truncated = result.truncated || w.truncated;
       }
       result.hits = top.Take();
     }
   }
 
-  if (trace != nullptr) {
-    trace->fine_micros += fine.Micros();
-    trace->candidates_aligned += result.stats.candidates_aligned;
-  }
-
   // Post-processing on the reported hits (at most max_results of them)
   // stays sequential: it is cheap, and keeping it single-threaded keeps
   // the output trivially deterministic. A truncated result skips it —
   // the contract after a deadline is "return what you have, fast".
-  obs::TraceSpan post_span(trace != nullptr ? &trace->post_micros
-                                            : nullptr);
-  obs::Span post_process_span(spans, "post.process");
+  obs::Span post_span(spans, "post.process", &trace.post_micros);
   Aligner post_aligner(options.scoring);
   std::string seq;
   if (options.rescore_full && !result.truncated) {
@@ -286,17 +274,14 @@ Result<SearchResult> PartitionedSearch::Search(std::string_view query,
     }
   }
 
-  result.stats.cells_computed += post_aligner.cells_computed();
-  result.stats.fine_seconds += fine.Seconds();
-  result.stats.total_seconds += total.Seconds();
-  if (trace != nullptr) {
-    trace->cells_computed += result.stats.cells_computed;
-    trace->hits_reported += result.hits.size();
-  }
+  trace.cells_computed += post_aligner.cells_computed();
+  trace.hits_reported = result.hits.size();
   if (options.statistics.has_value()) {
     AnnotateStatistics(&result, query.size(), collection_->TotalBases(),
                        *options.statistics);
   }
+  post_span.End();
+  search_span.End();
   return result;
 }
 

@@ -1,8 +1,5 @@
 #include "seqstore/packed_scan_simd.h"
 
-#include <atomic>
-
-#include "obs/metrics.h"
 #include "util/check.h"
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -12,10 +9,6 @@
 
 namespace cafe {
 namespace {
-
-std::atomic<obs::Counter*> g_scans{nullptr};
-std::atomic<obs::Counter*> g_simd_bases{nullptr};
-std::atomic<obs::Counter*> g_scalar_bases{nullptr};
 
 #if defined(CAFE_PACKED_SCAN_X86)
 
@@ -133,36 +126,5 @@ size_t PackedBulkMismatches(const uint8_t* a, const uint8_t* b, int shift,
   *bytes_done = 0;
   return 0;
 }
-
-void AttachPackedScanMetrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    g_scans.store(nullptr, std::memory_order_release);
-    g_simd_bases.store(nullptr, std::memory_order_release);
-    g_scalar_bases.store(nullptr, std::memory_order_release);
-    return;
-  }
-  g_scans.store(registry->GetCounter("coarse.packed_scans"),
-                std::memory_order_release);
-  g_simd_bases.store(registry->GetCounter("coarse.packed_simd_bases"),
-                     std::memory_order_release);
-  g_scalar_bases.store(registry->GetCounter("coarse.packed_scalar_bases"),
-                       std::memory_order_release);
-}
-
-namespace internal {
-
-void RecordPackedScan(size_t simd_bases, size_t scalar_bases) {
-  obs::Counter* scans = g_scans.load(std::memory_order_acquire);
-  if (scans == nullptr) return;
-  scans->Increment();
-  if (simd_bases != 0) {
-    g_simd_bases.load(std::memory_order_acquire)->Add(simd_bases);
-  }
-  if (scalar_bases != 0) {
-    g_scalar_bases.load(std::memory_order_acquire)->Add(scalar_bases);
-  }
-}
-
-}  // namespace internal
 
 }  // namespace cafe

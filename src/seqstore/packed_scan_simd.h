@@ -31,10 +31,6 @@
 
 namespace cafe {
 
-namespace obs {
-class MetricsRegistry;
-}  // namespace obs
-
 /// Counts mismatching bases between the byte-aligned stream `a` and the
 /// bit-shifted stream `b` over the widest whole vector blocks `level`
 /// allows (32-byte blocks for AVX2, 16 for SSE2). `shift` is the bit
@@ -47,22 +43,6 @@ class MetricsRegistry;
 size_t PackedBulkMismatches(const uint8_t* a, const uint8_t* b, int shift,
                             size_t nbytes, SimdLevel level,
                             size_t* bytes_done);
-
-/// Mirrors the SIMD/scalar split of PackedMatchCount into counters:
-///   coarse.packed_scans        calls that reached the bulk dispatcher
-///   coarse.packed_simd_bases   bases compared by a vector kernel
-///   coarse.packed_scalar_bases bases compared by the scalar word loop
-/// Pass nullptr to detach. Attach before concurrent scanning starts;
-/// the counters themselves are lock-free.
-void AttachPackedScanMetrics(obs::MetricsRegistry* registry);
-
-namespace internal {
-
-/// Hot-path hooks for packed_view.cc (relaxed-atomic counter pointers;
-/// one null check per site when no registry is attached).
-void RecordPackedScan(size_t simd_bases, size_t scalar_bases);
-
-}  // namespace internal
 
 }  // namespace cafe
 

@@ -134,7 +134,6 @@ size_t PackedMatchCount(const PackedView& a, size_t apos,
   size_t window = std::min(len, std::min(a_avail, b_avail));
   size_t matches = 0;
   size_t done = 0;
-  size_t simd_bases = 0;
   if (level != SimdLevel::kScalar && window >= kPackedSimdMinBases) {
     // Scalar head until stream `a` hits a byte boundary.
     size_t head = (4 - (apos & 3)) & 3;
@@ -153,15 +152,13 @@ size_t PackedMatchCount(const PackedView& a, size_t apos,
       size_t mism = PackedBulkMismatches(
           a.payload() + (a_off >> 2), b.payload() + (b_off >> 2),
           static_cast<int>(2 * (b_off & 3)), nbytes, level, &bytes_done);
-      simd_bases = bytes_done * 4;
-      matches += simd_bases - mism;
-      done += simd_bases;
+      matches += bytes_done * 4 - mism;
+      done += bytes_done * 4;
     }
   }
   if (done < len) {
     matches += ScalarMatchCount(a, apos + done, b, bpos + done, len - done);
   }
-  internal::RecordPackedScan(simd_bases, window - simd_bases);
   return matches;
 }
 

@@ -192,7 +192,7 @@ void Dispatcher::RunBatch(std::vector<std::shared_ptr<Pending>> batch) {
     // batch.search covers engine evaluation for this member. Each
     // request records into its own recorder (null for unsampled
     // batch-mates), so coalescing never blurs timelines — the same
-    // isolation the per-query trace slots give the funnel counters.
+    // isolation each result's own trace gives the funnel counters.
     if (p->spans != nullptr) {
       p->batch_span = p->spans->StartSpan("batch.search");
     }
@@ -200,18 +200,14 @@ void Dispatcher::RunBatch(std::vector<std::shared_ptr<Pending>> batch) {
   }
 
   WallTimer search_timer;
-  std::vector<obs::SearchTrace> traces;
-  Result<std::vector<SearchResult>> results = engine_->BatchSearchTraced(
-      queries, live.front()->options, &traces, &deadlines, &span_ptrs);
+  Result<std::vector<SearchResult>> results = engine_->BatchSearch(
+      queries, live.front()->options, &deadlines, &span_ptrs);
   if (search_micros_ != nullptr) {
     search_micros_->Record(static_cast<uint64_t>(search_timer.Micros()));
   }
 
   if (results.ok()) {
     for (size_t i = 0; i < live.size(); ++i) {
-      // Each request keeps its own slot of the batch trace, so the
-      // flight recorder shows this query's funnel, not the batch's.
-      if (i < traces.size()) live[i]->trace = traces[i];
       Complete(live[i], Status::OK(), std::move((*results)[i]));
     }
     return;
@@ -222,8 +218,7 @@ void Dispatcher::RunBatch(std::vector<std::shared_ptr<Pending>> batch) {
   for (const auto& p : live) {
     SearchOptions options = p->options;
     options.deadline = p->deadline.has_deadline() ? &p->deadline : nullptr;
-    options.trace = &p->trace;  // keep the funnel even on the retry path
-    options.spans = p->spans.get();  // and the timeline
+    options.spans = p->spans.get();  // keep the timeline on the retry path
     Result<SearchResult> one =
         SearchWithStrands(engine_, p->query, options);
     if (one.ok()) {
@@ -274,7 +269,7 @@ void Dispatcher::RecordFlight(const Pending& p) {
   record.options_key = HexFingerprint(p.key);
   record.queue_micros = p.queue_micros;
   record.total_micros = static_cast<uint64_t>(p.admitted.Micros());
-  record.trace = p.trace;
+  record.trace = p.result.trace;
   record.hits = static_cast<uint32_t>(p.result.hits.size());
   record.status_code = StatusCodeToWire(p.status);
   record.truncated = p.result.truncated;

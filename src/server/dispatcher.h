@@ -3,9 +3,9 @@
 //
 // Connection handlers block in Execute(); a small pool of dispatcher
 // workers drains the shared queue, coalescing concurrently-arriving
-// requests with compatible options into one
-// SearchEngine::BatchSearchTraced call — the engine's heavy-traffic
-// shape — while each request keeps its own deadline.
+// requests with compatible options into one SearchEngine::BatchSearch
+// call — the engine's heavy-traffic shape — while each request keeps
+// its own deadline, span recorder and trace.
 //
 // Admission control is a hard bound on queue depth: when the queue is
 // full (or the dispatcher is stopping) Execute returns
@@ -63,8 +63,9 @@ struct DispatcherOptions {
   /// When non-null, every completed request — including queue-expired
   /// and failed ones — leaves one FlightRecord here: trace id, options
   /// fingerprint, queue wait, end-to-end time, and the per-request
-  /// pruning funnel (the per-query slot of BatchSearchTraced, so
-  /// batch-mates never blur each other's funnel).
+  /// pruning funnel (the request's own SearchResult::trace, so
+  /// batch-mates never blur each other's funnel; empty for a failed
+  /// request, which has no result).
   obs::FlightRecorder* flight = nullptr;
   /// Fraction of admitted requests ([0,1]) that record a span timeline
   /// (obs::SpanSampler decides per trace id). 0 — the default — turns
@@ -119,7 +120,6 @@ class Dispatcher {
     uint64_t trace_id = 0;  // wire trace id, 0 when the caller sent none
     WallTimer admitted;     // queue-wait + end-to-end latency clock
     uint64_t queue_micros = 0;    // stamped when the batch is dispatched
-    obs::SearchTrace trace;       // this request's slot of the batch trace
     bool deadline_expired = false;  // budget spent before dispatch
     // Span timeline of a sampled request (null otherwise). The
     // recorder rides the same ownership protocol as the other fields:

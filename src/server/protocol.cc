@@ -2,6 +2,7 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -387,9 +388,12 @@ Status ReadFrame(int fd, FrameType* type, std::string* payload) {
     return Status::Corruption("frame payload length " +
                               std::to_string(size) + " exceeds limit");
   }
-  payload->resize(size);
-  if (size > 0) {
-    CAFE_RETURN_IF_ERROR(RecvAll(fd, payload->data(), size, nullptr));
+  payload->clear();
+  while (payload->size() < size) {
+    const size_t have = payload->size();
+    const size_t step = std::min<size_t>(size - have, kFrameReadStepBytes);
+    payload->resize(have + step);
+    CAFE_RETURN_IF_ERROR(RecvAll(fd, payload->data() + have, step, nullptr));
   }
   if (Crc32(payload->data(), payload->size()) != crc) {
     return Status::Corruption("frame payload CRC mismatch");

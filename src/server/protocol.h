@@ -53,6 +53,11 @@ inline constexpr size_t kFrameHeaderBytes = 16;
 /// a length prefix must never make the reader allocate unboundedly.
 inline constexpr uint32_t kMaxPayloadBytes = 1u << 26;  // 64 MiB
 
+/// ReadFrame grows the payload buffer by at most this much per read, so
+/// a peer that claims a large payload and then stalls holds memory in
+/// proportion to the bytes it actually sent, not to the claim.
+inline constexpr size_t kFrameReadStepBytes = size_t{1} << 16;  // 64 KiB
+
 enum class FrameType : uint16_t {
   kHello = 1,          // server -> client, once, on connect
   kSearchRequest = 2,  // client -> server

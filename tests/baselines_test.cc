@@ -46,7 +46,7 @@ TEST(ExhaustiveSearchTest, FindsPlantedHomologs) {
     ASSERT_TRUE(r.ok());
     ASSERT_GE(r->hits.size(), q.true_positives.size());
     EXPECT_EQ(r->hits[0].seq_id, q.true_positives[0]);
-    EXPECT_EQ(r->stats.candidates_aligned, f.collection.NumSequences());
+    EXPECT_EQ(r->trace.candidates_aligned, f.collection.NumSequences());
   }
 }
 
@@ -56,8 +56,8 @@ TEST(ExhaustiveSearchTest, ScansEverySequence) {
   SearchOptions options;
   Result<SearchResult> r = engine.Search(f.queries[0].sequence, options);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->stats.candidates_ranked, f.collection.NumSequences());
-  EXPECT_GT(r->stats.cells_computed, 0u);
+  EXPECT_EQ(r->trace.candidates_ranked, f.collection.NumSequences());
+  EXPECT_GT(r->trace.cells_computed, 0u);
 }
 
 TEST(ExhaustiveSearchTest, RejectsEmptyQueryAndBadScoring) {
@@ -180,7 +180,7 @@ TEST(FastaLikeSearchTest, MinDiagonalHitsFilters) {
   Result<SearchResult> r = engine.Search(f.queries[0].sequence, options);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->hits.empty());
-  EXPECT_EQ(r->stats.candidates_aligned, 0u);
+  EXPECT_EQ(r->trace.candidates_aligned, 0u);
 }
 
 TEST(EngineNamesTest, Distinct) {

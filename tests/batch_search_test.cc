@@ -62,10 +62,7 @@ void ExpectSameResult(const SearchResult& a, const SearchResult& b) {
     EXPECT_EQ(a.hits[h].bit_score, b.hits[h].bit_score) << "hit " << h;
     EXPECT_EQ(a.hits[h].evalue, b.hits[h].evalue) << "hit " << h;
   }
-  EXPECT_EQ(a.stats.candidates_ranked, b.stats.candidates_ranked);
-  EXPECT_EQ(a.stats.candidates_aligned, b.stats.candidates_aligned);
-  EXPECT_EQ(a.stats.cells_computed, b.stats.cells_computed);
-  EXPECT_EQ(a.stats.postings_decoded, b.stats.postings_decoded);
+  EXPECT_EQ(a.trace.CountersJson(), b.trace.CountersJson());
 }
 
 void ExpectSameBatch(const std::vector<SearchResult>& a,

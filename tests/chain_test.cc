@@ -124,21 +124,18 @@ TEST(ChainTest, DeterministicAcrossThreadCounts) {
     }
     SearchOptions one = base;
     one.threads = 1;
-    std::vector<obs::SearchTrace> traces1;
-    Result<std::vector<SearchResult>> r1 =
-        engine.BatchSearchTraced(queries, one, &traces1);
+    Result<std::vector<SearchResult>> r1 = engine.BatchSearch(queries, one);
     SearchOptions four = base;
     four.threads = 4;
-    std::vector<obs::SearchTrace> traces4;
-    Result<std::vector<SearchResult>> r4 =
-        engine.BatchSearchTraced(queries, four, &traces4);
+    Result<std::vector<SearchResult>> r4 = engine.BatchSearch(queries, four);
     ASSERT_TRUE(r1.ok() && r4.ok());
     ASSERT_EQ(r1->size(), r4->size());
     for (size_t i = 0; i < r1->size(); ++i) {
       EXPECT_EQ(Fingerprint((*r1)[i]), Fingerprint((*r4)[i])) << i;
       // The whole funnel — including the chain.* stages — must agree,
       // not just the reported hits.
-      EXPECT_EQ(traces1[i].CountersJson(), traces4[i].CountersJson()) << i;
+      EXPECT_EQ((*r1)[i].trace.CountersJson(), (*r4)[i].trace.CountersJson())
+          << i;
     }
   }
 }
@@ -154,10 +151,9 @@ TEST(ChainTest, ChainingShrinksTheFinePhase) {
   uint64_t in = 0;
   uint64_t kept = 0;
   for (const sim::PlantedQuery& q : f.queries) {
-    obs::SearchTrace trace;
-    options.trace = &trace;
     Result<SearchResult> r = engine.Search(q.sequence, options);
     ASSERT_TRUE(r.ok());
+    const obs::SearchTrace& trace = r->trace;
     EXPECT_EQ(trace.chain_candidates_in,
               trace.chain_candidates_kept + trace.chain_candidates_dropped);
     EXPECT_EQ(trace.candidates_aligned, trace.chain_candidates_kept);
@@ -177,16 +173,14 @@ TEST(ChainTest, DocumentGranularityPassesThrough) {
   SearchOptions options;
   options.fine_candidates = 20;
   options.chain_mode = ChainMode::kFilter;
-  obs::SearchTrace trace;
-  options.trace = &trace;
   const sim::PlantedQuery& q = f.queries[0];
   Result<SearchResult> r = engine.Search(q.sequence, options);
   ASSERT_TRUE(r.ok());
   ASSERT_FALSE(r->hits.empty());
   EXPECT_EQ(r->hits[0].seq_id, q.true_positives[0]);
   // Without positions the stage is a no-op: nothing enters the funnel.
-  EXPECT_EQ(trace.chain_candidates_in, 0u);
-  EXPECT_EQ(trace.chain_candidates_dropped, 0u);
+  EXPECT_EQ(r->trace.chain_candidates_in, 0u);
+  EXPECT_EQ(r->trace.chain_candidates_dropped, 0u);
 }
 
 TEST(ChainTest, ChainCandidatesPassthroughWhenOff) {

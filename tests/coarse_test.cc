@@ -39,25 +39,25 @@ TEST(CoarseRankerTest, HitCountRanksContainingSequenceFirst) {
   SequenceCollection col = RankableCollection(kQuery);
   InvertedIndex index = BuildIndex(col, IndexGranularity::kPositional);
   CoarseRanker ranker(&index);
-  SearchStats stats;
+  obs::SearchTrace trace;
   auto cands = ranker.Rank(kQuery, CoarseRankMode::kHitCount, 10, 16,
-                           &stats);
+                           nullptr, &trace);
   ASSERT_GE(cands.size(), 2u);
   EXPECT_EQ(cands[0].doc, 1u);  // exact container
   EXPECT_EQ(cands[1].doc, 2u);  // half container
   EXPECT_GT(cands[0].score, cands[1].score);
   EXPECT_FALSE(cands[0].has_diagonal);
-  EXPECT_GT(stats.postings_decoded, 0u);
-  EXPECT_GT(stats.candidates_ranked, 0u);
+  EXPECT_GT(trace.postings_decoded, 0u);
+  EXPECT_GT(trace.candidates_ranked, 0u);
 }
 
 TEST(CoarseRankerTest, DiagonalModeFindsCorrectDiagonal) {
   SequenceCollection col = RankableCollection(kQuery);
   InvertedIndex index = BuildIndex(col, IndexGranularity::kPositional);
   CoarseRanker ranker(&index);
-  SearchStats stats;
-  auto cands =
-      ranker.Rank(kQuery, CoarseRankMode::kDiagonal, 10, 16, &stats);
+  obs::SearchTrace trace;
+  auto cands = ranker.Rank(kQuery, CoarseRankMode::kDiagonal, 10, 16,
+                           nullptr, &trace);
   ASSERT_GE(cands.size(), 1u);
   EXPECT_EQ(cands[0].doc, 1u);
   ASSERT_TRUE(cands[0].has_diagonal);
@@ -70,9 +70,9 @@ TEST(CoarseRankerTest, DiagonalFallsBackOnDocumentIndex) {
   SequenceCollection col = RankableCollection(kQuery);
   InvertedIndex index = BuildIndex(col, IndexGranularity::kDocument);
   CoarseRanker ranker(&index);
-  SearchStats stats;
-  auto cands =
-      ranker.Rank(kQuery, CoarseRankMode::kDiagonal, 10, 16, &stats);
+  obs::SearchTrace trace;
+  auto cands = ranker.Rank(kQuery, CoarseRankMode::kDiagonal, 10, 16,
+                           nullptr, &trace);
   ASSERT_GE(cands.size(), 1u);
   EXPECT_EQ(cands[0].doc, 1u);
   EXPECT_FALSE(cands[0].has_diagonal);  // hit-count fallback
@@ -82,9 +82,9 @@ TEST(CoarseRankerTest, LimitRespected) {
   SequenceCollection col = RankableCollection(kQuery);
   InvertedIndex index = BuildIndex(col, IndexGranularity::kPositional);
   CoarseRanker ranker(&index);
-  SearchStats stats;
+  obs::SearchTrace trace;
   auto cands = ranker.Rank(kQuery, CoarseRankMode::kHitCount, 1, 16,
-                           &stats);
+                           nullptr, &trace);
   ASSERT_EQ(cands.size(), 1u);
   EXPECT_EQ(cands[0].doc, 1u);
 }
@@ -94,9 +94,9 @@ TEST(CoarseRankerTest, NoSharedIntervalsYieldsEmpty) {
   ASSERT_TRUE(col.Add("a", "", "GGGGGGGGGGGGGGGGGGGG").ok());
   InvertedIndex index = BuildIndex(col, IndexGranularity::kPositional);
   CoarseRanker ranker(&index);
-  SearchStats stats;
-  auto cands = ranker.Rank(std::string(20, 'A'),
-                           CoarseRankMode::kDiagonal, 10, 16, &stats);
+  obs::SearchTrace trace;
+  auto cands = ranker.Rank(std::string(20, 'A'), CoarseRankMode::kDiagonal,
+                           10, 16, nullptr, &trace);
   EXPECT_TRUE(cands.empty());
 }
 
@@ -117,8 +117,9 @@ TEST(CoarseRankerTest, DiagonalModeSeparatesScatteredFromCollinear) {
 
   InvertedIndex index = BuildIndex(col, IndexGranularity::kPositional);
   CoarseRanker ranker(&index);
-  SearchStats stats;
-  auto cands = ranker.Rank(q, CoarseRankMode::kDiagonal, 10, 16, &stats);
+  obs::SearchTrace trace;
+  auto cands =
+      ranker.Rank(q, CoarseRankMode::kDiagonal, 10, 16, nullptr, &trace);
   ASSERT_GE(cands.size(), 2u);
   EXPECT_EQ(cands[0].doc, 0u);
   EXPECT_GT(cands[0].score, cands[1].score);
@@ -133,8 +134,9 @@ TEST(CoarseRankerTest, QueryRepeatsDoNotOvercount) {
   ASSERT_TRUE(col.Add("single", "", "TTTT" + unit + "TTTT").ok());
   InvertedIndex index = BuildIndex(col, IndexGranularity::kPositional);
   CoarseRanker ranker(&index);
-  SearchStats stats;
-  auto cands = ranker.Rank(q, CoarseRankMode::kHitCount, 10, 16, &stats);
+  obs::SearchTrace trace;
+  auto cands =
+      ranker.Rank(q, CoarseRankMode::kHitCount, 10, 16, nullptr, &trace);
   ASSERT_EQ(cands.size(), 1u);
   // The doc has each of the repeated-unit intervals once; min() keeps the
   // score bounded by the doc's own count, not the query's 3x repetition.

@@ -149,8 +149,8 @@ TEST_P(EngineContractTest, TimingStatsPopulated) {
   Result<SearchResult> r =
       engine->Search(fixture->queries[0].sequence, options);
   ASSERT_TRUE(r.ok());
-  EXPECT_GT(r->stats.total_seconds, 0.0);
-  EXPECT_GT(r->stats.candidates_aligned + r->stats.candidates_ranked, 0u);
+  EXPECT_GT(r->trace.total_micros, 0.0);
+  EXPECT_GT(r->trace.candidates_aligned + r->trace.candidates_ranked, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -88,25 +88,5 @@ TEST(TopHitsTest, ManyInsertsMatchFullSort) {
   }
 }
 
-TEST(SearchStatsTest, Accumulate) {
-  SearchStats a;
-  a.coarse_seconds = 1.0;
-  a.fine_seconds = 2.0;
-  a.total_seconds = 3.5;
-  a.candidates_ranked = 10;
-  a.candidates_aligned = 5;
-  a.cells_computed = 1000;
-  a.postings_decoded = 99;
-  SearchStats b = a;
-  b.Accumulate(a);
-  EXPECT_DOUBLE_EQ(b.coarse_seconds, 2.0);
-  EXPECT_DOUBLE_EQ(b.fine_seconds, 4.0);
-  EXPECT_DOUBLE_EQ(b.total_seconds, 7.0);
-  EXPECT_EQ(b.candidates_ranked, 20u);
-  EXPECT_EQ(b.candidates_aligned, 10u);
-  EXPECT_EQ(b.cells_computed, 2000u);
-  EXPECT_EQ(b.postings_decoded, 198u);
-}
-
 }  // namespace
 }  // namespace cafe

@@ -27,7 +27,8 @@ TEST(HarnessTest, RunsAllQueries) {
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   EXPECT_EQ(batch->engine_name, "exhaustive-sw");
   EXPECT_EQ(batch->results.size(), 4u);
-  EXPECT_GT(batch->aggregate.total_seconds, 0.0);
+  EXPECT_GT(batch->aggregate.total_micros, 0.0);
+  EXPECT_EQ(batch->aggregate.queries, 4u);
   EXPECT_GT(batch->mean_query_seconds, 0.0);
   EXPECT_EQ(batch->aggregate.candidates_aligned, 4u * col->NumSequences());
   for (const SearchResult& r : batch->results) {

@@ -193,17 +193,17 @@ TEST(IndexReadPathTest, PartitionedSearchOverMmapMatchesMemory) {
     options.fine_candidates = 20;
     options.chain_mode = ChainMode::kFilter;
     options.threads = threads;
-    obs::SearchTrace mem_trace;
-    obs::SearchTrace mmap_trace;
-    options.trace = &mem_trace;
     Result<std::vector<SearchResult>> rm =
         mem_engine.BatchSearch(queries, options);
-    options.trace = &mmap_trace;
     Result<std::vector<SearchResult>> rx =
         mmap_engine.BatchSearch(queries, options);
     ASSERT_TRUE(rm.ok() && rx.ok());
     ASSERT_EQ(rm->size(), rx->size());
+    obs::SearchTrace mem_trace;
+    obs::SearchTrace mmap_trace;
     for (size_t q = 0; q < rm->size(); ++q) {
+      mem_trace.Merge((*rm)[q].trace);
+      mmap_trace.Merge((*rx)[q].trace);
       const std::vector<SearchHit>& hm = (*rm)[q].hits;
       const std::vector<SearchHit>& hx = (*rx)[q].hits;
       ASSERT_EQ(hm.size(), hx.size()) << "threads " << threads;
@@ -380,9 +380,9 @@ TEST(IndexReadPathTest, CorruptFileFails) {
 // ---- Hand-built files: valid CRC, bad structure ----------------------
 //
 // Each file follows the CAFIDX1 layout of docs/FORMATS.md field by
-// field, with interval length 4 and document granularity, and carries a
-// correct CRC-32, so only the structural checks stand between its
-// fields and the decoder.
+// field, with interval length 4 and (unless a case says otherwise)
+// document granularity, and carries a correct CRC-32, so only the
+// structural checks stand between its fields and the decoder.
 
 std::string VByte(uint64_t v) {
   std::vector<uint8_t> bytes;
@@ -398,6 +398,7 @@ struct RawTerm {
 };
 
 struct RawIndex {
+  IndexGranularity granularity = IndexGranularity::kDocument;
   std::string num_docs_field = VByte(2 + 1);
   std::vector<uint32_t> doc_lengths = {10, 10};
   std::vector<RawTerm> terms;
@@ -407,7 +408,7 @@ struct RawIndex {
 std::string Serialize(const RawIndex& raw) {
   std::string out("CAFIDX1\0", 8);
   out.push_back(4);  // interval length
-  out.push_back(static_cast<char>(IndexGranularity::kDocument));
+  out.push_back(static_cast<char>(raw.granularity));
   const uint32_t stride = 1;
   const double stop = 1.0;
   out.append(reinterpret_cast<const char*>(&stride), 4);
@@ -522,6 +523,34 @@ TEST(IndexStructureTest, DocIdPastNumDocsStopsTheList) {
     std::vector<CoarseCandidate> ranked = ranker.Rank(
         "AAAAAAAA", CoarseRankMode::kHitCount, 10, /*frame_width=*/0, nullptr);
     EXPECT_TRUE(ranked.empty()) << IndexModeName(mode);
+  }
+  ASSERT_TRUE(RemoveFile(path).ok());
+}
+
+// A positional list whose one entry claims tf = 2^20 inside a few bytes
+// of blob: every position takes at least one bit, so decode stops the
+// list rather than sizing a 4 MiB position buffer from one gamma code.
+TEST(IndexStructureTest, TfBeyondTheBitsLeftStopsTheList) {
+  auto positional = [](uint64_t tf) {
+    RawIndex raw = ValidRawIndex();
+    raw.granularity = IndexGranularity::kPositional;
+    BitWriter w;
+    coding::EncodeGolomb(&w, 2, coding::OptimalGolombParameter(1, 2));
+    coding::EncodeGamma(&w, tf);
+    coding::EncodeGolomb(&w, 1, /*b=*/1);  // first position: 0
+    raw.blob = w.Finish();
+    return raw;
+  };
+  const std::string control = WriteRaw(positional(1));
+  for (IndexMode mode : kModes) {
+    InvertedIndex index = MustLoad(control, mode);
+    EXPECT_EQ(Collect(index, 0), (std::vector<PostingTuple>{{1, 1, {0}}}))
+        << IndexModeName(mode);
+  }
+  const std::string path = WriteRaw(positional(uint64_t{1} << 20));
+  for (IndexMode mode : kModes) {
+    InvertedIndex index = MustLoad(path, mode);
+    EXPECT_TRUE(Collect(index, 0).empty()) << IndexModeName(mode);
   }
   ASSERT_TRUE(RemoveFile(path).ok());
 }

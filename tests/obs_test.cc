@@ -121,23 +121,6 @@ TEST(JsonEscapeTest, EscapesSpecials) {
   EXPECT_EQ(obs::JsonEscape(std::string("a\x01", 2)), "a\\u0001");
 }
 
-TEST(TimerTest, RecordsOnDestruction) {
-  obs::Histogram h;
-  { obs::Timer t(&h); }
-  EXPECT_EQ(h.Snap().count, 1u);
-  { obs::Timer t(nullptr); }  // detached: must be a no-op
-  EXPECT_EQ(h.Snap().count, 1u);
-}
-
-TEST(TraceSpanTest, AccumulatesMicros) {
-  double sink = 0.0;
-  { obs::TraceSpan span(&sink); }
-  EXPECT_GE(sink, 0.0);
-  double before = sink;
-  { obs::TraceSpan span(nullptr); }  // detached: must be a no-op
-  EXPECT_EQ(sink, before);
-}
-
 TEST(SearchTraceTest, MergeIsFieldwise) {
   obs::SearchTrace a, b;
   a.queries = 1;
@@ -169,8 +152,8 @@ TEST(SearchTraceTest, CountersJsonExcludesTimings) {
 
 // ---------------------------------------------------------------------
 // Determinism: the SearchTrace counters must be byte-identical at every
-// thread count — the per-worker sums commute and BatchSearchTraced
-// merges per-query slots in input order.
+// thread count — the per-worker sums commute, and each query's trace
+// rides in its own SearchResult.
 
 struct Fixture {
   SequenceCollection collection;
@@ -219,15 +202,14 @@ TEST(SearchTraceTest, CountersIdenticalAcrossThreadCounts) {
     SearchOptions options;
     options.fine_candidates = 20;
     options.threads = threads;
-    std::vector<obs::SearchTrace> traces;
     Result<std::vector<SearchResult>> batch =
-        engine.BatchSearchTraced(queries, options, &traces);
+        engine.BatchSearch(queries, options);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    ASSERT_EQ(traces.size(), queries.size());
+    ASSERT_EQ(batch->size(), queries.size());
     std::vector<std::string> jsons;
-    for (const obs::SearchTrace& t : traces) {
-      EXPECT_EQ(t.queries, 1u);
-      jsons.push_back(t.CountersJson());
+    for (const SearchResult& r : *batch) {
+      EXPECT_EQ(r.trace.queries, 1u);
+      jsons.push_back(r.trace.CountersJson());
     }
     if (reference.empty()) {
       reference = std::move(jsons);
@@ -237,43 +219,25 @@ TEST(SearchTraceTest, CountersIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(SearchTraceTest, CallerTraceIsMergeOfPerQuerySlots) {
-  Fixture f = MakeFixture();
-  PartitionedSearch engine(&f.collection, &f.index);
-  std::vector<std::string> queries;
-  for (const sim::PlantedQuery& q : f.queries) queries.push_back(q.sequence);
-
-  SearchOptions options;
-  options.fine_candidates = 20;
-  std::vector<obs::SearchTrace> traces;
-  obs::SearchTrace total;
-  options.trace = &total;
-  Result<std::vector<SearchResult>> batch =
-      engine.BatchSearchTraced(queries, options, &traces);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-
-  obs::SearchTrace merged;
-  for (const obs::SearchTrace& t : traces) merged.Merge(t);
-  EXPECT_EQ(total.CountersJson(), merged.CountersJson());
-  EXPECT_EQ(total.queries, queries.size());
-}
-
-TEST(SearchTraceTest, TraceMatchesResultStats) {
+TEST(SearchTraceTest, ResultTraceCarriesTheFunnel) {
   Fixture f = MakeFixture();
   PartitionedSearch engine(&f.collection, &f.index);
   SearchOptions options;
   options.fine_candidates = 20;
-  obs::SearchTrace trace;
-  options.trace = &trace;
   Result<SearchResult> r = engine.Search(f.queries[0].sequence, options);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(trace.candidates_aligned, r->stats.candidates_aligned);
-  EXPECT_EQ(trace.cells_computed, r->stats.cells_computed);
-  EXPECT_EQ(trace.hits_reported, r->hits.size());
-  EXPECT_EQ(trace.candidates_kept,
-            trace.candidates_ranked - trace.candidates_discarded);
-  EXPECT_GT(trace.intervals_extracted, 0u);
-  EXPECT_GT(trace.postings_decoded, 0u);
+  const obs::SearchTrace& t = r->trace;
+  EXPECT_EQ(t.queries, 1u);
+  EXPECT_GT(t.intervals_extracted, 0u);
+  EXPECT_GE(t.intervals_extracted, t.terms_distinct);
+  EXPECT_EQ(t.terms_distinct, t.terms_unindexed + t.postings_lists_touched);
+  EXPECT_GT(t.postings_decoded, 0u);
+  EXPECT_EQ(t.candidates_kept, t.candidates_ranked - t.candidates_discarded);
+  EXPECT_LE(t.candidates_kept, options.fine_candidates);
+  EXPECT_EQ(t.chain_candidates_in, 0u);  // chaining is off
+  EXPECT_EQ(t.candidates_aligned, t.candidates_kept);
+  EXPECT_GT(t.cells_computed, 0u);
+  EXPECT_EQ(t.hits_reported, r->hits.size());
 }
 
 TEST(HistogramTest, ApproxPercentileTracksDistribution) {

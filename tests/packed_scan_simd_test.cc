@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "alphabet/nucleotide.h"
-#include "obs/metrics.h"
 #include "seqstore/packed_view.h"
 #include "util/random.h"
 #include "util/simd.h"
@@ -217,29 +216,6 @@ TEST(PackedScanSimdTest, XDropEqualAcrossTiers) {
     }
     internal::ResetActiveSimdLevelForTest();
   }
-}
-
-TEST(PackedScanSimdTest, MetricsSplitSimdAndScalarBases) {
-  obs::MetricsRegistry registry;
-  AttachPackedScanMetrics(&registry);
-  Rng rng(48);
-  std::string sa = RandomBases(600, &rng);
-  std::string sb = RandomBases(600, &rng);
-  Result<PackedQuery> a = PackedQuery::FromString(sa);
-  Result<PackedQuery> b = PackedQuery::FromString(sb);
-  ASSERT_TRUE(a.ok() && b.ok());
-
-  size_t len = 500;
-  PackedMatchCount(a->view(), 1, b->view(), 2, len, DetectCpuSimdLevel());
-  obs::MetricsSnapshot snap = registry.SnapshotData();
-  EXPECT_EQ(snap.counters["coarse.packed_scans"], 1u);
-  EXPECT_EQ(snap.counters["coarse.packed_simd_bases"] +
-                snap.counters["coarse.packed_scalar_bases"],
-            len);
-  if (DetectCpuSimdLevel() != SimdLevel::kScalar) {
-    EXPECT_GT(snap.counters["coarse.packed_simd_bases"], 0u);
-  }
-  AttachPackedScanMetrics(nullptr);
 }
 
 }  // namespace

@@ -120,11 +120,11 @@ TEST(PartitionedSearchTest, StatsPopulated) {
   options.fine_candidates = 15;
   Result<SearchResult> r = engine.Search(f.queries[0].sequence, options);
   ASSERT_TRUE(r.ok());
-  EXPECT_GT(r->stats.postings_decoded, 0u);
-  EXPECT_GT(r->stats.candidates_ranked, 0u);
-  EXPECT_LE(r->stats.candidates_aligned, 15u);
-  EXPECT_GT(r->stats.cells_computed, 0u);
-  EXPECT_GE(r->stats.total_seconds, 0.0);
+  EXPECT_GT(r->trace.postings_decoded, 0u);
+  EXPECT_GT(r->trace.candidates_ranked, 0u);
+  EXPECT_LE(r->trace.candidates_aligned, 15u);
+  EXPECT_GT(r->trace.cells_computed, 0u);
+  EXPECT_GT(r->trace.total_micros, 0.0);
 }
 
 TEST(PartitionedSearchTest, FineCandidateBudgetRespected) {
@@ -134,7 +134,7 @@ TEST(PartitionedSearchTest, FineCandidateBudgetRespected) {
   options.fine_candidates = 3;
   Result<SearchResult> r = engine.Search(f.queries[0].sequence, options);
   ASSERT_TRUE(r.ok());
-  EXPECT_LE(r->stats.candidates_aligned, 3u);
+  EXPECT_LE(r->trace.candidates_aligned, 3u);
   EXPECT_LE(r->hits.size(), options.max_results);
 }
 
@@ -239,7 +239,7 @@ TEST(PartitionedSearchTest, ExpiredDeadlineReturnsTruncatedFast) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(r->truncated);
   EXPECT_TRUE(r->hits.empty());
-  EXPECT_EQ(r->stats.candidates_aligned, 0u);
+  EXPECT_EQ(r->trace.candidates_aligned, 0u);
 }
 
 TEST(PartitionedSearchTest, InfiniteDeadlineDoesNotTruncate) {
@@ -291,8 +291,8 @@ TEST(PartitionedSearchTest, BatchPerQueryDeadlines) {
   // latter truncates.
   std::vector<Deadline> deadlines = {Deadline::Infinite(),
                                      Deadline::AfterSeconds(-1.0)};
-  Result<std::vector<SearchResult>> batch = engine.BatchSearchTraced(
-      queries, options, /*traces=*/nullptr, &deadlines);
+  Result<std::vector<SearchResult>> batch =
+      engine.BatchSearch(queries, options, &deadlines);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   ASSERT_EQ(batch->size(), 2u);
   EXPECT_FALSE((*batch)[0].truncated);
@@ -301,8 +301,8 @@ TEST(PartitionedSearchTest, BatchPerQueryDeadlines) {
 
   // A deadline list of the wrong length is an InvalidArgument.
   deadlines.pop_back();
-  Result<std::vector<SearchResult>> bad = engine.BatchSearchTraced(
-      queries, options, /*traces=*/nullptr, &deadlines);
+  Result<std::vector<SearchResult>> bad =
+      engine.BatchSearch(queries, options, &deadlines);
   ASSERT_FALSE(bad.ok());
   EXPECT_TRUE(bad.status().IsInvalidArgument());
 }

@@ -141,9 +141,9 @@ TEST(CoarsePropertyTest, FrameWidthDoesNotChangeTopContainingDoc) {
   InvertedIndex index = IndexBuilder::Build(col, iopt).value();
   CoarseRanker ranker(&index);
   for (uint32_t frame_width : {4u, 8u, 16u, 64u, 256u}) {
-    SearchStats stats;
+    obs::SearchTrace trace;
     auto cands = ranker.Rank(query, CoarseRankMode::kDiagonal, 5,
-                             frame_width, &stats);
+                             frame_width, nullptr, &trace);
     ASSERT_FALSE(cands.empty()) << "frame width " << frame_width;
     EXPECT_EQ(cands[0].doc, target) << "frame width " << frame_width;
   }

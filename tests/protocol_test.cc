@@ -286,6 +286,21 @@ TEST(ProtocolTest, OversizedLengthIsCorruption) {
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
+TEST(ProtocolTest, ClaimedPayloadIsNotAllocatedUpFront) {
+  SocketPair sp;
+  // A header that claims the largest legal payload, ten body bytes, then
+  // the peer goes away: the reader must fail having grown its buffer by
+  // one step, not by the 64 MiB the header promised.
+  SendRaw(sp.fds[0], RawFrame(kFrameMagic, kProtocolVersion, 2,
+                              kMaxPayloadBytes, 0, std::string(10, 'x')));
+  sp.CloseWriter();
+  FrameType type{};
+  std::string got;
+  Status s = ReadFrame(sp.fds[1], &type, &got);
+  EXPECT_FALSE(s.ok());
+  EXPECT_LE(got.capacity(), kFrameReadStepBytes);
+}
+
 TEST(ProtocolTest, CrcMismatchIsCorruption) {
   SocketPair sp;
   const std::string payload = "payload bytes";

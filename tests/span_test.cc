@@ -17,8 +17,12 @@
 #include <utility>
 #include <vector>
 
+#include "search/blast_like.h"
+#include "search/exhaustive.h"
+#include "search/fasta_like.h"
 #include "search/partitioned.h"
 #include "sim/workload.h"
+#include "util/deadline.h"
 #include "util/thread_pool.h"
 
 namespace cafe {
@@ -366,6 +370,80 @@ TEST(SpanEngineTest, FineWorkerSpansCarryPoolThreadStamps) {
   }
   EXPECT_GE(workers, 1u);
   EXPECT_LE(workers, 4u);
+}
+
+// One stage timer: the span a sampled query records for a stage and the
+// trace field for that stage come from the same pair of clock reads, so
+// they agree to the nanosecond.
+TEST(SpanEngineTest, StageSpansEqualTraceTimings) {
+  Fixture f = MakeFixture();
+  PartitionedSearch engine(&f.collection, &f.index);
+  SearchOptions options;
+  options.fine_candidates = 20;
+  options.chain_mode = ChainMode::kFilter;
+  obs::SpanRecorder rec(0x71e);
+  options.spans = &rec;
+  Result<SearchResult> r = engine.Search(f.queries[0].sequence, options);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+  std::map<std::string, std::vector<uint64_t>> durations_ns;
+  for (const obs::SpanEvent& s : rec.Snapshot()) {
+    durations_ns[s.name].push_back(s.end_ns - s.begin_ns);
+  }
+  const obs::SearchTrace& t = r->trace;
+  const std::vector<std::pair<std::string, double>> stages = {
+      {"search", t.total_micros},
+      {"coarse.rank", t.coarse_micros},
+      {"chain.filter", t.chain_micros},
+      {"fine.align", t.fine_micros},
+      {"post.process", t.post_micros}};
+  for (const auto& [name, micros] : stages) {
+    ASSERT_EQ(durations_ns[name].size(), 1u) << name;
+    EXPECT_NEAR(static_cast<double>(durations_ns[name][0]), micros * 1000.0,
+                1.0)
+        << name;
+  }
+}
+
+// Every engine times its whole search, and the stages it splits out fit
+// inside that total — also when a deadline cuts the search short.
+TEST(SpanEngineTest, TotalCoversTheStagesForEveryEngine) {
+  Fixture f = MakeFixture();
+  PartitionedSearch partitioned(&f.collection, &f.index);
+  ExhaustiveSearch exhaustive(&f.collection);
+  FastaLikeSearch fasta(&f.collection);
+  BlastLikeSearch blast(&f.collection);
+  SearchOptions options;
+  options.fine_candidates = 20;
+  options.chain_mode = ChainMode::kFilter;
+  const Deadline expired = Deadline::AfterSeconds(-1.0);
+  SearchOptions truncating = options;
+  truncating.deadline = &expired;
+
+  struct Case {
+    std::string label;
+    SearchEngine* engine;
+    const SearchOptions* options;
+  };
+  const std::vector<Case> cases = {
+      {"partitioned", &partitioned, &options},
+      {"partitioned (deadline expired)", &partitioned, &truncating},
+      {"exhaustive", &exhaustive, &options},
+      {"fasta-like", &fasta, &options},
+      {"blast-like", &blast, &options}};
+  for (const Case& c : cases) {
+    Result<SearchResult> r =
+        c.engine->Search(f.queries[0].sequence, *c.options);
+    ASSERT_TRUE(r.ok()) << c.label << ": " << r.status().ToString();
+    EXPECT_EQ(r->truncated, c.options == &truncating) << c.label;
+    const obs::SearchTrace& t = r->trace;
+    EXPECT_EQ(t.queries, 1u) << c.label;
+    EXPECT_GT(t.total_micros, 0.0) << c.label;
+    EXPECT_GE(t.total_micros,
+              t.coarse_micros + t.chain_micros + t.fine_micros +
+                  t.post_micros)
+        << c.label;
+  }
 }
 
 }  // namespace

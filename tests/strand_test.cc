@@ -103,9 +103,18 @@ TEST(StrandTest, StatsAccumulateAcrossStrands) {
   options.search_both_strands = true;
   Result<SearchResult> both = SearchWithStrands(&engine, f.query, options);
   ASSERT_TRUE(single.ok() && both.ok());
-  EXPECT_GT(both->stats.postings_decoded, single->stats.postings_decoded);
-  EXPECT_GT(both->stats.candidates_aligned,
-            single->stats.candidates_aligned);
+  EXPECT_EQ(single->trace.queries, 1u);
+  EXPECT_EQ(both->trace.queries, 2u);
+  EXPECT_GT(both->trace.postings_decoded, single->trace.postings_decoded);
+  EXPECT_GT(both->trace.candidates_aligned,
+            single->trace.candidates_aligned);
+  // The merged trace is the forward pass plus the reverse pass.
+  Result<SearchResult> reverse =
+      engine.Search(ReverseComplement(f.query), SearchOptions{});
+  ASSERT_TRUE(reverse.ok());
+  obs::SearchTrace sum = single->trace;
+  sum.Merge(reverse->trace);
+  EXPECT_EQ(both->trace.CountersJson(), sum.CountersJson());
 }
 
 TEST(StrandTest, MaxResultsRespectedAfterMerge) {

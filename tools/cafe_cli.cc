@@ -17,8 +17,8 @@
 //       [--stats[=json]] [--trace-out FILE]
 //   cafe_cli batch ...   (search over --query-file; same flags)
 //
-// --stats attaches the observability layer (src/obs/): per-query search
-// traces plus the process metrics registry, as text after the normal
+// --stats prints the observability layer (src/obs/): each query's
+// search trace plus the process metrics registry, as text after the normal
 // output or, with --stats=json, as a single JSON document on stdout
 // (schema in docs/OBSERVABILITY.md). --trace-out records one span
 // timeline covering the whole run (index open + every query) and writes
@@ -49,7 +49,6 @@
 #include "obs/trace.h"
 #include "search/chain.h"
 #include "search/partitioned.h"
-#include "seqstore/packed_scan_simd.h"
 #include "sim/generator.h"
 #include "util/flags.h"
 #include "util/stringutil.h"
@@ -391,9 +390,8 @@ Status CmdSearch(FlagParser& flags, bool batch_mode) {
   if (!reader.ok()) return reader.status();
   if (!stats_mode.empty()) {
     reader->AttachMetrics(&registry);
-    // SIMD dispatch counters (coarse.packed_* / align.*) ride along so
-    // the stats verb shows which tier served the hot loops.
-    AttachPackedScanMetrics(&registry);
+    // SIMD dispatch counters (align.*) ride along so the stats verb
+    // shows which tier served the alignment kernels.
     AttachAlignSimdMetrics(&registry);
     AttachChainMetrics(&registry);
   }
@@ -425,9 +423,8 @@ Status CmdSearch(FlagParser& flags, bool batch_mode) {
   std::vector<std::string> query_seqs;
   query_seqs.reserve(queries.size());
   for (const auto& [name, q] : queries) query_seqs.push_back(q);
-  std::vector<obs::SearchTrace> traces;
-  Result<std::vector<SearchResult>> batch = engine.BatchSearchTraced(
-      query_seqs, options, stats_mode.empty() ? nullptr : &traces);
+  Result<std::vector<SearchResult>> batch =
+      engine.BatchSearch(query_seqs, options);
   if (!batch.ok()) return batch.status();
 
   if (spans != nullptr) {
@@ -466,8 +463,8 @@ Status CmdSearch(FlagParser& flags, bool batch_mode) {
         if (i > 0) out += ",";
         out += HitJson(*col, hits[i], evalues);
       }
-      out += "],\"trace\":" + traces[qi].ToJson() + "}";
-      total.Merge(traces[qi]);
+      out += "],\"trace\":" + (*batch)[qi].trace.ToJson() + "}";
+      total.Merge((*batch)[qi].trace);
     }
     out += "],\"trace_total\":" + total.ToJson();
     out += ",\"metrics\":" + registry.SnapshotJson() + "}";
@@ -481,9 +478,9 @@ Status CmdSearch(FlagParser& flags, bool batch_mode) {
     std::printf("query %s (%zu bases): %zu hits in %.1f ms "
                 "(coarse %.1f, fine %.1f)\n",
                 name.c_str(), q.size(), result->hits.size(),
-                result->stats.total_seconds * 1e3,
-                result->stats.coarse_seconds * 1e3,
-                result->stats.fine_seconds * 1e3);
+                result->trace.total_micros * 1e-3,
+                result->trace.coarse_micros * 1e-3,
+                result->trace.fine_micros * 1e-3);
     std::vector<std::string> headers = {"#", "sequence", "score", "coarse",
                                         "strand"};
     if (evalues) {
@@ -519,7 +516,7 @@ Status CmdSearch(FlagParser& flags, bool batch_mode) {
       }
     }
     if (stats_mode == "text") {
-      std::printf("%s", traces[qi].ToText().c_str());
+      std::printf("%s", result->trace.ToText().c_str());
     }
     std::printf("\n");
   }

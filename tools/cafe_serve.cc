@@ -59,7 +59,6 @@
 #include "obs/span.h"
 #include "search/chain.h"
 #include "search/partitioned.h"
-#include "seqstore/packed_scan_simd.h"
 #include "server/http.h"
 #include "server/server.h"
 #include "util/flags.h"
@@ -266,9 +265,8 @@ Status Run(FlagParser& flags) {
   // so they surface on /metrics and the stats verb. Attach before
   // Start: queries may be in flight afterwards.
   reader->AttachMetrics(metrics);
-  // SIMD dispatch counters (coarse.packed_* / align.*) likewise: they
-  // show which tier is serving the coarse scan and the fine alignments.
-  AttachPackedScanMetrics(metrics);
+  // SIMD dispatch counters (align.*) likewise: they show which tier is
+  // serving the fine alignments.
   AttachAlignSimdMetrics(metrics);
   // chain.* counters: the middle-stage funnel (invocations, anchors,
   // kept/dropped candidates) for the /metrics page.

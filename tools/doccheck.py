@@ -63,8 +63,8 @@ DOC_PROM_RE = re.compile(r"`(cafe_[a-z0-9_]+)`")
 DOC_PATH = "docs/OBSERVABILITY.md"
 
 # Span recording sites: explicit StartSpan/AddSpan calls plus the RAII
-# wrapper (`obs::Span span(recorder, "name")`). The wrapper regex must
-# not match obs::TraceSpan, whose argument is a double*, not a name.
+# wrapper (`obs::Span span(recorder, "name")`, optionally followed by
+# the µs sink it also fills).
 SPAN_CALL_RE = re.compile(r'(?:StartSpan|AddSpan)\(\s*"([^"]+)"')
 SPAN_RAII_RE = re.compile(r'obs::Span\s+\w+\([^;]*?,\s*"([^"]+)"')
 # Span-catalogue rows: | `queue.wait` | `request` | `src/server/…` | …
