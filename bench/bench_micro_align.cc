@@ -4,10 +4,10 @@
 // that size experiments E3-E5.
 //
 // Besides the google-benchmark suite, `--gate` runs the SIMD speedup
-// gate: it measures the striped Smith-Waterman and the vectorized
-// packed scan against their scalar oracles in the same process and
-// emits the bench::JsonMetrics document tools/benchgate.py compares
-// against bench/baselines/micro_align.json in CI. Gate metrics are
+// gate: it measures the striped Smith-Waterman against its scalar
+// oracle in the same process and emits the bench::JsonMetrics document
+// tools/benchgate.py compares against bench/baselines/micro_align.json
+// in CI. Gate metrics are
 // within-run speedup ratios plus hard agreement invariants — stable
 // across machines, unlike absolute cell rates.
 
@@ -107,23 +107,17 @@ void BM_XDropExtend(benchmark::State& state) {
 BENCHMARK(BM_XDropExtend);
 
 void BM_PackedMatchCount(benchmark::State& state) {
-  const SimdLevel level = static_cast<SimdLevel>(state.range(0));
-  if (level > DetectCpuSimdLevel()) {
-    state.SkipWithError("tier not supported by this CPU");
-    return;
-  }
   std::string sa = RandomSeq(4096, 8);
   std::string sb = RandomSeq(4096, 9);
   auto a = PackedQuery::FromString(sa);
   auto b = PackedQuery::FromString(sb);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        PackedMatchCount(a->view(), 1, b->view(), 3, 4000, level));
+        PackedMatchCount(a->view(), 1, b->view(), 3, 4000));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 4000);
-  state.SetLabel(SimdLevelName(level));
 }
-BENCHMARK(BM_PackedMatchCount)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_PackedMatchCount);
 
 void BM_PackedXDrop(benchmark::State& state) {
   std::string core = RandomSeq(2000, 10);
@@ -174,29 +168,6 @@ double MeasureScoreMcells(SimdLevel level) {
   return best;
 }
 
-/// Best-of-5 PackedMatchCount throughput in Mbases/s at `level`.
-double MeasurePackedMbases(SimdLevel level) {
-  std::string sa = RandomSeq(4096, 8);
-  std::string sb = RandomSeq(4096, 9);
-  auto a = PackedQuery::FromString(sa);
-  auto b = PackedQuery::FromString(sb);
-  const size_t len = 4000;
-  const int reps = 20000;
-  volatile size_t sink = 0;
-  sink = sink + PackedMatchCount(a->view(), 1, b->view(), 3, len, level);
-  double best = 0.0;
-  for (int run = 0; run < 5; ++run) {
-    WallTimer timer;
-    for (int i = 0; i < reps; ++i) {
-      sink = sink + PackedMatchCount(a->view(), 1, b->view(), 3, len, level);
-    }
-    double mbases =
-        static_cast<double>(reps) * len / 1e6 / timer.Seconds();
-    if (mbases > best) best = mbases;
-  }
-  return best;
-}
-
 /// 1.0 iff the widest tier agrees with scalar on a randomized sweep.
 double StripedAgreement(SimdLevel level) {
   Rng rng(77);
@@ -212,57 +183,28 @@ double StripedAgreement(SimdLevel level) {
   return 1.0;
 }
 
-double PackedAgreement(SimdLevel level) {
-  Rng rng(78);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::string sa = RandomSeq(80 + rng.Uniform(900), rng.Uniform(1u << 30));
-    std::string sb = RandomSeq(80 + rng.Uniform(900), rng.Uniform(1u << 30));
-    auto a = PackedQuery::FromString(sa);
-    auto b = PackedQuery::FromString(sb);
-    size_t apos = rng.Uniform(sa.size());
-    size_t bpos = rng.Uniform(sb.size());
-    size_t len = rng.Uniform(
-        std::min(sa.size() - apos, sb.size() - bpos) + 1);
-    if (PackedMatchCount(a->view(), apos, b->view(), bpos, len, level) !=
-        PackedMatchCount(a->view(), apos, b->view(), bpos, len,
-                         SimdLevel::kScalar)) {
-      return 0.0;
-    }
-  }
-  return 1.0;
-}
-
 int RunGate(const std::string& out_path) {
   const SimdLevel level = DetectCpuSimdLevel();
   std::printf("SIMD gate: widest CPU tier = %s\n", SimdLevelName(level));
 
   const double scalar_mcells = MeasureScoreMcells(SimdLevel::kScalar);
   const double vector_mcells = MeasureScoreMcells(level);
-  const double scalar_mbases = MeasurePackedMbases(SimdLevel::kScalar);
-  const double vector_mbases = MeasurePackedMbases(level);
   const double striped_speedup = vector_mcells / scalar_mcells;
-  const double packed_speedup = vector_mbases / scalar_mbases;
   const double striped_agrees = StripedAgreement(level);
-  const double packed_agrees = PackedAgreement(level);
 
   std::printf(
       "striped SW:  scalar %.0f Mcells/s, %s %.0f Mcells/s  (%.2fx)\n"
-      "packed scan: scalar %.0f Mbases/s, %s %.0f Mbases/s  (%.2fx)\n"
-      "agreement:   striped %s, packed %s\n",
+      "agreement:   striped %s\n",
       scalar_mcells, SimdLevelName(level), vector_mcells, striped_speedup,
-      scalar_mbases, SimdLevelName(level), vector_mbases, packed_speedup,
-      striped_agrees == 1.0 ? "ok" : "MISMATCH",
-      packed_agrees == 1.0 ? "ok" : "MISMATCH");
+      striped_agrees == 1.0 ? "ok" : "MISMATCH");
 
   bench::JsonMetrics doc("micro_align");
   doc.Add("striped_speedup", striped_speedup);
-  doc.Add("packed_scan_speedup", packed_speedup);
   doc.Add("striped_agrees", striped_agrees);
-  doc.Add("packed_scan_agrees", packed_agrees);
   doc.Add("scalar_mcells_per_s", scalar_mcells);
   doc.Add("vector_mcells_per_s", vector_mcells);
   doc.Emit(out_path);
-  return (striped_agrees == 1.0 && packed_agrees == 1.0) ? 0 : 1;
+  return striped_agrees == 1.0 ? 0 : 1;
 }
 
 }  // namespace

@@ -87,8 +87,8 @@ class Histogram {
     /// Approximate value at quantile q in [0, 1]: the upper edge of the
     /// first bucket whose cumulative count reaches q·count, clamped to
     /// the observed [min, max]. Log-scale buckets make this exact only
-    /// to within a factor of two — good enough for the latency
-    /// percentiles cafe_loadgen reports. Returns 0 when empty.
+    /// to within a factor of two — good enough for the /statusz and
+    /// stats-document summaries. Returns 0 when empty.
     uint64_t ApproxPercentile(double q) const;
 
     /// This snapshot minus `baseline` (an earlier snapshot of the same
@@ -138,9 +138,9 @@ class MetricsRegistry {
   ///  "histograms": {name: {"count":…, "sum":…, "min":…, "max":…,
   ///                        "mean":…, "p50":…, "p90":…, "p99":…,
   ///                        "buckets": {"<bit width>": n}}}}
-  /// Percentiles are Histogram::Snapshot::ApproxPercentile — the same
-  /// numbers cafe_loadgen prints. Keys are sorted (std::map), so equal
-  /// metric states produce byte-identical documents.
+  /// Percentiles are Histogram::Snapshot::ApproxPercentile (bucket
+  /// edges). Keys are sorted (std::map), so equal metric states produce
+  /// byte-identical documents.
   std::string SnapshotJson() const;
 
   /// Structured copy of every metric, for windowed diffing via Delta.

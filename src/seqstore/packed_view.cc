@@ -1,10 +1,8 @@
 #include "seqstore/packed_view.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "alphabet/nucleotide.h"
-#include "seqstore/packed_scan_simd.h"
 #include "util/check.h"
 
 namespace cafe {
@@ -95,16 +93,7 @@ Result<PackedQuery> PackedQuery::FromString(std::string_view seq) {
   return q;
 }
 
-namespace {
-
-// Windows shorter than this skip the vector attempt: the scalar word
-// loop already does 32 bases per step and the alignment head/tail
-// bookkeeping would dominate.
-constexpr size_t kPackedSimdMinBases = 64;
-
-// The 32-bases-per-64-bit-load reference loop (also the head/tail
-// handler for the vectorized path).
-size_t ScalarMatchCount(const PackedView& a, size_t apos,
+size_t PackedMatchCount(const PackedView& a, size_t apos,
                         const PackedView& b, size_t bpos, size_t len) {
   size_t matches = 0;
   size_t done = 0;
@@ -112,7 +101,7 @@ size_t ScalarMatchCount(const PackedView& a, size_t apos,
     int va = 0, vb = 0;
     uint64_t wa = a.Extract64(apos + done, &va);
     uint64_t wb = b.Extract64(bpos + done, &vb);
-    int take = static_cast<int>(len - done);
+    int take = len - done < 32 ? static_cast<int>(len - done) : 32;
     if (take > va) take = va;
     if (take > vb) take = vb;
     if (take <= 0) break;  // window ran past a sequence end
@@ -122,49 +111,6 @@ size_t ScalarMatchCount(const PackedView& a, size_t apos,
     done += static_cast<size_t>(take);
   }
   return matches;
-}
-
-}  // namespace
-
-size_t PackedMatchCount(const PackedView& a, size_t apos,
-                        const PackedView& b, size_t bpos, size_t len,
-                        SimdLevel level) {
-  size_t a_avail = a.size() > apos ? a.size() - apos : 0;
-  size_t b_avail = b.size() > bpos ? b.size() - bpos : 0;
-  size_t window = std::min(len, std::min(a_avail, b_avail));
-  size_t matches = 0;
-  size_t done = 0;
-  if (level != SimdLevel::kScalar && window >= kPackedSimdMinBases) {
-    // Scalar head until stream `a` hits a byte boundary.
-    size_t head = (4 - (apos & 3)) & 3;
-    if (head != 0) {
-      matches += ScalarMatchCount(a, apos, b, bpos, head);
-      done = head;
-    }
-    size_t a_off = apos + done;  // multiple of 4 from here on
-    size_t b_off = bpos + done;
-    size_t nbytes = (window - done) / 4;
-    if (nbytes != 0) {
-      // Whole bytes inside both sequences: every read below — including
-      // b's one-byte lookahead when the shift is non-zero — stays
-      // within the payloads (see packed_scan_simd.h).
-      size_t bytes_done = 0;
-      size_t mism = PackedBulkMismatches(
-          a.payload() + (a_off >> 2), b.payload() + (b_off >> 2),
-          static_cast<int>(2 * (b_off & 3)), nbytes, level, &bytes_done);
-      matches += bytes_done * 4 - mism;
-      done += bytes_done * 4;
-    }
-  }
-  if (done < len) {
-    matches += ScalarMatchCount(a, apos + done, b, bpos + done, len - done);
-  }
-  return matches;
-}
-
-size_t PackedMatchCount(const PackedView& a, size_t apos,
-                        const PackedView& b, size_t bpos, size_t len) {
-  return PackedMatchCount(a, apos, b, bpos, len, ActiveSimdLevel());
 }
 
 UngappedSegment PackedXDropExtend(const PackedView& a, const PackedView& b,

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "align/xdrop.h"
-#include "util/simd.h"
 #include "util/status.h"
 
 namespace cafe {
@@ -79,17 +78,9 @@ class PackedQuery {
   PackedView view_;
 };
 
-/// Number of equal base pairs in a[apos, apos+len) vs b[bpos, bpos+len).
-/// Long windows go through the vectorized bulk kernels
-/// (seqstore/packed_scan_simd.h) at the given dispatch tier — a scalar
-/// head aligns `a` to a byte, the kernel compares whole vector blocks,
-/// and the scalar 32-bases-per-word loop finishes the tail. Every tier
-/// returns the identical count (the scalar path is the oracle).
-size_t PackedMatchCount(const PackedView& a, size_t apos,
-                        const PackedView& b, size_t bpos, size_t len,
-                        SimdLevel level);
-
-/// Same, at ActiveSimdLevel().
+/// Number of equal base pairs in a[apos, apos+len) vs b[bpos, bpos+len),
+/// 32 bases per 64-bit load. A window running past the end of either
+/// operand counts over the overlap only.
 size_t PackedMatchCount(const PackedView& a, size_t apos,
                         const PackedView& b, size_t bpos, size_t len);
 

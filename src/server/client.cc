@@ -103,8 +103,8 @@ Status Client::Search(const SearchRequest& request,
                               std::to_string(static_cast<int>(type)));
   }
   CAFE_RETURN_IF_ERROR(DecodeSearchResponse(payload, response));
-  // A v1 server does not echo; the caller still learns the id the
-  // request travelled under.
+  // A server that could not decode the request does not know its id
+  // and echoes 0; the caller still learns the id it travelled under.
   if (response->trace_id == 0) response->trace_id = outbound.trace_id;
   return Status::OK();
 }

@@ -44,13 +44,13 @@ class Client {
   /// non-zero id for this request, so every request is joinable with
   /// the server's flight recorder / slow log. Either way,
   /// `response->trace_id` always carries the id this request travelled
-  /// under — the server's echo, or (against a v1 server that does not
-  /// echo) the id that was sent.
+  /// under — the server's echo, or the id that was sent when the
+  /// server could not decode the request and so echoed 0.
   ///
-  /// `response->sampled` (v3) reports whether the server recorded a
-  /// span timeline for this request; if so, its Chrome-trace JSON is
-  /// at /tracez?trace_id=… on the server's introspection port while
-  /// the span store retains it. False from an older server.
+  /// `response->sampled` reports whether the server recorded a span
+  /// timeline for this request; if so, its Chrome-trace JSON is at
+  /// /tracez?trace_id=… on the server's introspection port while the
+  /// span store retains it.
   [[nodiscard]] Status Search(const SearchRequest& request,
                               SearchResponse* response);
 

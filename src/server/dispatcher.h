@@ -93,7 +93,7 @@ class Dispatcher {
   /// is stopping. A result with `truncated` set means the request's
   /// deadline fired first.
   /// `sampled`, when non-null, reports whether a span timeline was
-  /// recorded for this request (the wire response's v3 sampled flag).
+  /// recorded for this request (the wire response's sampled flag).
   Result<SearchResult> Execute(const SearchRequest& request,
                                bool* sampled = nullptr) CAFE_EXCLUDES(mu_);
 

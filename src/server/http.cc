@@ -1,14 +1,11 @@
 #include "server/http.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
-#include <string_view>
 #include <utility>
+
+#include "server/protocol.h"
 
 namespace cafe::server {
 namespace {
@@ -16,10 +13,6 @@ namespace {
 // A request line plus headers larger than this is not an operator with
 // curl; drop the connection instead of buffering unboundedly.
 constexpr size_t kMaxRequestBytes = 8192;
-
-Status Errno(const char* what) {
-  return Status::IOError(std::string(what) + ": " + std::strerror(errno));
-}
 
 const char* StatusText(int status) {
   switch (status) {
@@ -52,18 +45,6 @@ bool ReadRequestHead(int fd, std::string* head) {
   return head->find('\n') != std::string::npos;
 }
 
-void WriteAll(int fd, std::string_view data) {
-  size_t written = 0;
-  while (written < data.size()) {
-    ssize_t n = write(fd, data.data() + written, data.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;  // peer went away; nothing useful to do with the error
-    }
-    written += static_cast<size_t>(n);
-  }
-}
-
 void WriteResponse(int fd, const HttpResponse& response) {
   std::string out = "HTTP/1.0 " + std::to_string(response.status) + " " +
                     StatusText(response.status) + "\r\n";
@@ -71,7 +52,9 @@ void WriteResponse(int fd, const HttpResponse& response) {
   out += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
   out += "Connection: close\r\n\r\n";
   out += response.body;
-  WriteAll(fd, out);
+  // A peer that went away yields an error, not SIGPIPE; there is
+  // nothing useful to do with it.
+  SendAll(fd, out).IgnoreError();
 }
 
 }  // namespace
@@ -80,99 +63,6 @@ HttpServer::HttpServer(HttpHandler handler, const HttpOptions& options)
     : handler_(std::move(handler)), options_(options) {
   if (options_.metrics != nullptr) {
     requests_ = options_.metrics->GetCounter("server.http_requests");
-  }
-}
-
-HttpServer::~HttpServer() { Shutdown(); }
-
-Status HttpServer::Start() {
-  if (started_) return Status::Internal("Start() called twice");
-
-  listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return Errno("socket");
-  int one = 1;
-  setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("bad bind address: " +
-                                   options_.bind_address);
-  }
-  if (bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    Status s = Errno("bind");
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
-  }
-  if (listen(listen_fd_, /*backlog=*/16) < 0) {
-    Status s = Errno("listen");
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
-  }
-  socklen_t len = sizeof(addr);
-  if (getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) <
-      0) {
-    Status s = Errno("getsockname");
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
-  }
-  port_ = ntohs(addr.sin_port);
-
-  {
-    MutexLock lock(&conn_mu_);
-    stopping_ = false;
-  }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  started_ = true;
-  return Status::OK();
-}
-
-void HttpServer::Shutdown() {
-  MutexLock shutdown_lock(&shutdown_mu_);
-  if (!started_) return;
-
-  {
-    MutexLock lock(&conn_mu_);
-    stopping_ = true;
-  }
-  shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  close(listen_fd_);
-  listen_fd_ = -1;
-
-  {
-    MutexLock lock(&conn_mu_);
-    for (int fd : conn_fds_) shutdown(fd, SHUT_RDWR);
-  }
-  for (std::thread& t : conn_threads_) {
-    if (t.joinable()) t.join();
-  }
-  conn_threads_.clear();
-  started_ = false;
-}
-
-void HttpServer::AcceptLoop() {
-  while (true) {
-    int fd = accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // shutdown(listen_fd_) during Shutdown() lands here
-    }
-    MutexLock lock(&conn_mu_);
-    if (stopping_) {
-      close(fd);
-      return;
-    }
-    conn_fds_.insert(fd);
-    conn_threads_.emplace_back([this, fd] { HandleConnection(fd); });
   }
 }
 
@@ -206,10 +96,6 @@ void HttpServer::HandleConnection(int fd) {
     }
     WriteResponse(fd, response);
   }
-
-  MutexLock lock(&conn_mu_);
-  conn_fds_.erase(fd);
-  close(fd);
 }
 
 }  // namespace cafe::server

@@ -5,22 +5,20 @@
 // TLS, request line + headers capped at a few KiB, every response ends
 // with Connection: close. It exists so an operator (or a Prometheus
 // scraper) can look inside a running cafe_serve with curl — the query
-// protocol stays on its own binary port. Threading mirrors Server: one
-// accept thread, one short-lived thread per connection; handlers run on
-// the connection thread and must be thread-safe.
+// protocol stays on its own binary port. Connections run on the same
+// Listener core as Server (server/listener.h): one accept thread, one
+// short-lived thread per connection, joined once the connection ends;
+// handlers run on the connection thread and must be thread-safe.
 
 #ifndef CAFE_SERVER_HTTP_H_
 #define CAFE_SERVER_HTTP_H_
 
 #include <cstdint>
 #include <functional>
-#include <set>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "obs/metrics.h"
-#include "util/mutex.h"
+#include "server/listener.h"
 #include "util/status.h"
 
 namespace cafe::server {
@@ -53,47 +51,34 @@ using HttpHandler = std::function<HttpResponse(const std::string& path,
 class HttpServer {
  public:
   HttpServer(HttpHandler handler, const HttpOptions& options);
-  ~HttpServer();  // calls Shutdown()
 
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
   /// Binds, listens, and starts accepting.
-  [[nodiscard]] Status Start();
+  [[nodiscard]] Status Start() {
+    return listener_.Start(options_.bind_address, options_.port);
+  }
 
   /// The actually bound port (resolves port 0) — valid after Start().
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return listener_.port(); }
 
-  /// Stops accepting, closes every live connection, joins the threads.
-  /// Idempotent.
-  void Shutdown();
+  /// Stops accepting, half-closes every live connection (a response
+  /// being written still goes out), joins the threads. Idempotent;
+  /// destruction calls it too.
+  void Shutdown() { listener_.Shutdown(); }
 
  private:
-  void AcceptLoop();
   void HandleConnection(int fd);
 
   const HttpHandler handler_;
   const HttpOptions options_;
 
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  std::thread accept_thread_;
-
-  Mutex conn_mu_;
-  std::set<int> conn_fds_ CAFE_GUARDED_BY(conn_mu_);
-  // Appended by the accept loop under conn_mu_; drained by Shutdown()
-  // only after the accept thread is joined (no writer left), so the
-  // joins themselves run lock-free — a phase protocol, not a guard.
-  std::vector<std::thread> conn_threads_;
-  bool stopping_ CAFE_GUARDED_BY(conn_mu_) = false;
-  // Written by Start()/Shutdown() only; those two are externally
-  // serialized (Start from the owner, Shutdown under shutdown_mu_).
-  bool started_ = false;
-  // Serializes Shutdown() callers. Lock order: shutdown_mu_ before
-  // conn_mu_ — never the reverse.
-  Mutex shutdown_mu_ CAFE_ACQUIRED_BEFORE(conn_mu_);
-
   obs::Counter* requests_ = nullptr;
+
+  // Declared last, so it is destroyed first: every connection thread is
+  // joined before the handler it runs goes.
+  Listener listener_{[this](int fd) { HandleConnection(fd); }};
 };
 
 }  // namespace cafe::server

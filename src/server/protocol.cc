@@ -106,10 +106,6 @@ class ByteReader {
     return Status::OK();
   }
 
-  /// True when every payload byte has been consumed — the v1 shape of
-  /// a payload whose newer fields are trailing additions.
-  bool AtEnd() const { return pos_ == data_.size(); }
-
  private:
   static Status Short() {
     return Status::Corruption("payload truncated");
@@ -119,22 +115,7 @@ class ByteReader {
   size_t pos_ = 0;
 };
 
-// --- EINTR-safe socket I/O -----------------------------------------
-// send() with MSG_NOSIGNAL so a peer that hung up yields EPIPE -> Status
-// instead of killing the process with SIGPIPE.
-
-Status SendAll(int fd, const char* data, size_t size) {
-  size_t sent = 0;
-  while (sent < size) {
-    ssize_t n = send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("send: ") + std::strerror(errno));
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
+// --- EINTR-safe socket reads ---------------------------------------
 
 /// Reads exactly `size` bytes. `*eof_ok` in: whether a clean EOF before
 /// the first byte is acceptable; out: whether that clean EOF happened.
@@ -157,6 +138,19 @@ Status RecvAll(int fd, char* data, size_t size, bool* eof_ok) {
 }
 
 }  // namespace
+
+Status SendAll(int fd, std::string_view data) {
+  size_t sent = 0;
+  while (sent < data.size()) {
+    ssize_t n = send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError(std::string("send: ") + std::strerror(errno));
+    }
+    sent += static_cast<size_t>(n);
+  }
+  return Status::OK();
+}
 
 SearchOptions SearchRequest::ToSearchOptions() const {
   SearchOptions options;
@@ -209,7 +203,7 @@ std::string EncodeSearchRequest(const SearchRequest& request) {
   PutU8(&out, static_cast<uint8_t>(request.rescore_full));
   PutU32(&out, request.deadline_millis);
   PutString(&out, request.query);
-  PutU64(&out, request.trace_id);  // v2 trailing field
+  PutU64(&out, request.trace_id);
   return out;
 }
 
@@ -227,11 +221,7 @@ Status DecodeSearchRequest(std::string_view payload, SearchRequest* out) {
   CAFE_RETURN_IF_ERROR(r.GetU8(&rescore));
   CAFE_RETURN_IF_ERROR(r.GetU32(&out->deadline_millis));
   CAFE_RETURN_IF_ERROR(r.GetString(&out->query));
-  // v2 appended the trace id; a v1 payload ends at the query.
-  out->trace_id = 0;
-  if (!r.AtEnd()) {
-    CAFE_RETURN_IF_ERROR(r.GetU64(&out->trace_id));
-  }
+  CAFE_RETURN_IF_ERROR(r.GetU64(&out->trace_id));
   CAFE_RETURN_IF_ERROR(r.ExpectDone());
   out->band = static_cast<int32_t>(band);
   out->min_score = static_cast<int32_t>(min_score);
@@ -256,8 +246,8 @@ std::string EncodeSearchResponse(const SearchResponse& response) {
     PutDouble(&out, hit.coarse_score);
     PutU8(&out, hit.strand == Strand::kReverse ? 1 : 0);
   }
-  PutU64(&out, response.trace_id);  // v2 trailing field
-  PutU8(&out, static_cast<uint8_t>(response.sampled));  // v3 trailing field
+  PutU64(&out, response.trace_id);
+  PutU8(&out, static_cast<uint8_t>(response.sampled));
   return out;
 }
 
@@ -298,21 +288,13 @@ Status DecodeSearchResponse(std::string_view payload, SearchResponse* out) {
     hit.strand = strand == 1 ? Strand::kReverse : Strand::kForward;
     out->hits.push_back(std::move(hit));
   }
-  // v2 appended the trace id; a v1 payload ends with the last hit.
-  out->trace_id = 0;
-  if (!r.AtEnd()) {
-    CAFE_RETURN_IF_ERROR(r.GetU64(&out->trace_id));
+  uint8_t sampled = 0;
+  CAFE_RETURN_IF_ERROR(r.GetU64(&out->trace_id));
+  CAFE_RETURN_IF_ERROR(r.GetU8(&sampled));
+  if (sampled > 1) {
+    return Status::Corruption("search response: sampled out of range");
   }
-  // v3 appended the sampled flag; a v2 payload ends with the trace id.
-  out->sampled = false;
-  if (!r.AtEnd()) {
-    uint8_t sampled = 0;
-    CAFE_RETURN_IF_ERROR(r.GetU8(&sampled));
-    if (sampled > 1) {
-      return Status::Corruption("search response: sampled out of range");
-    }
-    out->sampled = sampled != 0;
-  }
+  out->sampled = sampled != 0;
   return r.ExpectDone();
 }
 
@@ -345,20 +327,19 @@ Status StatusFromWire(uint8_t code, std::string message) {
                           std::to_string(code) + ": " + message);
 }
 
-Status WriteFrame(int fd, FrameType type, std::string_view payload,
-                  uint16_t version) {
+Status WriteFrame(int fd, FrameType type, std::string_view payload) {
   if (payload.size() > kMaxPayloadBytes) {
     return Status::InvalidArgument("frame payload exceeds kMaxPayloadBytes");
   }
   std::string frame;
   frame.reserve(kFrameHeaderBytes + payload.size());
   PutU32(&frame, kFrameMagic);
-  PutU16(&frame, version);
+  PutU16(&frame, kProtocolVersion);
   PutU16(&frame, static_cast<uint16_t>(type));
   PutU32(&frame, static_cast<uint32_t>(payload.size()));
   PutU32(&frame, Crc32(payload.data(), payload.size()));
   frame.append(payload.data(), payload.size());
-  return SendAll(fd, frame.data(), frame.size());
+  return SendAll(fd, frame);
 }
 
 Status ReadFrame(int fd, FrameType* type, std::string* payload) {
@@ -378,11 +359,10 @@ Status ReadFrame(int fd, FrameType* type, std::string* payload) {
   if (magic != kFrameMagic) {
     return Status::Corruption("bad frame magic");
   }
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
-    return Status::NotSupported(
-        "protocol version " + std::to_string(version) + ", this build "
-        "speaks " + std::to_string(kMinProtocolVersion) + ".." +
-        std::to_string(kProtocolVersion));
+  if (version != kProtocolVersion) {
+    return Status::NotSupported("protocol version " + std::to_string(version) +
+                                ", this build speaks " +
+                                std::to_string(kProtocolVersion));
   }
   if (size > kMaxPayloadBytes) {
     return Status::Corruption("frame payload length " +

@@ -34,19 +34,11 @@
 namespace cafe::server {
 
 inline constexpr uint32_t kFrameMagic = 0x45464143u;  // "CAFE"
-/// Current protocol version. v2 added the optional trailing trace-id
-/// field to SearchRequest and SearchResponse; v3 added the trailing
-/// `sampled` byte to SearchResponse (the server recorded a span
-/// timeline for this request — see /tracez).
+/// The one protocol version this build speaks: ReadFrame rejects every
+/// other version with NotSupported. Every client and server is built
+/// from this tree, so there is no compatibility window — a payload
+/// missing a field is Corruption.
 inline constexpr uint16_t kProtocolVersion = 3;
-/// Oldest version this build still speaks. ReadFrame accepts any frame
-/// version in [kMinProtocolVersion, kProtocolVersion], and both the
-/// trace-id field (v2) and the sampled byte (v3) are *trailing*
-/// additions, so a v1 or v2 payload (request or response) decodes here
-/// with the missing fields at their zero defaults — an older peer's
-/// Hello, requests and responses all still work against this build
-/// (asserted both directions in protocol_test).
-inline constexpr uint16_t kMinProtocolVersion = 1;
 inline constexpr size_t kFrameHeaderBytes = 16;
 
 /// Upper bound on a frame payload. Anything larger is Corruption —
@@ -91,8 +83,7 @@ struct SearchRequest {
   /// SearchResponse and stamped on the server's flight-recorder entry
   /// and log lines for this request. 0 = caller declined to pick one;
   /// Client::Search mints a random id in that case so every request is
-  /// joinable. Not part of OptionsKey(). v2 wire field — absent (0)
-  /// when the peer speaks v1.
+  /// joinable. Not part of OptionsKey().
   uint64_t trace_id = 0;
 
   /// The engine-side options these wire fields select (deadline and
@@ -115,11 +106,10 @@ struct SearchResponse {
   std::vector<SearchHit> hits;
   /// The request's trace id, echoed so the client can join its own
   /// latency measurement with the server's flight-recorder entry.
-  /// v2 wire field — 0 from a v1 server.
   uint64_t trace_id = 0;
   /// True when the server recorded a span timeline for this request —
   /// fetch it at /tracez?trace_id=… while it is still in the span
-  /// store. v3 wire field — false from an older server.
+  /// store.
   bool sampled = false;
 };
 
@@ -141,13 +131,17 @@ std::string EncodeSearchResponse(const SearchResponse& response);
 uint8_t StatusCodeToWire(const Status& status);
 Status StatusFromWire(uint8_t code, std::string message);
 
-// --- Framed socket I/O (blocking, EINTR-safe) -----------------------
+// --- Socket I/O (blocking, EINTR-safe) -----------------------------
 
-/// Writes one complete frame to `fd`. `version` stamps the header —
-/// callers other than compatibility tests leave the default.
+/// Writes all of `data` to socket `fd`: the only socket write path of
+/// the servers and the client. Sends with MSG_NOSIGNAL, so a peer that
+/// hung up yields an IOError instead of killing the process with
+/// SIGPIPE.
+[[nodiscard]] Status SendAll(int fd, std::string_view data);
+
+/// Writes one complete frame to `fd`.
 [[nodiscard]] Status WriteFrame(int fd, FrameType type,
-                                std::string_view payload,
-                                uint16_t version = kProtocolVersion);
+                                std::string_view payload);
 
 /// Reads one complete frame. Clean EOF before any header byte returns
 /// NotFound (the peer hung up between frames); everything else that is

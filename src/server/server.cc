@@ -1,24 +1,9 @@
 #include "server/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-
 #include "alphabet/nucleotide.h"
 #include "util/version.h"
 
 namespace cafe::server {
-namespace {
-
-Status Errno(const char* what) {
-  return Status::IOError(std::string(what) + ": " + std::strerror(errno));
-}
-
-}  // namespace
 
 Server::Server(SearchEngine* engine, const ServerOptions& options)
     : engine_(engine), options_(options) {
@@ -33,110 +18,23 @@ Server::Server(SearchEngine* engine, const ServerOptions& options)
   stats_requests_ = metrics_->GetCounter("server.stats_requests");
 }
 
-Server::~Server() { Shutdown(); }
-
 Status Server::Start() {
-  if (started_) return Status::Internal("Start() called twice");
-
-  listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return Errno("socket");
-  int one = 1;
-  setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("bad bind address: " +
-                                   options_.bind_address);
-  }
-  if (bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    Status s = Errno("bind");
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
-  }
-  if (listen(listen_fd_, /*backlog=*/64) < 0) {
-    Status s = Errno("listen");
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
-  }
-  socklen_t len = sizeof(addr);
-  if (getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) <
-      0) {
-    Status s = Errno("getsockname");
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
-  }
-  port_ = ntohs(addr.sin_port);
-
+  // Checked before the dispatcher is replaced: live handlers use it.
+  if (listener_.started()) return Status::Internal("Start() called twice");
   DispatcherOptions dopt = options_.dispatcher;
   dopt.metrics = metrics_;
   dispatcher_ = std::make_unique<Dispatcher>(engine_, dopt);
-  {
-    MutexLock lock(&conn_mu_);
-    stopping_ = false;  // allows Start() again after Shutdown()
-  }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  started_ = true;
-  return Status::OK();
+  Status s = listener_.Start(options_.bind_address, options_.port);
+  if (!s.ok()) dispatcher_.reset();  // joins the workers
+  return s;
 }
 
 void Server::Shutdown() {
-  MutexLock shutdown_lock(&shutdown_mu_);
-  if (!started_) return;
-
-  // 1. Stop accepting: shutdown() wakes the blocked accept(), then the
-  //    accept thread exits and no new connection threads appear.
-  {
-    MutexLock lock(&conn_mu_);
-    stopping_ = true;
-  }
-  shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  close(listen_fd_);
-  listen_fd_ = -1;
-
-  // 2. Half-close every live connection: handlers blocked in ReadFrame
-  //    see EOF and exit; a handler mid-request finishes it and still
-  //    writes the response (writes stay open).
-  {
-    MutexLock lock(&conn_mu_);
-    for (int fd : conn_fds_) shutdown(fd, SHUT_RD);
-  }
-  for (std::thread& t : conn_threads_) {
-    if (t.joinable()) t.join();
-  }
-  conn_threads_.clear();
-
-  // 3. With every connection gone, the dispatcher queue can only
-  //    shrink; drain it and join the workers.
+  // The Listener joins every connection first, so the dispatcher queue
+  // can only shrink while Stop drains it and joins the workers. Each
+  // step is serialized and idempotent on its own.
+  listener_.Shutdown();
   if (dispatcher_ != nullptr) dispatcher_->Stop();
-  started_ = false;
-}
-
-void Server::AcceptLoop() {
-  while (true) {
-    int fd = accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      // shutdown(listen_fd_) during Shutdown() lands here.
-      return;
-    }
-    MutexLock lock(&conn_mu_);
-    if (stopping_) {
-      close(fd);
-      return;
-    }
-    conn_fds_.insert(fd);
-    conn_threads_.emplace_back([this, fd] { HandleConnection(fd); });
-  }
 }
 
 void Server::HandleConnection(int fd) {
@@ -201,10 +99,6 @@ void Server::HandleConnection(int fd) {
       }
     }
   }
-
-  MutexLock lock(&conn_mu_);
-  conn_fds_.erase(fd);
-  close(fd);
 }
 
 std::string Server::StatsJson() const {

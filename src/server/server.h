@@ -1,32 +1,30 @@
 // Blocking TCP query server: the long-running daemon behind cafe_serve.
 //
-// Threading model: one accept thread, one thread per connection (the
-// protocol is strictly request/response per connection, so blocking
-// reads are the simple and correct shape), and the Dispatcher's worker
-// pool doing the actual searching. Connection threads never touch the
-// engine directly — every query goes through Dispatcher::Execute, which
-// is where batching, admission control and deadlines live.
+// Threading model: a Listener (server/listener.h) runs the accept
+// thread and one thread per connection (the protocol is strictly
+// request/response per connection, so blocking reads are the simple
+// and correct shape); the Dispatcher's worker pool does the actual
+// searching. Connection threads never touch the engine directly —
+// every query goes through Dispatcher::Execute, which is where
+// batching, admission control and deadlines live.
 //
-// Shutdown() is graceful and ordered: stop accepting, half-close every
-// connection (pending reads see EOF, requests already being processed
-// still get their response written), join the connection threads, then
-// drain the dispatcher. Safe to call from a signal-notified thread;
-// idempotent.
+// Shutdown() is graceful and ordered: the Listener stops accepting,
+// half-closes every connection (pending reads see EOF, requests already
+// being processed still get their response written) and joins the
+// connection threads, then the dispatcher drains. Safe to call from a
+// signal-notified thread; idempotent. Destruction shuts down too.
 
 #ifndef CAFE_SERVER_SERVER_H_
 #define CAFE_SERVER_SERVER_H_
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "search/engine.h"
 #include "server/dispatcher.h"
-#include "util/mutex.h"
+#include "server/listener.h"
 #include "util/status.h"
 
 namespace cafe::server {
@@ -47,17 +45,17 @@ class Server {
   /// `engine` must outlive the server and support concurrent Search
   /// (or the dispatcher's batches fall back to sequential evaluation).
   Server(SearchEngine* engine, const ServerOptions& options);
-  ~Server();  // calls Shutdown()
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, and starts accepting. Fails with IOError when the
-  /// address or port is unavailable.
+  /// Starts the dispatcher, then binds, listens, and starts accepting.
+  /// Fails with IOError when the address or port is unavailable, and
+  /// then leaves no dispatcher worker running.
   [[nodiscard]] Status Start();
 
   /// The actually bound port (resolves port 0) — valid after Start().
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return listener_.port(); }
 
   /// Graceful drain; see the file comment for the ordering. Idempotent.
   void Shutdown();
@@ -72,7 +70,6 @@ class Server {
   }
 
  private:
-  void AcceptLoop();
   void HandleConnection(int fd);
   /// The `stats` verb payload: one JSON document in the --stats=json
   /// schema family ({"command":"stats","server":{…},"metrics":{…}}).
@@ -84,27 +81,13 @@ class Server {
   obs::MetricsRegistry* metrics_ = nullptr;
   std::unique_ptr<Dispatcher> dispatcher_;
 
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  std::thread accept_thread_;
-
-  Mutex conn_mu_;
-  std::set<int> conn_fds_ CAFE_GUARDED_BY(conn_mu_);
-  // Appended by the accept loop under conn_mu_; drained by Shutdown()
-  // only after the accept thread is joined (no writer left), so the
-  // joins themselves run lock-free — a phase protocol, not a guard.
-  std::vector<std::thread> conn_threads_;
-  bool stopping_ CAFE_GUARDED_BY(conn_mu_) = false;
-  // Written by Start()/Shutdown() only; those two are externally
-  // serialized (Start from the owner, Shutdown under shutdown_mu_).
-  bool started_ = false;
-  // Serializes Shutdown() callers. Lock order: shutdown_mu_ before
-  // conn_mu_ before the dispatcher's locks — never the reverse.
-  Mutex shutdown_mu_ CAFE_ACQUIRED_BEFORE(conn_mu_);
-
   obs::Counter* connections_ = nullptr;
   obs::Counter* protocol_errors_ = nullptr;
   obs::Counter* stats_requests_ = nullptr;
+
+  // Declared last, so it is destroyed first: every connection thread is
+  // joined before the members its handler uses go.
+  Listener listener_{[this](int fd) { HandleConnection(fd); }};
 };
 
 }  // namespace cafe::server

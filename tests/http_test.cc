@@ -1,5 +1,6 @@
 // Tests for the introspection HTTP listener: request parsing, routing
-// to the handler, error statuses, and shutdown.
+// to the handler, error statuses, connection-thread reaping, a peer
+// that hangs up before its response, and shutdown.
 
 #include "server/http.h"
 
@@ -10,14 +11,17 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 
 namespace cafe::server {
 namespace {
 
-// One raw HTTP exchange: connect, send `request` verbatim, read to EOF.
-std::string Exchange(uint16_t port, const std::string& request) {
+// A socket connected to 127.0.0.1:`port`.
+int Connect(uint16_t port) {
   int fd = socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr{};
@@ -27,6 +31,12 @@ std::string Exchange(uint16_t port, const std::string& request) {
   EXPECT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0)
       << std::strerror(errno);
+  return fd;
+}
+
+// One raw HTTP exchange: connect, send `request` verbatim, read to EOF.
+std::string Exchange(uint16_t port, const std::string& request) {
+  int fd = Connect(port);
   size_t sent = 0;
   while (sent < request.size()) {
     ssize_t n = write(fd, request.data() + sent, request.size() - sent);
@@ -43,6 +53,17 @@ std::string Exchange(uint16_t port, const std::string& request) {
   }
   close(fd);
   return response;
+}
+
+// This process's virtual size in KiB, from /proc/self/status.
+int64_t VmSizeKib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoll(line.substr(7));
+  }
+  ADD_FAILURE() << "no VmSize line in /proc/self/status";
+  return 0;
 }
 
 class HttpServerTest : public ::testing::Test {
@@ -160,6 +181,53 @@ TEST_F(HttpServerTest, ShutdownIsIdempotentAndRestartable) {
   std::string response =
       Exchange(server_->port(), "GET /hello HTTP/1.0\r\n\r\n");
   EXPECT_NE(response.find("200 OK"), std::string::npos);
+}
+
+TEST_F(HttpServerTest, FinishedConnectionThreadsAreJoined) {
+  // One thread per request, each with a ~8 MiB stack mapped until it is
+  // joined: a scraper's 200 GETs must not pin 200 of them.
+  StartServer();
+  (void)Exchange(server_->port(), "GET /hello HTTP/1.0\r\n\r\n");
+  const int64_t before = VmSizeKib();
+  for (int i = 0; i < 200; ++i) {
+    std::string response =
+        Exchange(server_->port(), "GET /hello HTTP/1.0\r\n\r\n");
+    ASSERT_NE(response.find("200 OK"), std::string::npos) << response;
+  }
+  EXPECT_LT(VmSizeKib() - before, 512 * 1024)
+      << "VmSize grew by " << (VmSizeKib() - before) / 1024 << " MiB";
+}
+
+TEST(HttpServerPeerTest, PeerGoneBeforeLargeResponseIsSurvived) {
+  // The body outgrows any socket send buffer, so writing it takes more
+  // than one call, and the call after the peer's reset must fail with
+  // an error — not raise SIGPIPE, whose default action ends the process.
+  HttpServer server(
+      [](const std::string& path, const std::string&) {
+        HttpResponse response;
+        if (path == "/big") {
+          std::this_thread::sleep_for(std::chrono::milliseconds(200));
+          response.body.assign(size_t{8} << 20, 'x');
+        } else {
+          response.body = "small\n";
+        }
+        return response;
+      },
+      HttpOptions());
+  ASSERT_TRUE(server.Start().ok());
+
+  const int fd = Connect(server.port());
+  const std::string request = "GET /big HTTP/1.0\r\n\r\n";
+  ASSERT_EQ(write(fd, request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  close(fd);  // gone before the handler even answers
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+
+  std::string response =
+      Exchange(server.port(), "GET /small HTTP/1.0\r\n\r\n");
+  EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos)
+      << response;
+  server.Shutdown();
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+
 #include "align/smith_waterman.h"
 #include "align/xdrop.h"
 #include "alphabet/nucleotide.h"
@@ -15,6 +19,25 @@ std::string RandomBases(size_t len, Rng* rng) {
   std::string s(len, 'A');
   for (char& c : s) c = CodeToBase(static_cast<int>(rng->Uniform(4)));
   return s;
+}
+
+// The oracle: equal bases in sa[apos, apos+len) vs sb[bpos, bpos+len),
+// one character at a time. `len` must stay inside both strings.
+size_t NaiveMatches(const std::string& sa, size_t apos,
+                    const std::string& sb, size_t bpos, size_t len) {
+  size_t n = 0;
+  for (size_t i = 0; i < len; ++i) n += sa[apos + i] == sb[bpos + i];
+  return n;
+}
+
+void ExpectMatchesNaive(const std::string& sa, size_t apos,
+                        const std::string& sb, size_t bpos, size_t len) {
+  Result<PackedQuery> a = PackedQuery::FromString(sa);
+  Result<PackedQuery> b = PackedQuery::FromString(sb);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(PackedMatchCount(a->view(), apos, b->view(), bpos, len),
+            NaiveMatches(sa, apos, sb, bpos, len))
+      << "apos=" << apos << " bpos=" << bpos << " len=" << len;
 }
 
 TEST(PackedQueryTest, RoundTripPureBases) {
@@ -70,25 +93,69 @@ TEST(PackedViewTest, Extract64AllOffsets) {
 }
 
 TEST(PackedMatchCountTest, MatchesNaive) {
+  // Short windows, then long ones: up to ~1000 bases, so many windows
+  // span 600+ bases. Random phases of both operands throughout.
   Rng rng(4);
-  for (int trial = 0; trial < 100; ++trial) {
-    std::string sa = RandomBases(10 + rng.Uniform(150), &rng);
-    std::string sb = RandomBases(10 + rng.Uniform(150), &rng);
-    Result<PackedQuery> a = PackedQuery::FromString(sa);
-    Result<PackedQuery> b = PackedQuery::FromString(sb);
-    ASSERT_TRUE(a.ok() && b.ok());
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t max_extra = trial < 100 ? 150 : 900;
+    std::string sa = RandomBases(10 + rng.Uniform(max_extra), &rng);
+    std::string sb = RandomBases(10 + rng.Uniform(max_extra), &rng);
     size_t apos = rng.Uniform(sa.size());
     size_t bpos = rng.Uniform(sb.size());
     size_t len = rng.Uniform(
         std::min(sa.size() - apos, sb.size() - bpos) + 1);
-    size_t naive = 0;
-    for (size_t i = 0; i < len; ++i) {
-      naive += sa[apos + i] == sb[bpos + i];
-    }
-    EXPECT_EQ(PackedMatchCount(a->view(), apos, b->view(), bpos, len),
-              naive)
-        << "trial " << trial;
+    ExpectMatchesNaive(sa, apos, sb, bpos, len);
   }
+}
+
+TEST(PackedMatchCountTest, AllPhaseCombinations) {
+  // Every 2-bit phase of a against every phase of b: the sub-byte
+  // splice in each 64-bit load depends on both.
+  Rng rng(41);
+  std::string sa = RandomBases(600, &rng);
+  std::string sb = RandomBases(600, &rng);
+  for (size_t apos = 0; apos < 4; ++apos) {
+    for (size_t bpos = 0; bpos < 4; ++bpos) {
+      ExpectMatchesNaive(sa, apos, sb, bpos, 500);
+    }
+  }
+}
+
+TEST(PackedMatchCountTest, BoundaryLengths) {
+  // Lengths around the 32-base word and its multiples, off by one.
+  Rng rng(42);
+  std::string sa = RandomBases(1200, &rng);
+  std::string sb = RandomBases(1200, &rng);
+  for (size_t len : {0u,  1u,  3u,   31u,  32u,  63u,  64u,  65u,
+                     127u, 128u, 129u, 191u, 192u, 255u, 256u, 257u,
+                     511u, 512u, 1000u}) {
+    ExpectMatchesNaive(sa, 2, sb, 3, len);
+    ExpectMatchesNaive(sa, 0, sb, 0, len);
+  }
+}
+
+TEST(PackedMatchCountTest, IdenticalAndDisjointRuns) {
+  // All-match and all-mismatch windows stress the popcount accounting.
+  Result<PackedQuery> a = PackedQuery::FromString(std::string(700, 'A'));
+  Result<PackedQuery> t = PackedQuery::FromString(std::string(700, 'T'));
+  ASSERT_TRUE(a.ok() && t.ok());
+  EXPECT_EQ(PackedMatchCount(a->view(), 1, a->view(), 5, 600), 600u);
+  EXPECT_EQ(PackedMatchCount(a->view(), 1, t->view(), 5, 600), 0u);
+}
+
+TEST(PackedMatchCountTest, WindowClampsToShorterOperand) {
+  // len larger than what either operand has left: count over the
+  // overlap only.
+  Rng rng(44);
+  std::string sa = RandomBases(300, &rng);
+  std::string sb = RandomBases(200, &rng);
+  Result<PackedQuery> a = PackedQuery::FromString(sa);
+  Result<PackedQuery> b = PackedQuery::FromString(sb);
+  ASSERT_TRUE(a.ok() && b.ok());
+  const size_t want = NaiveMatches(sa, 10, sb, 50, 150);  // b runs out
+  EXPECT_EQ(PackedMatchCount(a->view(), 10, b->view(), 50, 100000), want);
+  // A length that does not fit an int clamps the same way.
+  EXPECT_EQ(PackedMatchCount(a->view(), 10, b->view(), 50, SIZE_MAX), want);
 }
 
 TEST(PackedXDropTest, MatchesScalarOnRandomData) {

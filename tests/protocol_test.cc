@@ -168,20 +168,13 @@ TEST(ProtocolTest, TrailingBytesRejected) {
 }
 
 TEST(ProtocolTest, TruncatedPayloadsReturnCorruption) {
-  // Every proper prefix must fail cleanly — no partial-read crashes —
-  // with one deliberate exception: the prefix that is exactly a v1
-  // payload (v2 minus the trailing trace id) decodes, with trace_id 0.
+  // Every proper prefix must fail cleanly — no partial-read crashes.
   const std::string full = EncodeSearchRequest(MakeRequest());
-  const size_t v1_len = full.size() - sizeof(uint64_t);
   for (size_t len = 0; len < full.size(); ++len) {
     SearchRequest out;
     Status s = DecodeSearchRequest(full.substr(0, len), &out);
-    if (len == v1_len) {
-      EXPECT_TRUE(s.ok()) << s.ToString();
-      EXPECT_EQ(out.trace_id, 0u);
-    } else {
-      EXPECT_FALSE(s.ok()) << "prefix length " << len;
-    }
+    EXPECT_TRUE(s.IsCorruption()) << "prefix length " << len << ": "
+                                  << s.ToString();
   }
   const std::string hello = EncodeHello({"v1"});
   for (size_t len = 0; len < hello.size(); ++len) {
@@ -358,7 +351,7 @@ TEST(ProtocolTest, ToSearchOptionsMapsEveryWireField) {
   EXPECT_EQ(o.deadline, nullptr);  // deadlines stay per-request
 }
 
-// --- Trace-id propagation and v1 <-> v2 compatibility ---------------
+// --- Trace-id propagation and the one protocol version ---------------
 
 TEST(ProtocolTest, TraceIdRoundTripsInRequest) {
   SearchRequest in = MakeRequest();
@@ -381,18 +374,16 @@ TEST(ProtocolTest, TraceIdRoundTripsInResponse) {
   ASSERT_EQ(out.hits.size(), 1u);
 }
 
-TEST(ProtocolTest, V1PayloadsDecodeWithZeroTraceId) {
-  // A v1 peer's payloads are the v3 encoding minus the trailing fields:
-  // the trace id (both directions) and, on responses, the v3 sampled
-  // byte that follows it.
+TEST(ProtocolTest, PayloadsMissingTheTraceIdAreCorruption) {
+  // The trace id is a required field in both directions: a payload
+  // that ends before it is corrupt, not an older peer's shape.
   SearchRequest request = MakeRequest();
-  request.trace_id = 77;  // must NOT leak into the v1-shaped decode
-  std::string v1_request = EncodeSearchRequest(request);
-  v1_request.resize(v1_request.size() - sizeof(uint64_t));
+  request.trace_id = 77;
+  std::string short_request = EncodeSearchRequest(request);
+  short_request.resize(short_request.size() - sizeof(uint64_t));
   SearchRequest req_out;
-  ASSERT_TRUE(DecodeSearchRequest(v1_request, &req_out).ok());
-  EXPECT_EQ(req_out.trace_id, 0u);
-  EXPECT_EQ(req_out.query, request.query);
+  Status s = DecodeSearchRequest(short_request, &req_out);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 
   SearchResponse response;
   response.trace_id = 99;
@@ -400,15 +391,12 @@ TEST(ProtocolTest, V1PayloadsDecodeWithZeroTraceId) {
   SearchHit hit;
   hit.seq_id = 5;
   response.hits.push_back(hit);
-  std::string v1_response = EncodeSearchResponse(response);
-  v1_response.resize(v1_response.size() - sizeof(uint64_t) -
-                     sizeof(uint8_t));
+  std::string short_response = EncodeSearchResponse(response);
+  short_response.resize(short_response.size() - sizeof(uint64_t) -
+                        sizeof(uint8_t));
   SearchResponse resp_out;
-  ASSERT_TRUE(DecodeSearchResponse(v1_response, &resp_out).ok());
-  EXPECT_EQ(resp_out.trace_id, 0u);
-  EXPECT_FALSE(resp_out.sampled);
-  ASSERT_EQ(resp_out.hits.size(), 1u);
-  EXPECT_EQ(resp_out.hits[0].seq_id, 5u);
+  s = DecodeSearchResponse(short_response, &resp_out);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
 TEST(ProtocolTest, SampledFlagRoundTripsInResponse) {
@@ -423,58 +411,41 @@ TEST(ProtocolTest, SampledFlagRoundTripsInResponse) {
   }
 }
 
-TEST(ProtocolTest, V2ResponsesDecodeWithSampledFalse) {
-  // A v2 peer's response ends at the trace id; the missing sampled byte
-  // must read as "not sampled", not as corruption.
+TEST(ProtocolTest, ResponsesMissingTheSampledByteAreCorruption) {
+  // A response that ends at the trace id lacks the required sampled
+  // byte: corruption, not "not sampled".
   SearchResponse response;
   response.trace_id = 0x1234;
-  response.sampled = true;  // must NOT leak into the v2-shaped decode
-  std::string v2_response = EncodeSearchResponse(response);
-  v2_response.resize(v2_response.size() - sizeof(uint8_t));
+  response.sampled = true;
+  std::string short_response = EncodeSearchResponse(response);
+  short_response.resize(short_response.size() - sizeof(uint8_t));
   SearchResponse out;
-  ASSERT_TRUE(DecodeSearchResponse(v2_response, &out).ok());
-  EXPECT_EQ(out.trace_id, 0x1234u);
-  EXPECT_FALSE(out.sampled);
+  Status s = DecodeSearchResponse(short_response, &out);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 
   // The sampled byte is a strict boolean: anything else is corruption,
   // not a silently-truthy flag.
   std::string bad = EncodeSearchResponse(response);
   bad.back() = 2;
-  Status s = DecodeSearchResponse(bad, &out);
+  s = DecodeSearchResponse(bad, &out);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
-TEST(ProtocolTest, MinProtocolVersionFramesAccepted) {
-  // Frames stamped with any version in [kMinProtocolVersion,
-  // kProtocolVersion] must read back — a v1 peer's Hello still works
-  // against this build.
-  static_assert(kMinProtocolVersion < kProtocolVersion);
-  SocketPair sp;
-  const std::string hello = EncodeHello({"legacy-peer"});
-  ASSERT_TRUE(WriteFrame(sp.fds[0], FrameType::kHello, hello,
-                         kMinProtocolVersion)
-                  .ok());
-  FrameType type{};
-  std::string payload;
-  ASSERT_TRUE(ReadFrame(sp.fds[1], &type, &payload).ok());
-  EXPECT_EQ(type, FrameType::kHello);
-  Hello out;
-  ASSERT_TRUE(DecodeHello(payload, &out).ok());
-  EXPECT_EQ(out.server_version, "legacy-peer");
-}
-
 TEST(ProtocolTest, VersionsOutsideTheWindowAreRejected) {
-  // Below the floor and above the ceiling both fail with NotSupported
-  // (VersionSkewIsNotSupported covers kProtocolVersion + 1).
-  SocketPair sp;
+  // The window is the one version kProtocolVersion: the older versions
+  // and the next one all fail with NotSupported.
   const std::string payload = "xy";
-  SendRaw(sp.fds[0],
-          RawFrame(kFrameMagic, kMinProtocolVersion - 1, 2, payload.size(),
-                   Crc32(payload.data(), payload.size()), payload));
-  FrameType type{};
-  std::string got;
-  Status s = ReadFrame(sp.fds[1], &type, &got);
-  EXPECT_TRUE(s.IsNotSupported()) << s.ToString();
+  for (uint16_t version : {0, 1, 2, kProtocolVersion + 1}) {
+    SocketPair sp;
+    SendRaw(sp.fds[0],
+            RawFrame(kFrameMagic, version, 2, payload.size(),
+                     Crc32(payload.data(), payload.size()), payload));
+    FrameType type{};
+    std::string got;
+    Status s = ReadFrame(sp.fds[1], &type, &got);
+    EXPECT_TRUE(s.IsNotSupported()) << "version " << version << ": "
+                                    << s.ToString();
+  }
 }
 
 }  // namespace

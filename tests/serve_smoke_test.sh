@@ -96,7 +96,7 @@ grep -q "slow requests" "$DIR/loadgen.log"
 grep -q "latency buckets" "$DIR/loadgen.log"
 grep -q "slowest 3 requests:" "$DIR/loadgen.log"
 # With sampling at 1, every slow line carries the ready-made timeline
-# URL (the server's v3 sampled flag made it back to the client).
+# URL (the server's sampled flag made it back to the client).
 grep -q "/tracez?trace_id=" "$DIR/loadgen.log"
 
 # The slowest request's trace id (16 hex digits) as the client saw it.
@@ -109,11 +109,25 @@ if [ -z "$TRACE_ID" ]; then
 fi
 
 # And an open-loop paced run with a generous deadline; the stats
-# snapshot afterwards covers both runs.
+# snapshot afterwards covers both runs. --trace-ids 32 prints every
+# response's latency.
 "$LOADGEN" --port "$PORT" --query-file "$DIR/db.fa" \
-    --clients 2 --requests 4 --rate 50 --deadline-ms 10000 \
-    --stats-out "$DIR/stats.json" > "$DIR/loadgen2.log"
+    --clients 2 --requests 16 --rate 50 --deadline-ms 10000 \
+    --trace-ids 32 --stats-out "$DIR/stats.json" > "$DIR/loadgen2.log"
+grep -q "32 responses" "$DIR/loadgen2.log"
 grep -q "errors 0" "$DIR/loadgen2.log"
+
+# The printed p50 is the exact nearest-rank median (the 16th of 32
+# sorted latencies), not the edge of a histogram bucket.
+P50="$(sed -n 's/.* p50 \([0-9.]*\)ms .*/\1/p' "$DIR/loadgen2.log")"
+LATENCIES="$(sed -n 's/^ *\([0-9.]*\)ms trace=.*/\1/p' "$DIR/loadgen2.log")"
+MEDIAN="$(echo "$LATENCIES" | sort -n | sed -n 16p)"
+if [ "$(echo "$LATENCIES" | wc -l)" -ne 32 ] || [ -z "$P50" ] ||
+    [ "$P50" != "$MEDIAN" ]; then
+  echo "loadgen p50 '$P50' is not the nearest-rank median '$MEDIAN'" >&2
+  cat "$DIR/loadgen2.log" >&2
+  exit 1
+fi
 
 # The stats document is valid JSON in the --stats=json schema family and
 # carries the server.* metrics, now with percentile summaries.
@@ -128,7 +142,7 @@ doc = json.load(open(sys.argv[1]))
 assert doc["command"] == "stats", doc
 assert "version" in doc["server"], doc
 accepted = doc["metrics"]["counters"]["server.requests_accepted"]
-assert accepted >= 40, accepted  # 32 + 8 requests across the two runs
+assert accepted >= 64, accepted  # 32 + 32 requests across the two runs
 hist = doc["metrics"]["histograms"]["server.request_micros"]
 for key in ("p50", "p90", "p99"):
     assert key in hist, hist

@@ -60,7 +60,10 @@ VIEW_ACCESSORS = ("view", "data")
 # Calls that can block (or perform I/O) and therefore must not run
 # under a MutexLock. Deliberately excluded: open/close (bounded, and
 # teardown paths legitimately close under their shutdown lock),
-# thread join (shutdown-only), CondVar::Wait (releases the lock).
+# thread join (shutdowns join under only their serializing shutdown
+# lock; the Listener's accept loop also joins ended connection threads
+# while serving, and must do so outside its mu_ — unchecked here, so
+# keep it that way by review), CondVar::Wait (releases the lock).
 BLOCKING_CALLS = (
     "read", "write", "pread", "pwrite", "readv", "writev",
     "recv", "send", "accept", "connect", "fsync", "fdatasync",

@@ -13,9 +13,11 @@
 // the previous response lands; --rate paces each client at a fixed
 // request interval instead, so queueing at the server shows up as
 // latency rather than as back-pressure. Reports throughput plus
-// mean/p50/p90/p99/max end-to-end latency, and the ok / overloaded /
-// truncated / error split. --stats-out fetches the server's stats
-// document (the --stats=json schema) after the run.
+// mean/p50/p90/p99/max end-to-end latency — exact nearest-rank
+// percentiles over every response's latency, the rule perfbench uses —
+// and the ok / overloaded / truncated / error split. --stats-out
+// fetches the server's stats document (the --stats=json schema) after
+// the run.
 //
 // --slow-ms N prints the latency histogram buckets and how many
 // requests crossed the threshold; --trace-ids N prints the server-
@@ -31,8 +33,8 @@
 // truncated count as responses), 1 otherwise.
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -68,8 +70,9 @@ struct LoadOptions {
   server::SearchRequest request_template;
 };
 
-// One completed request as the client saw it, for the --trace-ids
-// slowest-request report.
+// One completed request as the client saw it. The latency percentiles,
+// the --slow-ms report and the --trace-ids slowest-request report all
+// read the same list.
 struct Sample {
   uint64_t micros = 0;
   uint64_t trace_id = 0;
@@ -81,14 +84,23 @@ struct ClientStats {
   uint64_t overloaded = 0;
   uint64_t truncated = 0;
   uint64_t errors = 0;
-  uint64_t slow = 0;            // responses at or over --slow-ms
-  std::vector<Sample> samples;  // filled only when --trace-ids > 0
+  std::vector<Sample> samples;  // one per response
 };
+
+// Exact nearest-rank percentile of `sorted` (ascending by latency): the
+// smallest sample with at least a fraction q of all samples at or below
+// it. Matches perfbench's Percentile().
+uint64_t NearestRankMicros(const std::vector<Sample>& sorted, double q) {
+  if (sorted.empty()) return 0;
+  size_t rank = static_cast<size_t>(std::ceil(q * sorted.size()));
+  rank = std::clamp<size_t>(rank, 1, sorted.size());
+  return sorted[rank - 1].micros;
+}
 
 // One client thread: own connection, own slice of the query set.
 void RunClient(const LoadOptions& opt,
                const std::vector<std::string>& queries, uint32_t id,
-               obs::Histogram* latency_micros, ClientStats* stats) {
+               ClientStats* stats) {
   Result<std::unique_ptr<server::Client>> client =
       server::Client::Connect(opt.host, opt.port);
   if (!client.ok()) {
@@ -118,14 +130,10 @@ void RunClient(const LoadOptions& opt,
     server::SearchResponse response;
     Status s = (*client)->Search(request, &response);
     const uint64_t micros = static_cast<uint64_t>(timer.Micros());
-    latency_micros->Record(micros);
-    if (s.ok() && opt.trace_ids > 0) {
+    if (s.ok()) {
       // Client::Search always leaves the travelled id in the response.
       stats->samples.push_back({micros, response.trace_id,
                                 response.sampled});
-    }
-    if (s.ok() && opt.slow_ms > 0 && micros >= opt.slow_ms * 1000) {
-      stats->slow += 1;
     }
     if (!s.ok()) {
       stats->errors += 1;
@@ -203,14 +211,12 @@ Status Run(FlagParser& flags) {
     }
   }
 
-  obs::Histogram latency;
   std::vector<ClientStats> stats(opt.clients);
   std::vector<std::thread> threads;
   threads.reserve(opt.clients);
   WallTimer wall;
   for (uint32_t c = 0; c < opt.clients; ++c) {
-    threads.emplace_back(
-        [&, c] { RunClient(opt, queries, c, &latency, &stats[c]); });
+    threads.emplace_back([&, c] { RunClient(opt, queries, c, &stats[c]); });
   }
   for (std::thread& t : threads) t.join();
   const double elapsed = wall.Seconds();
@@ -221,10 +227,16 @@ Status Run(FlagParser& flags) {
     total.overloaded += s.overloaded;
     total.truncated += s.truncated;
     total.errors += s.errors;
-    total.slow += s.slow;
+    total.samples.insert(total.samples.end(), s.samples.begin(),
+                         s.samples.end());
   }
+  std::vector<Sample>& all = total.samples;
+  std::sort(all.begin(), all.end(), [](const Sample& a, const Sample& b) {
+    return a.micros < b.micros;
+  });
+  double sum_micros = 0.0;
+  for (const Sample& sample : all) sum_micros += sample.micros;
   const uint64_t responses = total.ok + total.overloaded + total.truncated;
-  obs::Histogram::Snapshot snap = latency.Snap();
   std::printf(
       "%llu responses in %.2fs (%.1f req/s, %u clients)\n"
       "  ok %llu, overloaded %llu, truncated %llu, errors %llu\n"
@@ -234,16 +246,24 @@ Status Run(FlagParser& flags) {
       opt.clients, static_cast<unsigned long long>(total.ok),
       static_cast<unsigned long long>(total.overloaded),
       static_cast<unsigned long long>(total.truncated),
-      static_cast<unsigned long long>(total.errors), snap.Mean() / 1e3,
-      static_cast<double>(snap.ApproxPercentile(0.50)) / 1e3,
-      static_cast<double>(snap.ApproxPercentile(0.90)) / 1e3,
-      static_cast<double>(snap.ApproxPercentile(0.99)) / 1e3,
-      static_cast<double>(snap.max) / 1e3);
+      static_cast<unsigned long long>(total.errors),
+      all.empty() ? 0.0 : sum_micros / static_cast<double>(all.size()) / 1e3,
+      static_cast<double>(NearestRankMicros(all, 0.50)) / 1e3,
+      static_cast<double>(NearestRankMicros(all, 0.90)) / 1e3,
+      static_cast<double>(NearestRankMicros(all, 0.99)) / 1e3,
+      static_cast<double>(NearestRankMicros(all, 1.0)) / 1e3);
 
   if (opt.slow_ms > 0) {
+    obs::Histogram latency;
+    uint64_t slow = 0;
+    for (const Sample& sample : all) {
+      latency.Record(sample.micros);
+      if (sample.micros >= opt.slow_ms * 1000) slow += 1;
+    }
+    const obs::Histogram::Snapshot snap = latency.Snap();
     std::printf("  slow requests (>= %llums): %llu of %llu\n",
                 static_cast<unsigned long long>(opt.slow_ms),
-                static_cast<unsigned long long>(total.slow),
+                static_cast<unsigned long long>(slow),
                 static_cast<unsigned long long>(responses));
     std::printf("  latency buckets (us):\n");
     for (size_t i = 0; i < snap.buckets.size(); ++i) {
@@ -261,26 +281,20 @@ Status Run(FlagParser& flags) {
   }
 
   if (opt.trace_ids > 0) {
-    std::vector<Sample> all;
-    for (ClientStats& s : stats) {
-      all.insert(all.end(), s.samples.begin(), s.samples.end());
-    }
-    std::sort(all.begin(), all.end(), [](const Sample& a, const Sample& b) {
-      return a.micros > b.micros;
-    });
     const size_t n = std::min<size_t>(opt.trace_ids, all.size());
     std::printf("  slowest %llu requests:\n",
                 static_cast<unsigned long long>(n));
     for (size_t i = 0; i < n; ++i) {
+      const Sample& sample = all[all.size() - 1 - i];
       std::printf("    %.2fms trace=%016llx",
-                  static_cast<double>(all[i].micros) / 1e3,
-                  static_cast<unsigned long long>(all[i].trace_id));
+                  static_cast<double>(sample.micros) / 1e3,
+                  static_cast<unsigned long long>(sample.trace_id));
       if (opt.http_port > 0) {
         // Link straight to the span timeline when the server kept one.
-        if (all[i].sampled) {
+        if (sample.sampled) {
           std::printf(" http://%s:%u/tracez?trace_id=%016llx",
                       opt.host.c_str(), opt.http_port,
-                      static_cast<unsigned long long>(all[i].trace_id));
+                      static_cast<unsigned long long>(sample.trace_id));
         } else {
           std::printf(" (not sampled)");
         }
