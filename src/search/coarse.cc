@@ -154,7 +154,7 @@ std::vector<CoarseCandidate> CoarseRanker::RankDiagonal(
 
   // Combine each frame with its right neighbour so evidence straddling a
   // frame boundary is not split, and take the best combined window per
-  // sequence.
+  // sequence; on a tie the smallest frame wins, whatever the hash order.
   std::unordered_map<uint32_t, CoarseCandidate> best;
   best.reserve(frame_hits.size());
   for (const auto& [key, count] : frame_hits) {
@@ -166,7 +166,8 @@ std::vector<CoarseCandidate> CoarseRanker::RankDiagonal(
     int64_t diagonal =
         static_cast<int64_t>((frame + 1) * frame_width) - qlen;
     CoarseCandidate& cand = best[doc];
-    if (combined > cand.score) {
+    if (combined > cand.score ||
+        (combined == cand.score && diagonal < cand.diagonal)) {
       cand.doc = doc;
       cand.score = combined;
       cand.diagonal = diagonal;

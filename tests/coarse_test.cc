@@ -125,6 +125,35 @@ TEST(CoarseRankerTest, DiagonalModeSeparatesScatteredFromCollinear) {
   EXPECT_GT(cands[0].score, cands[1].score);
 }
 
+TEST(CoarseRankerTest, DiagonalTieKeepsTheSmallestFrame) {
+  // Each document holds the query's two halves on two diagonals whose
+  // frames lie far apart, so its two best (frame, frame + 1) windows tie
+  // at 17 hits each. The smaller frame must win in either layout. The
+  // 'T' filler shares no 8-mer with the query.
+  const std::string a = "GCGCGGGGACAGAAACCACGAGAA";
+  const std::string b = "GACCACAAAGGCAAAAAAAACCAG";
+  const std::string edge(40, 'T');
+  const std::string gap(136, 'T');
+  SequenceCollection col;
+  ASSERT_TRUE(col.Add("a_first", "", edge + a + gap + b + edge).ok());
+  ASSERT_TRUE(col.Add("b_first", "", edge + b + gap + a + edge).ok());
+  InvertedIndex index = BuildIndex(col, IndexGranularity::kPositional);
+  CoarseRanker ranker(&index);
+  auto cands = ranker.Rank(a + b, CoarseRankMode::kDiagonal, 10, 16,
+                           nullptr);
+  ASSERT_EQ(cands.size(), 2u);
+  // Frame = (diagonal + 48) / 16, and a candidate reports its window's
+  // middle edge, (frame + 1) * 16 - 48. a_first has a on diagonal 40
+  // (frame 5) and b on 176 (frame 14); b_first has b on 16 (frame 4)
+  // and a on 200 (frame 15).
+  EXPECT_EQ(cands[0].doc, 0u);
+  EXPECT_EQ(cands[0].score, 17.0);
+  EXPECT_EQ(cands[0].diagonal, 48);
+  EXPECT_EQ(cands[1].doc, 1u);
+  EXPECT_EQ(cands[1].score, 17.0);
+  EXPECT_EQ(cands[1].diagonal, 32);
+}
+
 TEST(CoarseRankerTest, QueryRepeatsDoNotOvercount) {
   // Query with a repeated interval: hit-count scoring uses
   // min(query tf, doc tf).
