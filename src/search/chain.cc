@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
-#include <unordered_map>
 
 #include "index/inverted_index.h"
 #include "index/seed_extract.h"
@@ -17,12 +15,6 @@ std::atomic<obs::Counter*> g_invocations{nullptr};
 std::atomic<obs::Counter*> g_anchors{nullptr};
 std::atomic<obs::Counter*> g_kept{nullptr};
 std::atomic<obs::Counter*> g_dropped{nullptr};
-
-/// A seed match between the query and one candidate sequence.
-struct Anchor {
-  uint32_t qpos;
-  uint32_t spos;
-};
 
 // Length of the longest collinear chain: anchors usable one after
 // another with strictly increasing query AND subject positions.
@@ -48,126 +40,39 @@ uint32_t LongestChain(std::vector<Anchor>* anchors) {
   return static_cast<uint32_t>(tails.size());
 }
 
-ChainOutcome Passthrough(std::vector<CoarseCandidate> candidates, int band) {
-  ChainOutcome out;
-  out.kept = std::move(candidates);
-  out.band_hints.assign(out.kept.size(), band);
-  return out;
-}
-
 }  // namespace
 
-ChainOutcome ChainCandidates(std::string_view query,
+ChainOutcome ChainCandidates(std::string_view /*query*/,
                              std::vector<CoarseCandidate> candidates,
                              const PostingSource& index,
                              const SearchOptions& options,
                              obs::SearchTrace* trace) {
-  const IndexOptions& iopt = index.options();
+  ChainOutcome out;
+  out.traceback_band = options.band;
+  // One Rank call gives every candidate anchors or none.
   if (options.chain_mode != ChainMode::kFilter || candidates.empty() ||
-      iopt.granularity != IndexGranularity::kPositional) {
-    return Passthrough(std::move(candidates), options.band);
-  }
-  Result<SeedExtractor> extractor =
-      SeedExtractor::Create(iopt.interval_length, iopt.spaced_seed);
-  if (!extractor.ok()) {
-    // A loaded index has validated options; unreachable in practice.
-    return Passthrough(std::move(candidates), options.band);
+      !candidates.front().has_diagonal) {
+    out.kept = std::move(candidates);
+    return out;
   }
   obs::Span chain_span(options.spans, "chain.filter",
                        trace != nullptr ? &trace->chain_micros : nullptr);
-
-  // Query term -> positions, with the index's own extraction plan (the
-  // query side always extracts at stride 1, like the coarse phase).
-  std::unordered_map<uint32_t, std::vector<uint32_t>> terms;
-  extractor->ForEach(query, /*stride=*/1,
-                     [&](uint32_t pos, uint32_t term) {
-                       terms[term].push_back(pos);
-                     });
-
-  // Anchor gathering, restricted to the coarse candidate set: one more
-  // pass over the query's postings lists, but only (doc, pos) pairs of
-  // surviving candidates are materialized.
-  std::unordered_map<uint32_t, uint32_t> slot_of;
-  slot_of.reserve(candidates.size() * 2);
-  for (uint32_t i = 0; i < candidates.size(); ++i) {
-    slot_of.emplace(candidates[i].doc, i);
-  }
-  std::vector<std::vector<Anchor>> anchors(candidates.size());
-  for (const auto& [term, qpositions] : terms) {
-    const std::vector<uint32_t>& qpos_list = qpositions;
-    index.ForEachPosting(
-        term, [&](uint32_t doc, uint32_t /*tf*/, const uint32_t* positions,
-                  uint32_t npos) {
-          auto it = slot_of.find(doc);
-          if (it == slot_of.end()) return;
-          std::vector<Anchor>& a = anchors[it->second];
-          for (uint32_t pi = 0; pi < npos; ++pi) {
-            for (uint32_t qpos : qpos_list) {
-              a.push_back(Anchor{qpos, positions[pi]});
-            }
-          }
-        });
-  }
-
-  const int64_t qlen = static_cast<int64_t>(query.size());
-  const uint32_t frame_width =
+  const IndexOptions& iopt = index.options();
+  Result<SeedExtractor> seed =
+      SeedExtractor::Create(iopt.interval_length, iopt.spaced_seed);
+  // A loaded index has validated options, so the fallback never runs.
+  const int seed_span = seed.ok() ? seed->window() : iopt.interval_length;
+  const int64_t frame_width =
       options.frame_width == 0 ? 16 : options.frame_width;
-  ChainOutcome out;
+  out.traceback_band = static_cast<int>(
+      std::max<int64_t>(options.band, frame_width + seed_span));
+
   out.kept.reserve(candidates.size());
   uint64_t total_anchors = 0;
-  std::vector<Anchor> filtered;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    std::vector<Anchor>& a = anchors[i];
-    total_anchors += a.size();
-    uint32_t chain_len = 0;
-    int hint = options.band;
-    if (!a.empty()) {
-      // Diagonal filter: bucket anchors into frames of the diagonal
-      // range (mirroring the coarse ranker's geometry) and keep only
-      // the best combined (frame, frame+1) window. Ordered map =>
-      // deterministic smallest-frame tie-break.
-      std::map<uint64_t, uint32_t> frames;
-      auto frame_of = [&](const Anchor& an) {
-        int64_t diag =
-            static_cast<int64_t>(an.spos) - static_cast<int64_t>(an.qpos);
-        return static_cast<uint64_t>(diag + qlen) / frame_width;
-      };
-      for (const Anchor& an : a) ++frames[frame_of(an)];
-      uint64_t best_frame = 0;
-      uint32_t best_count = 0;
-      for (const auto& [frame, count] : frames) {
-        auto right = frames.find(frame + 1);
-        uint32_t combined =
-            count + (right == frames.end() ? 0 : right->second);
-        if (combined > best_count) {
-          best_count = combined;
-          best_frame = frame;
-        }
-      }
-      filtered.clear();
-      for (const Anchor& an : a) {
-        uint64_t frame = frame_of(an);
-        if (frame == best_frame || frame == best_frame + 1) {
-          filtered.push_back(an);
-        }
-      }
-      chain_len = LongestChain(&filtered);
-
-      // Band hint: half-width covering the filtered diagonal window
-      // (plus the seed's own span) around the candidate's diagonal.
-      const int64_t lo =
-          static_cast<int64_t>(best_frame) * frame_width - qlen;
-      const int64_t hi =
-          static_cast<int64_t>(best_frame + 2) * frame_width - qlen +
-          extractor->window();
-      const int64_t center =
-          candidates[i].has_diagonal ? candidates[i].diagonal : (lo + hi) / 2;
-      const int64_t spread = std::max(center - lo, hi - center);
-      hint = static_cast<int>(std::max<int64_t>(options.band, spread));
-    }
-    if (chain_len >= options.min_chain_score) {
-      out.kept.push_back(candidates[i]);
-      out.band_hints.push_back(hint);
+  for (CoarseCandidate& cand : candidates) {
+    total_anchors += cand.anchor_count;
+    if (LongestChain(&cand.anchors) >= options.min_chain_score) {
+      out.kept.push_back(std::move(cand));
     }
   }
 

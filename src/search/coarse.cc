@@ -1,7 +1,7 @@
 #include "search/coarse.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <utility>
 
 #include "index/interval.h"
 #include "index/inverted_index.h"
@@ -11,40 +11,56 @@
 namespace cafe {
 namespace {
 
-// Groups the query's interval occurrences by term so each postings list
-// is decoded exactly once. Extraction follows the index's own plan
-// (contiguous intervals or its spaced-seed pattern) at stride 1.
-std::unordered_map<uint32_t, std::vector<uint32_t>> QueryTermPositions(
-    std::string_view query, const IndexOptions& options) {
-  std::unordered_map<uint32_t, std::vector<uint32_t>> terms;
+// The query's interval occurrences as sorted (term, position) pairs, so
+// each term's positions form one run and its postings list is decoded
+// exactly once. Extraction follows the index's own plan (contiguous
+// intervals or its spaced-seed pattern) at stride 1.
+using Occurrences = std::vector<std::pair<uint32_t, uint32_t>>;
+
+Occurrences QueryOccurrences(std::string_view query,
+                             const IndexOptions& options) {
+  Occurrences occurrences;
   Result<SeedExtractor> extractor = SeedExtractor::Create(
       options.interval_length, options.spaced_seed);
-  if (!extractor.ok()) return terms;  // validated at build/load time
+  if (!extractor.ok()) return occurrences;  // validated at build/load time
   extractor->ForEach(query, /*stride=*/1,
                      [&](uint32_t pos, uint32_t term) {
-                       terms[term].push_back(pos);
+                       occurrences.emplace_back(term, pos);
                      });
-  return terms;
+  std::sort(occurrences.begin(), occurrences.end());
+  return occurrences;
+}
+
+// Calls fn(term, first, last) once per distinct term, in ascending term
+// order; [first, last) are its occurrences, by ascending position.
+template <typename Fn>
+void ForEachTerm(const Occurrences& occurrences, Fn&& fn) {
+  for (auto first = occurrences.begin(); first != occurrences.end();) {
+    const uint32_t term = first->first;
+    auto last = std::find_if(first, occurrences.end(),
+                             [term](const auto& o) { return o.first != term; });
+    fn(term, first, last);
+    first = last;
+  }
 }
 
 // Counts the query-side stages of the funnel: interval occurrences,
 // distinct terms, and how many terms have a postings list at all (the
 // rest were stopped at build time or never occurred). Null trace = no
 // work beyond the check.
-void TraceQueryTerms(
-    const PostingSource* index,
-    const std::unordered_map<uint32_t, std::vector<uint32_t>>& terms,
-    obs::SearchTrace* trace) {
+void TraceQueryTerms(const PostingSource* index,
+                     const Occurrences& occurrences,
+                     obs::SearchTrace* trace) {
   if (trace == nullptr) return;
-  trace->terms_distinct += terms.size();
-  for (const auto& [term, qpositions] : terms) {
-    trace->intervals_extracted += qpositions.size();
+  trace->intervals_extracted += occurrences.size();
+  ForEachTerm(occurrences, [&](uint32_t term, auto, auto) {
+    ++trace->terms_distinct;
     if (index->FindTerm(term) == nullptr) {
       ++trace->terms_unindexed;
     } else {
       ++trace->postings_lists_touched;
     }
-  }
+  });
 }
 
 std::vector<CoarseCandidate> SelectTop(std::vector<CoarseCandidate> all,
@@ -85,29 +101,30 @@ std::vector<CoarseCandidate> CoarseRanker::Rank(
 std::vector<CoarseCandidate> CoarseRanker::RankHitCount(
     std::string_view query, uint32_t limit, obs::SearchTrace* trace,
     obs::SpanRecorder* spans) const {
-  auto terms = QueryTermPositions(query, index_->options());
-  TraceQueryTerms(index_, terms, trace);
+  const Occurrences occurrences =
+      QueryOccurrences(query, index_->options());
+  TraceQueryTerms(index_, occurrences, trace);
 
   std::vector<double> acc(index_->num_docs(), 0.0);
   std::vector<uint32_t> touched;
   uint64_t postings = 0;
   {
     obs::Span postings_span(spans, "index.postings");
-    for (const auto& [term, qpositions] : terms) {
-      const auto qtf = static_cast<uint32_t>(qpositions.size());
+    ForEachTerm(occurrences, [&](uint32_t term, auto first, auto last) {
+      const auto qtf = static_cast<uint32_t>(last - first);
       index_->ForEachPosting(
           term, [&](uint32_t doc, uint32_t tf, const uint32_t*, uint32_t) {
             if (acc[doc] == 0.0) touched.push_back(doc);
             acc[doc] += std::min(qtf, tf);
             ++postings;
           });
-    }
+    });
   }
 
-  std::vector<CoarseCandidate> all;
-  all.reserve(touched.size());
-  for (uint32_t doc : touched) {
-    all.push_back(CoarseCandidate{doc, acc[doc], 0, false});
+  std::vector<CoarseCandidate> all(touched.size());
+  for (size_t i = 0; i < touched.size(); ++i) {
+    all[i].doc = touched[i];
+    all[i].score = acc[touched[i]];
   }
   if (trace != nullptr) {
     trace->postings_decoded += postings;
@@ -122,69 +139,95 @@ std::vector<CoarseCandidate> CoarseRanker::RankDiagonal(
     std::string_view query, uint32_t limit, uint32_t frame_width,
     obs::SearchTrace* trace, obs::SpanRecorder* spans) const {
   if (frame_width == 0) frame_width = 16;
-  auto terms = QueryTermPositions(query, index_->options());
-  TraceQueryTerms(index_, terms, trace);
+  const Occurrences occurrences =
+      QueryOccurrences(query, index_->options());
+  TraceQueryTerms(index_, occurrences, trace);
   const int64_t qlen = static_cast<int64_t>(query.size());
 
-  // (doc, frame) -> number of interval hits whose diagonal falls in the
-  // frame. Frames partition the diagonal range [-qlen, doc_len).
-  std::unordered_map<uint64_t, uint32_t> frame_hits;
-  frame_hits.reserve(1024);
+  // One entry per interval hit: its anchor, keyed by doc << 32 | frame.
+  // Frames partition the diagonal range [-qlen, doc_len).
+  struct FrameHit {
+    uint64_t key;
+    Anchor anchor;
+  };
+  std::vector<FrameHit> hits;
   uint64_t postings = 0;
   {
     obs::Span postings_span(spans, "index.postings");
-    for (const auto& [term, qpositions] : terms) {
+    ForEachTerm(occurrences, [&](uint32_t term, auto first, auto last) {
       index_->ForEachPosting(
-          term, [&](uint32_t doc, uint32_t tf, const uint32_t* positions,
+          term, [&](uint32_t doc, uint32_t, const uint32_t* positions,
                     uint32_t npos) {
-            (void)tf;
             ++postings;
             for (uint32_t pi = 0; pi < npos; ++pi) {
-              for (uint32_t qpos : qpositions) {
-                int64_t diag = static_cast<int64_t>(positions[pi]) -
-                               static_cast<int64_t>(qpos);
-                uint64_t frame =
+              for (auto q = first; q != last; ++q) {
+                const int64_t diag = static_cast<int64_t>(positions[pi]) -
+                                     static_cast<int64_t>(q->second);
+                const uint64_t frame =
                     static_cast<uint64_t>(diag + qlen) / frame_width;
-                ++frame_hits[(uint64_t{doc} << 32) | frame];
+                hits.push_back(FrameHit{(uint64_t{doc} << 32) | frame,
+                                        Anchor{q->second, positions[pi]}});
               }
             }
           });
-    }
+    });
   }
+  std::sort(hits.begin(), hits.end(),
+            [](const FrameHit& a, const FrameHit& b) { return a.key < b.key; });
+  auto end_of_run = [&](size_t i, uint64_t key) {
+    while (i < hits.size() && hits[i].key == key) ++i;
+    return i;
+  };
 
-  // Combine each frame with its right neighbour so evidence straddling a
-  // frame boundary is not split, and take the best combined window per
-  // sequence; on a tie the smallest frame wins, whatever the hash order.
-  std::unordered_map<uint32_t, CoarseCandidate> best;
-  best.reserve(frame_hits.size());
-  for (const auto& [key, count] : frame_hits) {
-    uint32_t doc = static_cast<uint32_t>(key >> 32);
-    uint64_t frame = key & 0xFFFFFFFFull;
-    auto right = frame_hits.find((uint64_t{doc} << 32) | (frame + 1));
-    double combined =
-        count + (right == frame_hits.end() ? 0 : right->second);
-    int64_t diagonal =
-        static_cast<int64_t>((frame + 1) * frame_width) - qlen;
-    CoarseCandidate& cand = best[doc];
-    if (combined > cand.score ||
-        (combined == cand.score && diagonal < cand.diagonal)) {
-      cand.doc = doc;
-      cand.score = combined;
-      cand.diagonal = diagonal;
-      cand.has_diagonal = true;
-    }
-  }
-
+  // Per sequence, combine each frame with its right neighbour so evidence
+  // straddling a frame boundary is not split, and keep the best combined
+  // window. Frames ascend within a sequence, so a tie keeps the smallest.
   std::vector<CoarseCandidate> all;
-  all.reserve(best.size());
-  for (auto& [doc, cand] : best) all.push_back(cand);
+  for (size_t i = 0; i < hits.size();) {
+    CoarseCandidate cand;
+    cand.doc = static_cast<uint32_t>(hits[i].key >> 32);
+    cand.has_diagonal = true;
+    while (i < hits.size() && (hits[i].key >> 32) == cand.doc) {
+      const uint64_t key = hits[i].key;
+      const size_t next = end_of_run(i, key);
+      const auto combined = static_cast<double>(end_of_run(next, key + 1) - i);
+      if (combined > cand.score) {
+        cand.score = combined;
+        cand.diagonal =
+            static_cast<int64_t>(((key & 0xFFFFFFFFull) + 1) * frame_width) -
+            qlen;
+      }
+      i = next;
+    }
+    all.push_back(std::move(cand));
+  }
   if (trace != nullptr) {
     trace->postings_decoded += postings;
     trace->candidates_ranked += all.size();
     trace->candidates_discarded +=
         all.size() > limit ? all.size() - limit : 0;
   }
-  return SelectTop(std::move(all), limit);
+
+  // Each survivor takes its window's anchors (the window starts one frame
+  // left of its diagonal) and its anchor total out of the sorted hits.
+  std::vector<CoarseCandidate> top = SelectTop(std::move(all), limit);
+  auto lower = [&](uint64_t key) {
+    return std::lower_bound(
+        hits.begin(), hits.end(), key,
+        [](const FrameHit& h, uint64_t k) { return h.key < k; });
+  };
+  for (CoarseCandidate& cand : top) {
+    const uint64_t doc_key = uint64_t{cand.doc} << 32;
+    const uint64_t frame =
+        static_cast<uint64_t>(cand.diagonal + qlen) / frame_width - 1;
+    cand.anchor_count = static_cast<uint64_t>(
+        lower(doc_key + (uint64_t{1} << 32)) - lower(doc_key));
+    const auto first = lower(doc_key | frame);
+    const auto last = lower(doc_key | (frame + 2));
+    cand.anchors.reserve(static_cast<size_t>(last - first));
+    for (auto it = first; it != last; ++it) cand.anchors.push_back(it->anchor);
+  }
+  return top;
 }
 
 }  // namespace cafe

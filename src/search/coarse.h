@@ -1,6 +1,10 @@
 // The coarse phase of partitioned search: rank collection sequences by
 // interval evidence against the query, using only the compressed inverted
-// index — no sequence data is touched.
+// index — no sequence data is touched. This is the query's only pass over
+// the postings: in diagonal mode on a positional index each surviving
+// candidate also carries the seed matches of its best diagonal window,
+// and the chaining stage (search/chain.h) reads them from there. Any
+// other ranking carries none, and chaining passes it through.
 
 #ifndef CAFE_SEARCH_COARSE_H_
 #define CAFE_SEARCH_COARSE_H_
@@ -14,6 +18,12 @@
 
 namespace cafe {
 
+/// A seed match between the query and a candidate sequence.
+struct Anchor {
+  uint32_t qpos = 0;
+  uint32_t spos = 0;
+};
+
 /// A sequence the coarse phase considers promising.
 struct CoarseCandidate {
   uint32_t doc = 0;
@@ -24,6 +34,11 @@ struct CoarseCandidate {
   /// index).
   int64_t diagonal = 0;
   bool has_diagonal = false;
+  /// Diagonal mode only: the seed matches in the (frame, frame + 1)
+  /// window that set `score` and `diagonal`, in no particular order.
+  std::vector<Anchor> anchors;
+  /// Diagonal mode only: seed matches with this sequence in any frame.
+  uint64_t anchor_count = 0;
 };
 
 class CoarseRanker {

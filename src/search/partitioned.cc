@@ -33,8 +33,8 @@ struct FineWorker {
   uint32_t span_tid = 0;
   // Set when the deadline fired before this worker's share was done.
   bool truncated = false;
-  // Lowest candidate index that failed, mirroring the sequential path's
-  // fail-on-first-error behaviour deterministically.
+  // Lowest candidate index that failed, so the search fails on the
+  // first error in candidate order at every thread count.
   size_t error_index = SIZE_MAX;
   Status error = Status::OK();
 };
@@ -126,11 +126,11 @@ Result<SearchResult> PartitionedSearch::Search(std::string_view query,
     candidates.clear();
   }
 
-  // Chaining middle stage: re-examine each candidate's seed matches as
-  // (qpos, spos) anchors, filter to the best diagonal window, and drop
-  // candidates without a collinear chain of min_chain_score seeds. A
-  // pure pass-through when chaining is off or the index lacks
-  // positions. Sequential and deterministic, like the coarse phase.
+  // Chaining middle stage: drop candidates whose anchors in their best
+  // diagonal window (carried over from the coarse pass) hold no
+  // collinear chain of min_chain_score seeds. A pure pass-through when
+  // chaining is off or the candidates carry no anchors. Sequential and
+  // deterministic, like the coarse phase.
   ChainOutcome chained = ChainCandidates(query, std::move(candidates),
                                          *index_, options, &trace);
   const std::vector<CoarseCandidate>& survivors = chained.kept;
@@ -150,77 +150,59 @@ Result<SearchResult> PartitionedSearch::Search(std::string_view query,
   {
     // fine.align covers alignment plus merge; each participating worker
     // additionally gets one fine.worker child (first-to-last candidate
-    // on that worker, stamped with the running thread). The sequential
-    // path emits the same span names as the pooled one so the timeline
-    // shape is thread-count invariant (span_test asserts this).
+    // on that worker, stamped with the running thread). One worker runs
+    // the same body on the calling thread, without a pool (--threads 1),
+    // so the timeline shape is thread-count invariant (span_test asserts
+    // this).
     obs::Span fine_span(spans, "fine.align", &trace.fine_micros);
-    if (workers <= 1) {
-      // Sequential reference path (--threads 1): no pool is created.
-      FineWorker w(options.scoring, options.max_results);
-      if (spans != nullptr && !survivors.empty()) {
-        w.span_begin_ns = obs::SpanRecorder::NowNanos();
-        w.span_tid = obs::DenseThreadId();
+    std::vector<FineWorker> states;
+    states.reserve(workers);
+    for (size_t w = 0; w < workers; ++w) {
+      states.emplace_back(options.scoring, options.max_results);
+    }
+    auto align = [&](size_t i, unsigned w) {
+      FineWorker& state = states[w];
+      if (spans != nullptr && state.span_begin_ns == 0) {
+        state.span_begin_ns = obs::SpanRecorder::NowNanos();
+        state.span_tid = obs::DenseThreadId();
       }
-      for (size_t i = 0; i < survivors.size(); ++i) {
-        AlignCandidate(*collection_, query, options, survivors[i], i, &w);
-        if (w.error_index != SIZE_MAX) return w.error;
+      AlignCandidate(*collection_, query, options, survivors[i], i, &state);
+      if (spans != nullptr) {
+        state.span_end_ns = obs::SpanRecorder::NowNanos();
       }
-      if (spans != nullptr && !survivors.empty()) {
-        w.span_end_ns = obs::SpanRecorder::NowNanos();
+    };
+    if (workers > 1) {
+      ThreadPool pool(static_cast<unsigned>(workers));
+      pool.ParallelFor(survivors.size(), align);
+    } else {
+      for (size_t i = 0; i < survivors.size(); ++i) align(i, 0);
+    }
+    const FineWorker* failed = nullptr;
+    for (const FineWorker& w : states) {
+      if (w.error_index != SIZE_MAX &&
+          (failed == nullptr || w.error_index < failed->error_index)) {
+        failed = &w;
+      }
+    }
+    if (failed != nullptr) return failed->error;
+    if (spans != nullptr) {
+      // The workers are done, so the stamps are visible here and the
+      // coordinating thread can assemble the worker spans.
+      for (const FineWorker& w : states) {
+        if (w.span_begin_ns == 0) continue;  // never ran a candidate
         spans->AddSpan("fine.worker", fine_span.id(), w.span_tid,
                        w.span_begin_ns, w.span_end_ns);
       }
-      obs::Span merge_span(spans, "fine.merge");
-      result.hits = w.top.Take();
+    }
+    obs::Span merge_span(spans, "fine.merge");
+    TopHits top(options.max_results);
+    for (FineWorker& w : states) {
+      for (SearchHit& hit : w.top.Take()) top.Add(std::move(hit));
       trace.candidates_aligned += w.aligned;
       trace.cells_computed += w.aligner.cells_computed();
       result.truncated = result.truncated || w.truncated;
-    } else {
-      std::vector<FineWorker> states;
-      states.reserve(workers);
-      for (size_t w = 0; w < workers; ++w) {
-        states.emplace_back(options.scoring, options.max_results);
-      }
-      ThreadPool pool(static_cast<unsigned>(workers));
-      pool.ParallelFor(survivors.size(), [&](size_t i, unsigned w) {
-        FineWorker& state = states[w];
-        if (spans != nullptr && state.span_begin_ns == 0) {
-          state.span_begin_ns = obs::SpanRecorder::NowNanos();
-          state.span_tid = obs::DenseThreadId();
-        }
-        AlignCandidate(*collection_, query, options, survivors[i], i,
-                       &state);
-        if (spans != nullptr) {
-          state.span_end_ns = obs::SpanRecorder::NowNanos();
-        }
-      });
-      const FineWorker* failed = nullptr;
-      for (const FineWorker& w : states) {
-        if (w.error_index != SIZE_MAX &&
-            (failed == nullptr || w.error_index < failed->error_index)) {
-          failed = &w;
-        }
-      }
-      if (failed != nullptr) return failed->error;
-      if (spans != nullptr) {
-        // The pool has joined, so the stamps are visible here and the
-        // coordinating thread can assemble the worker spans.
-        for (const FineWorker& w : states) {
-          if (w.span_begin_ns == 0) continue;  // never ran a candidate
-          spans->AddSpan("fine.worker", fine_span.id(), w.span_tid,
-                         w.span_begin_ns, w.span_end_ns);
-        }
-      }
-      obs::Span merge_span(spans, "fine.merge");
-      TopHits top(options.max_results);
-      for (FineWorker& w : states) {
-        for (SearchHit& hit : w.top.Take()) top.Add(std::move(hit));
-        trace.candidates_aligned += w.aligned;
-        trace.cells_computed += w.aligner.cells_computed();
-        result.truncated = result.truncated || w.truncated;
-      }
-      result.hits = top.Take();
     }
+    result.hits = top.Take();
   }
 
   // Post-processing on the reported hits (at most max_results of them)
@@ -249,21 +231,15 @@ Result<SearchResult> PartitionedSearch::Search(std::string_view query,
       CAFE_RETURN_IF_ERROR(collection_->GetSequence(hit.seq_id, &seq));
       // Re-derive the candidate diagonal for a banded traceback; fall
       // back to the full matrix when the coarse phase had no positions.
-      // The chain's band hint (>= options.band) widens the traceback
-      // window so the reported alignment is not clipped to a band
-      // narrower than the anchors it chained.
-      const CoarseCandidate* cand = nullptr;
-      int traceback_band = options.band;
-      for (size_t ci = 0; ci < survivors.size(); ++ci) {
-        if (survivors[ci].doc == hit.seq_id) {
-          cand = &survivors[ci];
-          traceback_band = chained.band_hints[ci];
-          break;
-        }
-      }
-      if (cand != nullptr && cand->has_diagonal) {
+      // The chain's traceback band (>= options.band) widens the window
+      // so the reported alignment is not clipped to a band narrower
+      // than the anchors it chained.
+      auto cand = std::find_if(
+          survivors.begin(), survivors.end(),
+          [&](const CoarseCandidate& c) { return c.doc == hit.seq_id; });
+      if (cand != survivors.end() && cand->has_diagonal) {
         Result<LocalAlignment> aln = post_aligner.BandedAlign(
-            query, seq, cand->diagonal, traceback_band);
+            query, seq, cand->diagonal, chained.traceback_band);
         if (!aln.ok()) return aln.status();
         hit.alignment = std::move(*aln);
       } else {

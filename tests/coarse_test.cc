@@ -152,6 +152,37 @@ TEST(CoarseRankerTest, DiagonalTieKeepsTheSmallestFrame) {
   EXPECT_EQ(cands[1].doc, 1u);
   EXPECT_EQ(cands[1].score, 17.0);
   EXPECT_EQ(cands[1].diagonal, 32);
+  // Each carries the winning window's anchors and counts both halves.
+  const uint32_t window_diagonal[] = {40, 16};
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(cands[i].anchor_count, 34u);
+    ASSERT_EQ(cands[i].anchors.size(), 17u);
+    for (const Anchor& anchor : cands[i].anchors) {
+      EXPECT_EQ(anchor.spos - anchor.qpos, window_diagonal[i]);
+    }
+  }
+}
+
+TEST(CoarseRankerTest, OnlyDiagonalRankingCarriesAnchors) {
+  SequenceCollection col = RankableCollection(kQuery);
+  InvertedIndex index = BuildIndex(col, IndexGranularity::kPositional);
+  CoarseRanker ranker(&index);
+  auto diagonal =
+      ranker.Rank(kQuery, CoarseRankMode::kDiagonal, 10, 16, nullptr);
+  ASSERT_FALSE(diagonal.empty());
+  for (const CoarseCandidate& cand : diagonal) {
+    EXPECT_FALSE(cand.anchors.empty()) << cand.doc;
+    EXPECT_LE(cand.anchors.size(), cand.anchor_count) << cand.doc;
+    EXPECT_EQ(static_cast<double>(cand.anchors.size()), cand.score)
+        << cand.doc;
+  }
+  auto hit_count =
+      ranker.Rank(kQuery, CoarseRankMode::kHitCount, 10, 16, nullptr);
+  ASSERT_FALSE(hit_count.empty());
+  for (const CoarseCandidate& cand : hit_count) {
+    EXPECT_TRUE(cand.anchors.empty()) << cand.doc;
+    EXPECT_EQ(cand.anchor_count, 0u) << cand.doc;
+  }
 }
 
 TEST(CoarseRankerTest, QueryRepeatsDoNotOvercount) {
