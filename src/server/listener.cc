@@ -6,12 +6,16 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 namespace cafe::server {
 namespace {
 
 constexpr int kListenBacklog = 64;
+// How long the accept loop waits before it calls accept() again after an
+// error such as EMFILE; the pending connection stays queued meanwhile.
+constexpr std::chrono::milliseconds kAcceptRetryDelay{5};
 
 Status Errno(const char* what) {
   return Status::IOError(std::string(what) + ": " + std::strerror(errno));
@@ -102,7 +106,14 @@ void Listener::AcceptLoop() {
     const int fd = accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      return;  // shutdown(listen_fd_) during Shutdown() lands here
+      {
+        MutexLock lock(&mu_);
+        if (stopping_) return;  // shutdown(listen_fd_) in Shutdown()
+      }
+      // Out of descriptors or buffers for a moment: a loop that returned
+      // here would leave the port bound and never accepting again.
+      std::this_thread::sleep_for(kAcceptRetryDelay);
+      continue;
     }
     std::vector<std::thread> ended;
     {

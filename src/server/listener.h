@@ -7,7 +7,8 @@
 // handler returns, the Listener closes the fd and the connection's
 // thread is joined by the accept thread no later than its next accept,
 // so threads held never exceed live connections plus connections that
-// ended since the last accept.
+// ended since the last accept. A failed accept() (EMFILE, say) is
+// retried after a short pause; only Shutdown() ends the accept loop.
 //
 // Shutdown() is ordered: stop accepting, half-close (SHUT_RD) every
 // live connection — a handler blocked in a read sees EOF, a handler

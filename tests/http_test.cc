@@ -1,12 +1,15 @@
 // Tests for the introspection HTTP listener: request parsing, routing
-// to the handler, error statuses, connection-thread reaping, a peer
-// that hangs up before its response, and shutdown.
+// to the handler, error statuses, connection-thread reaping, accepting
+// again after running out of descriptors, a peer that hangs up before
+// its response, and shutdown.
 
 #include "server/http.h"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -20,10 +23,8 @@
 namespace cafe::server {
 namespace {
 
-// A socket connected to 127.0.0.1:`port`.
-int Connect(uint16_t port) {
-  int fd = socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
+// Connects the socket `fd` to 127.0.0.1:`port`.
+void ConnectSocket(int fd, uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -31,12 +32,19 @@ int Connect(uint16_t port) {
   EXPECT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0)
       << std::strerror(errno);
+}
+
+// A socket connected to 127.0.0.1:`port`.
+int Connect(uint16_t port) {
+  int fd = socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  ConnectSocket(fd, port);
   return fd;
 }
 
-// One raw HTTP exchange: connect, send `request` verbatim, read to EOF.
-std::string Exchange(uint16_t port, const std::string& request) {
-  int fd = Connect(port);
+// Sends `request` verbatim on a connected socket, half-closes it, reads
+// the response to EOF (or to the socket's receive timeout) and closes.
+std::string ExchangeOn(int fd, const std::string& request) {
   size_t sent = 0;
   while (sent < request.size()) {
     ssize_t n = write(fd, request.data() + sent, request.size() - sent);
@@ -53,6 +61,11 @@ std::string Exchange(uint16_t port, const std::string& request) {
   }
   close(fd);
   return response;
+}
+
+// One raw HTTP exchange: connect, send `request` verbatim, read to EOF.
+std::string Exchange(uint16_t port, const std::string& request) {
+  return ExchangeOn(Connect(port), request);
 }
 
 // This process's virtual size in KiB, from /proc/self/status.
@@ -196,6 +209,42 @@ TEST_F(HttpServerTest, FinishedConnectionThreadsAreJoined) {
   }
   EXPECT_LT(VmSizeKib() - before, 512 * 1024)
       << "VmSize grew by " << (VmSizeKib() - before) / 1024 << " MiB";
+}
+
+TEST_F(HttpServerTest, AcceptOutlivesRunningOutOfDescriptors) {
+  // Both client sockets exist before the descriptor limit drops to the
+  // lowest free descriptor, so both connect() calls still work. A blocked
+  // accept() reserves its descriptor before it waits, so it may still
+  // take the first connection; the accept() after it, or the first one
+  // if it had not started yet, fails with EMFILE until the limit is back.
+  StartServer();
+  int clients[2];
+  const timeval timeout{5, 0};
+  for (int& fd : clients) {
+    fd = socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+              0);
+  }
+  const int lowest_free = dup(clients[0]);
+  ASSERT_GE(lowest_free, 0);
+  close(lowest_free);
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit lowered = saved;
+  lowered.rlim_cur = static_cast<rlim_t>(lowest_free);
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  for (int fd : clients) ConnectSocket(fd, server_->port());
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+  for (int fd : clients) {
+    std::string response = ExchangeOn(fd, "GET /hello HTTP/1.0\r\n\r\n");
+    EXPECT_NE(response.find("200 OK"), std::string::npos)
+        << "a pending GET got no response: " << response;
+  }
+  server_->Shutdown();
 }
 
 TEST(HttpServerPeerTest, PeerGoneBeforeLargeResponseIsSurvived) {

@@ -33,6 +33,10 @@ Checks that clang-tidy / compiler warnings cannot express:
                   carries thread safety annotations and is checked by
                   clang -Wthread-safety (same confinement pattern as
                   std::thread -> ThreadPool)
+  one-postings-pass  under src/search/, only coarse.cc calls
+                  ForEachPosting / ScanPostings — a query's postings are
+                  decoded once, by the coarse pass, and later stages
+                  (chaining) read what it carries on CoarseCandidate
 
 Files under tools/ are binaries, not library code; only the fprintf
 rule applies there, and only to cafe_serve.cc (the long-running
@@ -60,6 +64,7 @@ RULE_CHRONO = "cafe-no-adhoc-chrono"
 RULE_SOCKET = "cafe-no-raw-socket"
 RULE_FPRINTF = "cafe-no-raw-fprintf"
 RULE_MUTEX = "cafe-no-raw-mutex"
+RULE_POSTINGS = "cafe-one-postings-pass"
 
 THROW_RE = re.compile(r"\bthrow\b")
 # `new X`, `new (nothrow) X`, `new X[...]`; `delete p`, `delete[] p`.
@@ -76,6 +81,7 @@ MUTEX_RE = re.compile(
     r"\bstd::(?:(?:timed_|recursive_|recursive_timed_|shared_|"
     r"shared_timed_)?mutex|lock_guard|unique_lock|scoped_lock|"
     r"shared_lock|condition_variable(?:_any)?)\b")
+POSTINGS_RE = re.compile(r"\b(?:ForEachPosting|ScanPostings)\s*\(")
 
 
 def strip_code_noise(line):
@@ -126,6 +132,8 @@ def lint_lines(relpath, lines, findings):
     mutex_ok = relpath == "src/util/mutex.h"
     socket_ok = relpath.startswith("src/server/")
     chrono_scoped = relpath.startswith(("src/search/", "src/index/"))
+    postings_scoped = (relpath.startswith("src/search/")
+                       and relpath != "src/search/coarse.cc")
     fprintf_scoped = (relpath.startswith("src/server/")
                       or relpath == "tools/cafe_serve.cc")
     # tools/ entries are binaries; only the fprintf rule applies there.
@@ -211,6 +219,10 @@ def lint_lines(relpath, lines, findings):
             report(RULE_SOCKET,
                    "socket headers outside src/server/; the network "
                    "edge lives in the server subsystem")
+        if POSTINGS_RE.search(code) and postings_scoped:
+            report(RULE_POSTINGS,
+                   "postings decoded outside the coarse pass; read the "
+                   "anchors CoarseRanker::Rank carries instead")
         prev_raw = raw
 
 
@@ -262,6 +274,17 @@ SELFTEST_CASES = [
     ("src/index/x.cc", "std::chrono::milliseconds d(1);", RULE_CHRONO),
     ("src/util/x.cc", "std::chrono::milliseconds d(1);", None),
     ("src/search/x.cc", "WallTimer total;", None),
+    ("src/search/chain.cc", "index.ForEachPosting(term, fn);",
+     RULE_POSTINGS),
+    ("src/search/x.cc", "source->ScanPostings(term, count);",
+     RULE_POSTINGS),
+    # The one pass over the postings, and code outside src/search/.
+    ("src/search/coarse.cc", "index_->ForEachPosting(term, fn);", None),
+    ("src/index/inverted_index.cc", "ForEachPosting(term, fn);", None),
+    ("src/search/chain.cc", "// chaining calls no ForEachPosting()", None),
+    ("src/search/chain.cc",
+     "index.ForEachPosting(term, fn);  // NOLINT(cafe-one-postings-pass)",
+     None),
     ("src/a/b.cc", "// std::thread belongs in thread_pool", None),
     ("src/a/b.cc", 'const char* s = "std::thread";', None),
     ("src/a/b.cc", "/* assert(x) */ int y = 0;", None),
