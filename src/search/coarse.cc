@@ -63,9 +63,17 @@ void TraceQueryTerms(const PostingSource* index,
   });
 }
 
-std::vector<CoarseCandidate> SelectTop(std::vector<CoarseCandidate> all,
-                                       uint32_t limit) {
-  auto better = [](const CoarseCandidate& a, const CoarseCandidate& b) {
+// A sequence's coarse evidence before the top-k cut. Only the survivors
+// become CoarseCandidates, which are larger because they carry anchors.
+struct Scored {
+  double score;
+  int64_t diagonal;
+  uint32_t doc;
+};
+
+std::vector<CoarseCandidate> SelectTop(std::vector<Scored> all,
+                                       uint32_t limit, bool has_diagonal) {
+  auto better = [](const Scored& a, const Scored& b) {
     if (a.score != b.score) return a.score > b.score;
     return a.doc < b.doc;
   };
@@ -74,7 +82,14 @@ std::vector<CoarseCandidate> SelectTop(std::vector<CoarseCandidate> all,
     all.resize(limit);
   }
   std::sort(all.begin(), all.end(), better);
-  return all;
+  std::vector<CoarseCandidate> top(all.size());
+  for (size_t i = 0; i < all.size(); ++i) {
+    top[i].doc = all[i].doc;
+    top[i].score = all[i].score;
+    top[i].diagonal = all[i].diagonal;
+    top[i].has_diagonal = has_diagonal;
+  }
+  return top;
 }
 
 }  // namespace
@@ -121,10 +136,10 @@ std::vector<CoarseCandidate> CoarseRanker::RankHitCount(
     });
   }
 
-  std::vector<CoarseCandidate> all(touched.size());
-  for (size_t i = 0; i < touched.size(); ++i) {
-    all[i].doc = touched[i];
-    all[i].score = acc[touched[i]];
+  std::vector<Scored> all;
+  all.reserve(touched.size());
+  for (uint32_t doc : touched) {
+    all.push_back(Scored{acc[doc], 0, doc});
   }
   if (trace != nullptr) {
     trace->postings_decoded += postings;
@@ -132,7 +147,7 @@ std::vector<CoarseCandidate> CoarseRanker::RankHitCount(
     trace->candidates_discarded +=
         all.size() > limit ? all.size() - limit : 0;
   }
-  return SelectTop(std::move(all), limit);
+  return SelectTop(std::move(all), limit, /*has_diagonal=*/false);
 }
 
 std::vector<CoarseCandidate> CoarseRanker::RankDiagonal(
@@ -182,24 +197,22 @@ std::vector<CoarseCandidate> CoarseRanker::RankDiagonal(
   // Per sequence, combine each frame with its right neighbour so evidence
   // straddling a frame boundary is not split, and keep the best combined
   // window. Frames ascend within a sequence, so a tie keeps the smallest.
-  std::vector<CoarseCandidate> all;
+  std::vector<Scored> all;
   for (size_t i = 0; i < hits.size();) {
-    CoarseCandidate cand;
-    cand.doc = static_cast<uint32_t>(hits[i].key >> 32);
-    cand.has_diagonal = true;
-    while (i < hits.size() && (hits[i].key >> 32) == cand.doc) {
+    Scored best{0.0, 0, static_cast<uint32_t>(hits[i].key >> 32)};
+    while (i < hits.size() && (hits[i].key >> 32) == best.doc) {
       const uint64_t key = hits[i].key;
       const size_t next = end_of_run(i, key);
       const auto combined = static_cast<double>(end_of_run(next, key + 1) - i);
-      if (combined > cand.score) {
-        cand.score = combined;
-        cand.diagonal =
+      if (combined > best.score) {
+        best.score = combined;
+        best.diagonal =
             static_cast<int64_t>(((key & 0xFFFFFFFFull) + 1) * frame_width) -
             qlen;
       }
       i = next;
     }
-    all.push_back(std::move(cand));
+    all.push_back(best);
   }
   if (trace != nullptr) {
     trace->postings_decoded += postings;
@@ -210,7 +223,8 @@ std::vector<CoarseCandidate> CoarseRanker::RankDiagonal(
 
   // Each survivor takes its window's anchors (the window starts one frame
   // left of its diagonal) and its anchor total out of the sorted hits.
-  std::vector<CoarseCandidate> top = SelectTop(std::move(all), limit);
+  std::vector<CoarseCandidate> top =
+      SelectTop(std::move(all), limit, /*has_diagonal=*/true);
   auto lower = [&](uint64_t key) {
     return std::lower_bound(
         hits.begin(), hits.end(), key,

@@ -49,8 +49,9 @@ enum class ChainMode : uint8_t {
   kOff,
   /// Diagonal-filter + collinear chaining: only candidates whose seed
   /// matches form a collinear chain of at least min_chain_score seeds
-  /// reach the fine phase. Requires a positional index; silently falls
-  /// back to kOff when positions are unavailable.
+  /// reach the fine phase. Needs diagonal ranking on a positional index,
+  /// whose candidates carry their anchors; otherwise (hit-count ranking,
+  /// or no positions) it passes every candidate through, like kOff.
   kFilter,
 };
 
