@@ -45,11 +45,9 @@ int Aligner::ScoreOnly(std::string_view query, std::string_view target) const {
       // Same accounting as the scalar loop, so stats and traces are
       // byte-identical across dispatch tiers.
       cells_ += static_cast<uint64_t>(m) * n;
-      internal::RecordScoreOnly(/*striped=*/true);
       return score;
     }
   }
-  internal::RecordScoreOnly(/*striped=*/false);
   const int32_t go = scheme_.gap_open;
   const int32_t ge = scheme_.gap_extend;
 

@@ -1,11 +1,9 @@
 #include "align/sw_simd.h"
 
-#include <atomic>
 #include <cstring>
 #include <utility>
 
 #include "align/smith_waterman.h"
-#include "obs/metrics.h"
 #include "util/check.h"
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -15,10 +13,6 @@
 
 namespace cafe {
 namespace {
-
-std::atomic<obs::Counter*> g_striped_scores{nullptr};
-std::atomic<obs::Counter*> g_scalar_scores{nullptr};
-std::atomic<obs::Counter*> g_striped_fallbacks{nullptr};
 
 #if defined(CAFE_SW_SIMD_X86)
 
@@ -275,7 +269,6 @@ bool StripedScorer::Score(const PairScoreTable& table, std::string_view query,
   if (best >= INT16_MAX) {
     // The saturating domain clipped; the 32-bit oracle rescues the
     // exact score.
-    internal::RecordStripedFallback();
     return false;
   }
   *score = best;
@@ -289,36 +282,5 @@ bool StripedScorer::Score(const PairScoreTable& table, std::string_view query,
   return false;
 #endif
 }
-
-void AttachAlignSimdMetrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    g_striped_scores.store(nullptr, std::memory_order_release);
-    g_scalar_scores.store(nullptr, std::memory_order_release);
-    g_striped_fallbacks.store(nullptr, std::memory_order_release);
-    return;
-  }
-  g_striped_scores.store(registry->GetCounter("align.striped_scores"),
-                         std::memory_order_release);
-  g_scalar_scores.store(registry->GetCounter("align.scalar_scores"),
-                        std::memory_order_release);
-  g_striped_fallbacks.store(registry->GetCounter("align.striped_fallbacks"),
-                            std::memory_order_release);
-}
-
-namespace internal {
-
-void RecordScoreOnly(bool striped) {
-  obs::Counter* counter =
-      striped ? g_striped_scores.load(std::memory_order_acquire)
-              : g_scalar_scores.load(std::memory_order_acquire);
-  if (counter != nullptr) counter->Increment();
-}
-
-void RecordStripedFallback() {
-  obs::Counter* counter = g_striped_fallbacks.load(std::memory_order_acquire);
-  if (counter != nullptr) counter->Increment();
-}
-
-}  // namespace internal
 
 }  // namespace cafe

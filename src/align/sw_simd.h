@@ -37,10 +37,6 @@
 
 namespace cafe {
 
-namespace obs {
-class MetricsRegistry;
-}  // namespace obs
-
 class PairScoreTable;
 
 class StripedScorer {
@@ -84,24 +80,6 @@ class StripedScorer {
   std::vector<int16_t> h_load_;
   std::vector<int16_t> e_;
 };
-
-/// Mirrors ScoreOnly's dispatch into counters:
-///   align.striped_scores    ScoreOnly calls served by a striped kernel
-///   align.scalar_scores     ScoreOnly calls served by the scalar oracle
-///   align.striped_fallbacks striped attempts that saturated 16 bits
-///                           and reran on the oracle
-/// Pass nullptr to detach. Attach before concurrent search starts; the
-/// counters themselves are lock-free.
-void AttachAlignSimdMetrics(obs::MetricsRegistry* registry);
-
-namespace internal {
-
-/// Hot-path hooks for smith_waterman.cc / sw_simd.cc (relaxed-atomic
-/// counter pointers; one null check per site when detached).
-void RecordScoreOnly(bool striped);
-void RecordStripedFallback();
-
-}  // namespace internal
 
 }  // namespace cafe
 

@@ -311,25 +311,14 @@ Result<InvertedIndex> InvertedIndex::Load(const std::string& path,
 }
 
 void InvertedIndex::AttachMetrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr || mapping_.size() == 0) {
-    metric_lists_ = nullptr;
-    metric_bytes_decoded_ = nullptr;
+  if (registry == nullptr || mapping_.size() == 0 || open_facts_recorded_) {
     return;
   }
-  metric_lists_ = registry->GetCounter("mmap_index.lists_scanned");
-  metric_bytes_decoded_ = registry->GetCounter("mmap_index.bytes_decoded");
-  if (!open_facts_recorded_) {
-    open_facts_recorded_ = true;
-    registry->GetCounter("mmap_index.maps")->Add(1);
-    registry->GetCounter("mmap_index.bytes_mapped")->Add(mapping_.size());
-    registry->GetHistogram("mmap_index.first_touch_micros")
-        ->Record(first_touch_micros_);
-  }
-}
-
-void InvertedIndex::RecordScan(uint64_t begin_bit, uint64_t end_bit) const {
-  metric_lists_->Add(1);
-  metric_bytes_decoded_->Add((end_bit + 7) / 8 - begin_bit / 8);
+  open_facts_recorded_ = true;
+  registry->GetCounter("mmap_index.maps")->Add(1);
+  registry->GetCounter("mmap_index.bytes_mapped")->Add(mapping_.size());
+  registry->GetHistogram("mmap_index.first_touch_micros")
+      ->Record(first_touch_micros_);
 }
 
 }  // namespace cafe

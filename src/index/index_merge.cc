@@ -198,20 +198,4 @@ Result<InvertedIndex> BuildSharded(const SequenceCollection& collection,
   return merged;
 }
 
-Result<InvertedIndex> IndexBuilder::BuildParallel(
-    const SequenceCollection& collection, const IndexOptions& options,
-    unsigned threads) {
-  CAFE_RETURN_IF_ERROR(options.Validate());
-  if (threads == 0) threads = ThreadPool::HardwareThreads();
-  const uint32_t num_docs = collection.NumSequences();
-  // Stopping is a whole-collection decision, so stopped indexes must be
-  // built directly; tiny collections are not worth the shard overhead.
-  if (threads <= 1 || options.stop_doc_fraction < 1.0 ||
-      num_docs < 2 * threads) {
-    return Build(collection, options);
-  }
-  const uint32_t docs_per_shard = (num_docs + threads - 1) / threads;
-  return BuildSharded(collection, options, docs_per_shard, threads);
-}
-
 }  // namespace cafe

@@ -38,8 +38,8 @@ class IndexReader {
 
   const PostingSource* source() const { return &index_; }
 
-  /// Forwards to InvertedIndex::AttachMetrics (mmap_index.* for a
-  /// mapped index; memory mode has none).
+  /// Forwards to InvertedIndex::AttachMetrics: the mmap_index.*
+  /// open-time facts of a mapped index, once; memory mode has none.
   void AttachMetrics(obs::MetricsRegistry* registry) {
     index_.AttachMetrics(registry);
   }

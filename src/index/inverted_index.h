@@ -18,8 +18,8 @@
 // options, stats — is safe for concurrent use from any number of
 // threads; postings decoding uses a thread-local scratch buffer and
 // everything else is read-only. Serialize/SerializedBytes maintain a
-// cached size and AttachMetrics rewires the metric mirror; neither is
-// part of that concurrent-safe surface.
+// cached size and AttachMetrics records the open-time facts once;
+// neither is part of that concurrent-safe surface.
 
 #ifndef CAFE_INDEX_INVERTED_INDEX_H_
 #define CAFE_INDEX_INVERTED_INDEX_H_
@@ -39,7 +39,6 @@
 namespace cafe {
 
 namespace obs {
-class Counter;
 class MetricsRegistry;
 }  // namespace obs
 
@@ -78,9 +77,9 @@ struct IndexOptions {
 
   /// Optional observability sink (obs/metrics.h). Runtime-only: never
   /// serialized, never affects index contents. When non-null, top-level
-  /// builds (Build, BuildParallel, BuildSharded) record the
-  /// `index_build.*` counters and the `index_build.build_micros`
-  /// histogram into it exactly once per build.
+  /// builds (Build, BuildSharded) record the `index_build.*` counters
+  /// and the `index_build.build_micros` histogram into it exactly once
+  /// per build.
   obs::MetricsRegistry* metrics = nullptr;
 
   [[nodiscard]] Status Validate() const;
@@ -137,11 +136,8 @@ class InvertedIndex final {
     if (e == nullptr) return;
     static thread_local std::vector<uint32_t> pos_buf;
     const std::span<const uint8_t> blob = Blob();
-    const uint64_t end_bit =
-        DecodePostings(blob.data(), blob.size(), e->bit_offset, *e,
-                       num_docs(), options_.granularity, &pos_buf,
-                       std::forward<Fn>(fn));
-    if (metric_lists_ != nullptr) RecordScan(e->bit_offset, end_bit);
+    DecodePostings(blob.data(), blob.size(), e->bit_offset, *e, num_docs(),
+                   options_.granularity, &pos_buf, std::forward<Fn>(fn));
   }
 
   const TermDirectory& directory() const { return directory_; }
@@ -159,15 +155,14 @@ class InvertedIndex final {
   /// postings live on the heap.
   uint64_t MappedBytes() const { return mapping_.size(); }
 
-  /// Mirrors the read activity of a mapped index into `registry` under
-  /// the `mmap_index.*` names (docs/OBSERVABILITY.md); a no-op when the
-  /// postings live on the heap. On first attach the open-time facts are
-  /// recorded too: one `mmap_index.maps`, `mmap_index.bytes_mapped`,
-  /// and the duration of the open-time CRC sweep — the first touch of
-  /// every page of the file — into `mmap_index.first_touch_micros`. The
-  /// registry must outlive this index; pass nullptr to detach. Not
-  /// thread-safe against in-flight queries: attach before serving.
-  /// Detached (the default), the hot path pays one null check per list.
+  /// Records the open-time facts of a mapped index into `registry`
+  /// (docs/OBSERVABILITY.md): one `mmap_index.maps`,
+  /// `mmap_index.bytes_mapped`, and the duration of the open-time CRC
+  /// sweep — the first touch of every page of the file — into
+  /// `mmap_index.first_touch_micros`. Once per index: a later call, to
+  /// any registry, records nothing; so does a heap-stored index or a
+  /// null registry. Keeps no pointer into the registry, so queries
+  /// never touch it. Per-query postings work is on SearchTrace.
   void AttachMetrics(obs::MetricsRegistry* registry);
 
   /// Serialized size in bytes (same as what Save writes).
@@ -208,9 +203,6 @@ class InvertedIndex final {
     return {mapping_.data() + blob_offset_, blob_bytes_};
   }
 
-  /// Metric mirror hook (see AttachMetrics).
-  void RecordScan(uint64_t begin_bit, uint64_t end_bit) const;
-
   IndexOptions options_;
   std::vector<uint32_t> doc_lengths_;
   TermDirectory directory_;
@@ -223,11 +215,8 @@ class InvertedIndex final {
   IndexStats stats_;
   mutable uint64_t serialized_bytes_cache_ = 0;
 
-  // Metric mirror of a mapped index (see AttachMetrics); the counter
-  // pointers stay null while detached and for heap storage.
+  // Open-time facts of a mapped index (see AttachMetrics).
   uint64_t first_touch_micros_ = 0;  // open-time CRC sweep of the mapping
-  obs::Counter* metric_lists_ = nullptr;
-  obs::Counter* metric_bytes_decoded_ = nullptr;
   bool open_facts_recorded_ = false;
 };
 
@@ -243,18 +232,6 @@ class IndexBuilder {
   [[nodiscard]] static Result<InvertedIndex> BuildRange(
       const SequenceCollection& collection, const IndexOptions& options,
       uint32_t doc_begin, uint32_t doc_end);
-
-  /// Parallel build: per-sequence interval extraction runs over `threads`
-  /// workers (0 = hardware threads), each indexing a contiguous shard of
-  /// the collection, followed by a sequential term-by-term merge. The
-  /// result is identical in content to Build. Falls back to the
-  /// sequential Build when threads <= 1, the collection is small, or
-  /// index stopping is requested (stopping is a whole-collection
-  /// decision, incompatible with per-shard builds). Implemented in
-  /// index_merge.cc.
-  [[nodiscard]] static Result<InvertedIndex> BuildParallel(
-      const SequenceCollection& collection, const IndexOptions& options,
-      unsigned threads);
 };
 
 }  // namespace cafe

@@ -51,11 +51,14 @@ uint32_t EncodePostings(const uint32_t* docs, const uint32_t* positions,
 /// `fn(doc, tf, positions, npos)` is invoked once per matching sequence;
 /// `positions` is nullptr (npos = 0) at document granularity. The
 /// positions buffer is owned by the decoder and reused across calls.
-/// Every doc handed to `fn` is below `num_docs`: a corrupt list stops at
-/// the first doc id out of range, at the first tf larger than the bits
-/// left (each position takes at least one), and when the reader runs
-/// past the blob. Returns the bit position where decoding stopped — for a
-/// well-formed list, the start of the next one.
+/// Every doc handed to `fn` is below `num_docs` and was read from
+/// inside the blob: a corrupt list stops at the first doc id out of
+/// range, at the first tf larger than the bits left (each position takes
+/// at least one), and before the first entry whose read ran past the
+/// blob (past the end every gap decodes as 1, so a truncated list would
+/// otherwise hand out made-up consecutive doc ids). Returns the bit
+/// position where decoding stopped — for a well-formed list, the start
+/// of the next one.
 template <typename Fn>
 uint64_t DecodePostings(const uint8_t* blob, size_t blob_bytes,
                         uint64_t bit_offset, const TermEntry& entry,
@@ -78,6 +81,7 @@ uint64_t DecodePostings(const uint8_t* blob, size_t blob_bytes,
     const auto id = static_cast<uint32_t>(doc);
     uint32_t tf = static_cast<uint32_t>(coding::DecodeGamma(&r));
     if (granularity == IndexGranularity::kDocument) {
+      if (r.overflowed()) break;  // corrupt input
       fn(id, tf, static_cast<const uint32_t*>(nullptr), uint32_t{0});
       continue;
     }
@@ -90,8 +94,8 @@ uint64_t DecodePostings(const uint8_t* blob, size_t blob_bytes,
       pos += coding::DecodeGolomb(&r, b_pos);
       (*pos_buf)[k] = static_cast<uint32_t>(pos - 1);
     }
-    fn(id, tf, pos_buf->data(), tf);
     if (r.overflowed()) break;  // corrupt input
+    fn(id, tf, pos_buf->data(), tf);
   }
   return r.bit_position();
 }

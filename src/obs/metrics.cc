@@ -201,7 +201,7 @@ MetricsSnapshot MetricsRegistry::Delta(const MetricsSnapshot& current,
 
 namespace {
 
-// mmap_index.lists_scanned -> cafe_mmap_index_lists_scanned; characters a
+// search.postings_decoded -> cafe_search_postings_decoded; characters a
 // Prometheus metric name cannot hold become underscores.
 std::string PrometheusName(const std::string& name) {
   std::string out = "cafe_";

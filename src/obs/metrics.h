@@ -120,7 +120,7 @@ struct MetricsSnapshot {
 };
 
 /// Name -> metric registry. Names are dotted paths
-/// (`mmap_index.lists_scanned`); the full catalogue is documented in
+/// (`search.postings_decoded`); the full catalogue is documented in
 /// docs/OBSERVABILITY.md and cross-checked by tools/doccheck.py.
 class MetricsRegistry {
  public:

@@ -2,62 +2,74 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <string_view>
 
 namespace cafe::obs {
 
+const std::array<SearchTrace::Field<uint64_t>, 16> SearchTrace::kCounters = {{
+    {"queries", &SearchTrace::queries},
+    {"intervals_extracted", &SearchTrace::intervals_extracted},
+    {"terms_distinct", &SearchTrace::terms_distinct},
+    {"terms_unindexed", &SearchTrace::terms_unindexed},
+    {"postings_lists_touched", &SearchTrace::postings_lists_touched},
+    {"postings_decoded", &SearchTrace::postings_decoded},
+    {"candidates_ranked", &SearchTrace::candidates_ranked},
+    {"candidates_kept", &SearchTrace::candidates_kept},
+    {"candidates_discarded", &SearchTrace::candidates_discarded},
+    {"chain_candidates_in", &SearchTrace::chain_candidates_in},
+    {"chain_anchors", &SearchTrace::chain_anchors},
+    {"chain_candidates_kept", &SearchTrace::chain_candidates_kept},
+    {"chain_candidates_dropped", &SearchTrace::chain_candidates_dropped},
+    {"candidates_aligned", &SearchTrace::candidates_aligned},
+    {"cells_computed", &SearchTrace::cells_computed},
+    {"hits_reported", &SearchTrace::hits_reported},
+}};
+
+const std::array<SearchTrace::Field<double>, 5> SearchTrace::kTimings = {{
+    {"coarse_micros", &SearchTrace::coarse_micros},
+    {"chain_micros", &SearchTrace::chain_micros},
+    {"fine_micros", &SearchTrace::fine_micros},
+    {"post_micros", &SearchTrace::post_micros},
+    {"total_micros", &SearchTrace::total_micros},
+}};
+
+// A field added to the struct but not to the tables fails here.
+static_assert(sizeof(SearchTrace) ==
+              sizeof(uint64_t) * SearchTrace::kCounters.size() +
+                  sizeof(double) * SearchTrace::kTimings.size());
+
 void SearchTrace::Merge(const SearchTrace& other) {
-  queries += other.queries;
-  intervals_extracted += other.intervals_extracted;
-  terms_distinct += other.terms_distinct;
-  terms_unindexed += other.terms_unindexed;
-  postings_lists_touched += other.postings_lists_touched;
-  postings_decoded += other.postings_decoded;
-  candidates_ranked += other.candidates_ranked;
-  candidates_kept += other.candidates_kept;
-  candidates_discarded += other.candidates_discarded;
-  chain_candidates_in += other.chain_candidates_in;
-  chain_anchors += other.chain_anchors;
-  chain_candidates_kept += other.chain_candidates_kept;
-  chain_candidates_dropped += other.chain_candidates_dropped;
-  candidates_aligned += other.candidates_aligned;
-  cells_computed += other.cells_computed;
-  hits_reported += other.hits_reported;
-  coarse_micros += other.coarse_micros;
-  chain_micros += other.chain_micros;
-  fine_micros += other.fine_micros;
-  post_micros += other.post_micros;
-  total_micros += other.total_micros;
+  for (const auto& f : kCounters) this->*f.member += other.*f.member;
+  for (const auto& f : kTimings) this->*f.member += other.*f.member;
 }
 
 std::string SearchTrace::CountersJson() const {
-  char buf[896];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"queries\":%" PRIu64 ",\"intervals_extracted\":%" PRIu64
-      ",\"terms_distinct\":%" PRIu64 ",\"terms_unindexed\":%" PRIu64
-      ",\"postings_lists_touched\":%" PRIu64 ",\"postings_decoded\":%" PRIu64
-      ",\"candidates_ranked\":%" PRIu64 ",\"candidates_kept\":%" PRIu64
-      ",\"candidates_discarded\":%" PRIu64 ",\"chain_candidates_in\":%" PRIu64
-      ",\"chain_anchors\":%" PRIu64 ",\"chain_candidates_kept\":%" PRIu64
-      ",\"chain_candidates_dropped\":%" PRIu64
-      ",\"candidates_aligned\":%" PRIu64 ",\"cells_computed\":%" PRIu64
-      ",\"hits_reported\":%" PRIu64 "}",
-      queries, intervals_extracted, terms_distinct, terms_unindexed,
-      postings_lists_touched, postings_decoded, candidates_ranked,
-      candidates_kept, candidates_discarded, chain_candidates_in,
-      chain_anchors, chain_candidates_kept, chain_candidates_dropped,
-      candidates_aligned, cells_computed, hits_reported);
-  return buf;
+  std::string out = "{";
+  for (const auto& f : kCounters) {
+    if (&f != &kCounters.front()) out += ',';
+    out += '"';
+    out += f.name;
+    out += "\":";
+    out += std::to_string(this->*f.member);
+  }
+  out += '}';
+  return out;
 }
 
 std::string SearchTrace::ToJson() const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                ",\"timings_us\":{\"coarse\":%.1f,\"chain\":%.1f,"
-                "\"fine\":%.1f,\"post\":%.1f,\"total\":%.1f}}",
-                coarse_micros, chain_micros, fine_micros, post_micros,
-                total_micros);
-  return "{\"counters\":" + CountersJson() + buf;
+  std::string out = "{\"counters\":" + CountersJson() + ",\"timings_us\":{";
+  // %.1f of any double fits: at most 309 integer digits.
+  char buf[384];
+  for (const auto& f : kTimings) {
+    std::string_view key = f.name;
+    key.remove_suffix(sizeof("_micros") - 1);
+    std::snprintf(buf, sizeof(buf), "%s\"%.*s\":%.1f",
+                  &f == &kTimings.front() ? "" : ",",
+                  static_cast<int>(key.size()), key.data(), this->*f.member);
+    out += buf;
+  }
+  out += "}}";
+  return out;
 }
 
 std::string SearchTrace::ToText() const {

@@ -2,7 +2,11 @@
 // timings behind one query. Every engine fills SearchResult::trace on
 // every Search() call — it is the one per-query record; the stage
 // timings come from obs::Span (obs/span.h), the one stage timer, whose
-// clock reads also time the span of a sampled request.
+// clock reads also time the span of a sampled request. It is also the
+// one source of search metrics: the serving dispatcher adds each
+// completed request's trace to /metrics as `search.<field>` (a counter
+// per funnel field, a histogram per stage timing), so the field names
+// below are the metric names too.
 //
 // The counter fields are *deterministic*: for a given engine, query,
 // index and options they are identical at every SearchOptions::threads
@@ -14,6 +18,7 @@
 #ifndef CAFE_OBS_TRACE_H_
 #define CAFE_OBS_TRACE_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -68,6 +73,19 @@ struct SearchTrace {
   double post_micros = 0.0;
   double total_micros = 0.0;
 
+  /// One field of the record: its name (the JSON key, and the metric
+  /// name after `search.`) and its member.
+  template <typename T>
+  struct Field {
+    const char* name;
+    T SearchTrace::*member;
+  };
+  /// Every field, listed once: the funnel counters in CountersJson
+  /// order and the stage timings in ToJson order. Merge, the JSON
+  /// renderers and the dispatcher's search.* metrics all walk these.
+  static const std::array<Field<uint64_t>, 16> kCounters;
+  static const std::array<Field<double>, 5> kTimings;
+
   /// Field-wise accumulation; merge order does not affect the result.
   void Merge(const SearchTrace& other);
 
@@ -75,8 +93,9 @@ struct SearchTrace {
   /// byte-identical across thread counts for the same work.
   std::string CountersJson() const;
 
-  /// {"counters": …, "timings_us": {"coarse":…, "fine":…, "post":…,
-  ///  "total":…}}
+  /// {"counters": …, "timings_us": {"coarse":…, "chain":…, "fine":…,
+  ///  "post":…, "total":…}} — each timing keyed by its field name
+  /// without the `_micros` suffix.
   std::string ToJson() const;
 
   /// Human-readable multi-line rendering (the CLI's --stats output).

@@ -1,20 +1,13 @@
 #include "search/chain.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "index/inverted_index.h"
 #include "index/seed_extract.h"
-#include "obs/metrics.h"
 #include "obs/span.h"
 
 namespace cafe {
 namespace {
-
-std::atomic<obs::Counter*> g_invocations{nullptr};
-std::atomic<obs::Counter*> g_anchors{nullptr};
-std::atomic<obs::Counter*> g_kept{nullptr};
-std::atomic<obs::Counter*> g_dropped{nullptr};
 
 // Length of the longest collinear chain: anchors usable one after
 // another with strictly increasing query AND subject positions.
@@ -76,52 +69,13 @@ ChainOutcome ChainCandidates(std::string_view /*query*/,
     }
   }
 
-  const uint64_t dropped = candidates.size() - out.kept.size();
   if (trace != nullptr) {
     trace->chain_candidates_in += candidates.size();
     trace->chain_anchors += total_anchors;
     trace->chain_candidates_kept += out.kept.size();
-    trace->chain_candidates_dropped += dropped;
+    trace->chain_candidates_dropped += candidates.size() - out.kept.size();
   }
-  internal::RecordChain(total_anchors, out.kept.size(), dropped);
   return out;
 }
-
-void AttachChainMetrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    g_invocations.store(nullptr, std::memory_order_release);
-    g_anchors.store(nullptr, std::memory_order_release);
-    g_kept.store(nullptr, std::memory_order_release);
-    g_dropped.store(nullptr, std::memory_order_release);
-    return;
-  }
-  g_invocations.store(registry->GetCounter("chain.invocations"),
-                      std::memory_order_release);
-  g_anchors.store(registry->GetCounter("chain.anchors"),
-                  std::memory_order_release);
-  g_kept.store(registry->GetCounter("chain.candidates_kept"),
-               std::memory_order_release);
-  g_dropped.store(registry->GetCounter("chain.candidates_dropped"),
-                  std::memory_order_release);
-}
-
-namespace internal {
-
-void RecordChain(uint64_t anchors, uint64_t kept, uint64_t dropped) {
-  obs::Counter* invocations = g_invocations.load(std::memory_order_acquire);
-  if (invocations == nullptr) return;
-  invocations->Increment();
-  if (anchors != 0) {
-    g_anchors.load(std::memory_order_acquire)->Add(anchors);
-  }
-  if (kept != 0) {
-    g_kept.load(std::memory_order_acquire)->Add(kept);
-  }
-  if (dropped != 0) {
-    g_dropped.load(std::memory_order_acquire)->Add(dropped);
-  }
-}
-
-}  // namespace internal
 
 }  // namespace cafe

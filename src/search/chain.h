@@ -29,10 +29,6 @@
 
 namespace cafe {
 
-namespace obs {
-class MetricsRegistry;
-}  // namespace obs
-
 /// Output of the chaining stage.
 struct ChainOutcome {
   /// Surviving candidates, in the coarse ranking's order.
@@ -52,27 +48,15 @@ struct ChainOutcome {
 /// carry. Passes every candidate through untouched (traceback_band =
 /// options.band) when chaining is off, there are no candidates, or they
 /// carry no anchors (hit-count ranking, or an index without positions);
-/// when active, records the chain.* funnel into `trace` (chain_micros,
-/// chain_candidates_in/anchors/kept/dropped) and the process-wide
-/// chain.* counters. Deterministic: depends only on (index, candidates,
-/// options), never on thread count; `query` is not read.
+/// when active, records the chaining funnel into `trace` (chain_micros,
+/// chain_candidates_in/anchors/kept/dropped), the one record of this
+/// stage. Deterministic: depends only on (index, candidates, options),
+/// never on thread count; `query` is not read.
 ChainOutcome ChainCandidates(std::string_view query,
                              std::vector<CoarseCandidate> candidates,
                              const PostingSource& index,
                              const SearchOptions& options,
                              obs::SearchTrace* trace);
-
-/// Mirrors the chaining stage's process-wide counters into `registry`
-/// (chain.invocations, chain.anchors, chain.candidates_kept,
-/// chain.candidates_dropped). Null detaches. Same idiom as
-/// AttachAlignSimdMetrics: relaxed-atomic counter pointers, zero cost
-/// when detached.
-void AttachChainMetrics(obs::MetricsRegistry* registry);
-
-namespace internal {
-/// Hot-path hook behind AttachChainMetrics; no-op when detached.
-void RecordChain(uint64_t anchors, uint64_t kept, uint64_t dropped);
-}  // namespace internal
 
 }  // namespace cafe
 

@@ -18,6 +18,11 @@ std::string HexFingerprint(const std::string& key) {
   return out;
 }
 
+// Whole microseconds between two span-clock stamps.
+uint64_t Micros(uint64_t begin_ns, uint64_t end_ns) {
+  return (end_ns - begin_ns) / 1000;
+}
+
 }  // namespace
 
 Dispatcher::Dispatcher(SearchEngine* engine,
@@ -36,6 +41,14 @@ Dispatcher::Dispatcher(SearchEngine* engine,
     queue_wait_micros_ = m->GetHistogram("server.queue_wait_micros");
     search_micros_ = m->GetHistogram("server.search_micros");
     request_micros_ = m->GetHistogram("server.request_micros");
+    for (size_t i = 0; i < search_counters_.size(); ++i) {
+      search_counters_[i] = m->GetCounter(
+          std::string("search.") + obs::SearchTrace::kCounters[i].name);
+    }
+    for (size_t i = 0; i < search_histograms_.size(); ++i) {
+      search_histograms_[i] = m->GetHistogram(
+          std::string("search.") + obs::SearchTrace::kTimings[i].name);
+    }
   }
   const uint32_t workers = std::max<uint32_t>(options_.workers, 1);
   workers_.reserve(workers);
@@ -50,6 +63,7 @@ Result<SearchResult> Dispatcher::Execute(const SearchRequest& request,
                                          bool* sampled) {
   if (sampled != nullptr) *sampled = false;
   auto pending = std::make_shared<Pending>();
+  pending->admitted_ns = obs::SpanRecorder::NowNanos();
   pending->query = request.query;
   pending->options = request.ToSearchOptions();
   pending->options.threads = options_.search_threads;
@@ -90,10 +104,6 @@ Result<SearchResult> Dispatcher::Execute(const SearchRequest& request,
     if (queue_depth_ != nullptr) queue_depth_->Record(queue_.size());
     work_cv_.NotifyOne();
     while (!pending->done) done_cv_.Wait(&mu_);
-  }
-  if (request_micros_ != nullptr) {
-    request_micros_->Record(
-        static_cast<uint64_t>(pending->admitted.Micros()));
   }
   // Reported only for requests that completed (a rejected request's
   // recorder never reached the span store).
@@ -152,10 +162,11 @@ void Dispatcher::WorkerLoop() {
 void Dispatcher::RunBatch(std::vector<std::shared_ptr<Pending>> batch) {
   if (batches_ != nullptr) batches_->Increment();
   if (batch_size_ != nullptr) batch_size_->Record(batch.size());
+  const uint64_t dispatched_ns = obs::SpanRecorder::NowNanos();
   for (const auto& p : batch) {
-    p->queue_micros = static_cast<uint64_t>(p->admitted.Micros());
+    p->dispatched_ns = dispatched_ns;
     if (queue_wait_micros_ != nullptr) {
-      queue_wait_micros_->Record(p->queue_micros);
+      queue_wait_micros_->Record(Micros(p->admitted_ns, dispatched_ns));
     }
     // queue.wait ends for every member at dispatch — including the
     // queue-expired ones, whose timeline is queue wait and nothing
@@ -199,11 +210,12 @@ void Dispatcher::RunBatch(std::vector<std::shared_ptr<Pending>> batch) {
     span_ptrs.push_back(p->spans.get());
   }
 
-  WallTimer search_timer;
+  const uint64_t search_begin_ns = obs::SpanRecorder::NowNanos();
   Result<std::vector<SearchResult>> results = engine_->BatchSearch(
       queries, live.front()->options, &deadlines, &span_ptrs);
   if (search_micros_ != nullptr) {
-    search_micros_->Record(static_cast<uint64_t>(search_timer.Micros()));
+    search_micros_->Record(
+        Micros(search_begin_ns, obs::SpanRecorder::NowNanos()));
   }
 
   if (results.ok()) {
@@ -231,14 +243,12 @@ void Dispatcher::RunBatch(std::vector<std::shared_ptr<Pending>> batch) {
 
 void Dispatcher::Complete(const std::shared_ptr<Pending>& p, Status status,
                           SearchResult result) {
-  if (result.truncated && deadline_exceeded_ != nullptr) {
-    deadline_exceeded_->Increment();
-  }
+  p->completed_ns = obs::SpanRecorder::NowNanos();
   // Until `done` is published below, the worker exclusively owns *p —
-  // so the record can be assembled and handed to the recorder with no
-  // lock held at all, and the ordering guarantee still stands: the
-  // moment the waiter can observe done (it re-acquires mu_ to read
-  // it), the record has already landed. Keeping FlightRecorder::Record
+  // so the metrics and the record can be assembled and handed over
+  // with no lock held at all, and the ordering guarantee still stands:
+  // the moment the waiter can observe done (it re-acquires mu_ to read
+  // it), both have already landed. Keeping FlightRecorder::Record
   // outside the critical section means its slot spinlock and slow-log
   // mutex never nest under mu_.
   p->status = std::move(status);
@@ -251,6 +261,7 @@ void Dispatcher::Complete(const std::shared_ptr<Pending>& p, Status status,
     p->spans->EndSpan(p->batch_span);
     p->spans->EndSpan(p->root_span);
   }
+  RecordMetrics(*p);
   RecordFlight(*p);
   if (p->spans != nullptr && options_.span_store != nullptr) {
     options_.span_store->Put(*p->spans);
@@ -262,13 +273,28 @@ void Dispatcher::Complete(const std::shared_ptr<Pending>& p, Status status,
   done_cv_.NotifyAll();
 }
 
+void Dispatcher::RecordMetrics(const Pending& p) {
+  if (options_.metrics == nullptr) return;
+  if (p.result.truncated) deadline_exceeded_->Increment();
+  request_micros_->Record(Micros(p.admitted_ns, p.completed_ns));
+  const obs::SearchTrace& trace = p.result.trace;
+  if (trace.queries == 0) return;
+  for (size_t i = 0; i < search_counters_.size(); ++i) {
+    search_counters_[i]->Add(trace.*obs::SearchTrace::kCounters[i].member);
+  }
+  for (size_t i = 0; i < search_histograms_.size(); ++i) {
+    search_histograms_[i]->Record(static_cast<uint64_t>(
+        trace.*obs::SearchTrace::kTimings[i].member));
+  }
+}
+
 void Dispatcher::RecordFlight(const Pending& p) {
   if (options_.flight == nullptr) return;
   obs::FlightRecord record;
   record.trace_id = p.trace_id;
   record.options_key = HexFingerprint(p.key);
-  record.queue_micros = p.queue_micros;
-  record.total_micros = static_cast<uint64_t>(p.admitted.Micros());
+  record.queue_micros = Micros(p.admitted_ns, p.dispatched_ns);
+  record.total_micros = Micros(p.admitted_ns, p.completed_ns);
   record.trace = p.result.trace;
   record.hits = static_cast<uint32_t>(p.result.hits.size());
   record.status_code = StatusCodeToWire(p.status);

@@ -17,10 +17,19 @@
 // Stop() is a graceful drain: new requests are rejected, every already
 // admitted request still completes, then the workers exit. The
 // destructor calls Stop().
+//
+// Accounting. The dispatcher is where a request's numbers reach
+// /metrics: each completed request adds its own SearchResult::trace as
+// the search.* counters and stage histograms, and its latency, from
+// span-clock stamps (obs::SpanRecorder::NowNanos) taken at admission,
+// dispatch and completion, as server.queue_wait_micros and
+// server.request_micros. Its flight record carries the same trace and
+// the same stamps, so /metrics and /flightz agree.
 
 #ifndef CAFE_SERVER_DISPATCHER_H_
 #define CAFE_SERVER_DISPATCHER_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -34,7 +43,6 @@
 #include "server/protocol.h"
 #include "util/deadline.h"
 #include "util/mutex.h"
-#include "util/timer.h"
 
 namespace cafe::server {
 
@@ -57,8 +65,8 @@ struct DispatcherOptions {
   /// turning it on changes cost, not results — see search/chain.h.
   ChainMode chain_mode = ChainMode::kOff;
   uint32_t min_chain_score = 2;
-  /// When non-null, the dispatcher records the server.* metrics here
-  /// (catalogue in docs/OBSERVABILITY.md).
+  /// When non-null, the dispatcher records the server.* and search.*
+  /// metrics here (catalogue in docs/OBSERVABILITY.md).
   obs::MetricsRegistry* metrics = nullptr;
   /// When non-null, every completed request — including queue-expired
   /// and failed ones — leaves one FlightRecord here: trace id, options
@@ -118,8 +126,11 @@ class Dispatcher {
     Deadline deadline;
     std::string key;        // OptionsKey() of the originating request
     uint64_t trace_id = 0;  // wire trace id, 0 when the caller sent none
-    WallTimer admitted;     // queue-wait + end-to-end latency clock
-    uint64_t queue_micros = 0;    // stamped when the batch is dispatched
+    // Span-clock stamps (SpanRecorder::NowNanos): queue wait is
+    // dispatched - admitted, end-to-end is completed - admitted.
+    uint64_t admitted_ns = 0;
+    uint64_t dispatched_ns = 0;
+    uint64_t completed_ns = 0;
     bool deadline_expired = false;  // budget spent before dispatch
     // Span timeline of a sampled request (null otherwise). The
     // recorder rides the same ownership protocol as the other fields:
@@ -140,10 +151,15 @@ class Dispatcher {
   /// request. `batch` is non-empty and shares one options key.
   void RunBatch(std::vector<std::shared_ptr<Pending>> batch)
       CAFE_EXCLUDES(mu_);
-  /// Records `p`'s flight record (outside any lock), then publishes
-  /// `done` under mu_ and wakes the waiter.
+  /// Records `p`'s metrics and flight record (outside any lock), then
+  /// publishes `done` under mu_ and wakes the waiter.
   void Complete(const std::shared_ptr<Pending>& p, Status status,
                 SearchResult result) CAFE_EXCLUDES(mu_);
+  /// Adds `p`'s latency and its trace to the registry, when one is
+  /// attached. A trace with no strand pass (a failed or queue-expired
+  /// request) adds nothing. Called exactly once per request, from
+  /// Complete(), before `done` is published.
+  void RecordMetrics(const Pending& p) CAFE_EXCLUDES(mu_);
   /// Leaves `p`'s FlightRecord with the recorder, when one is attached.
   /// Called exactly once per request, from Complete(), before `done`
   /// is published — so no lock is held and none is needed: the worker
@@ -175,6 +191,11 @@ class Dispatcher {
   obs::Histogram* queue_wait_micros_ = nullptr;
   obs::Histogram* search_micros_ = nullptr;
   obs::Histogram* request_micros_ = nullptr;
+  // search.<field>, in SearchTrace::kCounters / kTimings order.
+  std::array<obs::Counter*, obs::SearchTrace::kCounters.size()>
+      search_counters_{};
+  std::array<obs::Histogram*, obs::SearchTrace::kTimings.size()>
+      search_histograms_{};
 };
 
 }  // namespace cafe::server

@@ -182,8 +182,10 @@ TEST(BatchSearchTest, ParallelIndexBuildMatchesSequentialBytes) {
   Fixture f = MakeFixture(/*num_queries=*/1);
   IndexOptions iopt;
   iopt.interval_length = 8;
+  const uint32_t n = f.collection.NumSequences();
   Result<InvertedIndex> parallel =
-      IndexBuilder::BuildParallel(f.collection, iopt, /*threads=*/4);
+      BuildSharded(f.collection, iopt, /*docs_per_shard=*/(n + 3) / 4,
+                   /*threads=*/4);
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
 
   std::string sequential_bytes, parallel_bytes;

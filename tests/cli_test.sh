@@ -28,6 +28,11 @@ grep -q "interval" "$DIR/log"
 grep -q "postings" "$DIR/log"
 cmp "$DIR/db.idx" "$DIR/db2.idx"
 
+# --threads alone builds one shard per worker: the same file again.
+"$CLI" build --fasta "$DIR/db.fa" --collection "$DIR/db3.col" \
+    --index "$DIR/db3.idx" --interval 8 --threads 4 > "$DIR/log" 2>&1
+cmp "$DIR/db.idx" "$DIR/db3.idx"
+
 # Excise a query from the generated FASTA (second line = first sequence).
 QUERY="$(sed -n '2p' "$DIR/db.fa" | cut -c1-60)"
 "$CLI" search --collection "$DIR/db.col" --index "$DIR/db.idx" \

@@ -42,7 +42,9 @@ class Gate {
 };
 
 // Concurrent-safe engine that waits on a gate, counts entries, and
-// echoes the query length back as the hit score.
+// echoes the query length back as the hit score. Its trace gives every
+// field a distinct value scaled by the query length, so sums over
+// requests tell the fields and the requests apart; "NNNN" fails.
 class StubEngine : public SearchEngine {
  public:
   explicit StubEngine(Gate* gate = nullptr) : gate_(gate) {}
@@ -58,6 +60,16 @@ class StubEngine : public SearchEngine {
     if (options.deadline != nullptr && options.deadline->Expired()) {
       result.truncated = true;
       return result;
+    }
+    if (query == "NNNN") return Status::InvalidArgument("stub rejects NNNN");
+    const auto& counters = obs::SearchTrace::kCounters;
+    for (size_t k = 0; k < counters.size(); ++k) {
+      result.trace.*counters[k].member = (k + 1) * query.size();
+    }
+    result.trace.queries = 1;
+    const auto& timings = obs::SearchTrace::kTimings;
+    for (size_t k = 0; k < timings.size(); ++k) {
+      result.trace.*timings[k].member = (k + 1) * query.size() + 0.75;
     }
     SearchHit hit;
     hit.seq_id = static_cast<uint32_t>(query.size());
@@ -292,6 +304,97 @@ TEST(DispatcherTest, QueueExpiredRequestLeavesDeadlineExpiredRecord) {
     EXPECT_EQ(r.hits, 0u);
   }
   EXPECT_TRUE(found);
+}
+
+// /metrics and /flightz tell one story: each request's own trace is
+// added once to the search.* metrics, so every counter is the sum of
+// its field over the flight records, and every stage histogram holds
+// one sample per request that reached the engine. A queue-expired and
+// a failed request carry empty traces and add nothing.
+TEST(DispatcherTest, SearchMetricsSumTheFlightRecords) {
+  Gate gate;
+  StubEngine engine(&gate);
+  obs::MetricsRegistry metrics;
+  obs::FlightRecorder flight({.capacity = 16});
+  DispatcherOptions options;
+  options.workers = 1;
+  options.metrics = &metrics;
+  options.flight = &flight;
+  Dispatcher dispatcher(&engine, options);
+
+  std::vector<std::thread> threads;
+  threads.emplace_back(
+      [&] { EXPECT_TRUE(dispatcher.Execute(Req("AAAA")).ok()); });
+  WaitUntil([&] { return engine.entered() == 1; });
+  SearchRequest doomed = Req("CCCC");
+  doomed.deadline_millis = 1;
+  threads.emplace_back([&] {
+    Result<SearchResult> r = dispatcher.Execute(doomed);
+    EXPECT_TRUE(r.ok() && r->truncated);
+  });
+  WaitUntil([&] { return dispatcher.QueueDepth() == 1; });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  gate.Open();
+  for (std::thread& t : threads) t.join();
+  for (const char* q : {"ACG", "ACGTACGTAC", "ACGTA", "ACGTACGTACGTACG"}) {
+    EXPECT_TRUE(dispatcher.Execute(Req(q)).ok()) << q;
+  }
+  EXPECT_FALSE(dispatcher.Execute(Req("NNNN")).ok());
+
+  const std::vector<obs::FlightRecord> records = flight.Recent(16);
+  ASSERT_EQ(records.size(), 7u);
+  uint64_t searched = 0;
+  for (const obs::FlightRecord& r : records) {
+    if (r.trace.queries > 0) ++searched;
+  }
+  ASSERT_EQ(searched, 5u);  // not the queue-expired or the failed one
+
+  const obs::MetricsSnapshot snap = metrics.SnapshotData();
+  for (const auto& f : obs::SearchTrace::kCounters) {
+    uint64_t want = 0;
+    for (const obs::FlightRecord& r : records) want += r.trace.*f.member;
+    const std::string name = std::string("search.") + f.name;
+    ASSERT_EQ(snap.counters.count(name), 1u) << name;
+    EXPECT_EQ(snap.counters.at(name), want) << name;
+  }
+  for (const auto& f : obs::SearchTrace::kTimings) {
+    uint64_t want_sum = 0;
+    for (const obs::FlightRecord& r : records) {
+      if (r.trace.queries > 0) {
+        want_sum += static_cast<uint64_t>(r.trace.*f.member);
+      }
+    }
+    const std::string name = std::string("search.") + f.name;
+    ASSERT_EQ(snap.histograms.count(name), 1u) << name;
+    EXPECT_EQ(snap.histograms.at(name).count, searched) << name;
+    EXPECT_EQ(snap.histograms.at(name).sum, want_sum) << name;
+  }
+}
+
+// One clock: the server.* latency histograms and the flight record are
+// read from the same admission, dispatch and completion stamps.
+TEST(DispatcherTest, LatencyMetricsMatchTheFlightRecord) {
+  StubEngine engine;
+  obs::MetricsRegistry metrics;
+  obs::FlightRecorder flight({.capacity = 4});
+  DispatcherOptions options;
+  options.metrics = &metrics;
+  options.flight = &flight;
+  Dispatcher dispatcher(&engine, options);
+  ASSERT_TRUE(dispatcher.Execute(Req("ACGTACGT")).ok());
+
+  const std::vector<obs::FlightRecord> records = flight.Recent(4);
+  ASSERT_EQ(records.size(), 1u);
+  const obs::MetricsSnapshot snap = metrics.SnapshotData();
+  const obs::Histogram::Snapshot& request =
+      snap.histograms.at("server.request_micros");
+  const obs::Histogram::Snapshot& queue =
+      snap.histograms.at("server.queue_wait_micros");
+  EXPECT_EQ(request.count, 1u);
+  EXPECT_EQ(request.sum, records[0].total_micros);
+  EXPECT_EQ(queue.count, 1u);
+  EXPECT_EQ(queue.sum, records[0].queue_micros);
+  EXPECT_GE(records[0].total_micros, records[0].queue_micros);
 }
 
 TEST(DispatcherTest, StopDrainsAdmittedRequests) {

@@ -150,6 +150,47 @@ TEST(SearchTraceTest, CountersJsonExcludesTimings) {
   EXPECT_NE(t.ToJson().find("\"timings_us\""), std::string::npos);
 }
 
+// The renderers walk the field table; a golden document for a trace
+// whose fields all differ pins their order, names and number format.
+TEST(SearchTraceTest, JsonRenderingIsGolden) {
+  obs::SearchTrace t;
+  t.queries = 1;
+  t.intervals_extracted = 2;
+  t.terms_distinct = 3;
+  t.terms_unindexed = 4;
+  t.postings_lists_touched = 5;
+  t.postings_decoded = 6;
+  t.candidates_ranked = 7;
+  t.candidates_kept = 8;
+  t.candidates_discarded = 9;
+  t.chain_candidates_in = 10;
+  t.chain_anchors = 11;
+  t.chain_candidates_kept = 12;
+  t.chain_candidates_dropped = 13;
+  t.candidates_aligned = 14;
+  t.cells_computed = 15;
+  t.hits_reported = 18446744073709551615u;
+  t.coarse_micros = 1.5;
+  t.chain_micros = 22.4;
+  t.fine_micros = 333.3;
+  t.post_micros = 4444.44;
+  t.total_micros = 55555.54;
+  const std::string counters =
+      "{\"queries\":1,\"intervals_extracted\":2,\"terms_distinct\":3,"
+      "\"terms_unindexed\":4,\"postings_lists_touched\":5,"
+      "\"postings_decoded\":6,\"candidates_ranked\":7,"
+      "\"candidates_kept\":8,\"candidates_discarded\":9,"
+      "\"chain_candidates_in\":10,\"chain_anchors\":11,"
+      "\"chain_candidates_kept\":12,\"chain_candidates_dropped\":13,"
+      "\"candidates_aligned\":14,\"cells_computed\":15,"
+      "\"hits_reported\":18446744073709551615}";
+  EXPECT_EQ(t.CountersJson(), counters);
+  EXPECT_EQ(t.ToJson(),
+            "{\"counters\":" + counters +
+                ",\"timings_us\":{\"coarse\":1.5,\"chain\":22.4,"
+                "\"fine\":333.3,\"post\":4444.4,\"total\":55555.5}}");
+}
+
 // ---------------------------------------------------------------------
 // Determinism: the SearchTrace counters must be byte-identical at every
 // thread count — the per-worker sums commute, and each query's trace

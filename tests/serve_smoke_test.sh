@@ -5,7 +5,8 @@
 # concurrent clients), follow one trace id from the loadgen report
 # into /slowz and its span timeline out of /tracez (validated as
 # loadable Chrome trace JSON by tools/tracecheck.py), validate
-# /metrics as Prometheus text exposition, fetch the stats document,
+# /metrics as Prometheus text exposition and check its search.*
+# metrics against the /flightz records, fetch the stats document,
 # then SIGTERM the server and require a clean (exit 0) graceful
 # shutdown.
 # Run by ctest as: serve_smoke_test.sh <cafe_cli> <cafe_serve> <cafe_loadgen>
@@ -171,6 +172,29 @@ if [ "$HAVE_PYTHON" -eq 1 ]; then
   fetch "http://127.0.0.1:$HTTP_PORT/flightz" > "$DIR/flightz.json"
   grep -q '"records"' "$DIR/flightz.json"
   python3 -m json.tool "$DIR/flightz.json" > /dev/null
+
+  # /metrics and /flightz tell one story. The two loadgen runs sent 64
+  # requests and --flight-capacity is 64, so the ring holds every one:
+  # each search.* counter is the sum of its trace field over the
+  # records, and each stage histogram has one sample per record whose
+  # request reached the engine.
+  python3 - "$DIR/metrics.txt" "$DIR/flightz.json" << 'EOF'
+import json, sys
+metrics = {}
+for line in open(sys.argv[1]):
+    if line.startswith("cafe_search_"):
+        name, value = line.split()
+        metrics[name] = int(value)
+records = json.load(open(sys.argv[2]))["records"]
+assert len(records) == 64, len(records)
+for field in records[0]["trace"]["counters"]:
+    want = sum(r["trace"]["counters"][field] for r in records)
+    got = metrics["cafe_search_%s_total" % field]
+    assert got == want, (field, got, want)
+searched = sum(1 for r in records if r["trace"]["counters"]["queries"] > 0)
+got = metrics["cafe_search_total_micros_count"]
+assert got == searched, ("cafe_search_total_micros_count", got, searched)
+EOF
 
   # The full loop: the slowest trace id the *client* printed must be in
   # the server's slow log, with the complete pruning funnel attached.

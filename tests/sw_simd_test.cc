@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "align/smith_waterman.h"
-#include "obs/metrics.h"
 #include "search/partitioned.h"
 #include "sim/workload.h"
 #include "util/random.h"
@@ -161,23 +160,6 @@ TEST(SwSimdTest, QuerySwitchRebuildsProfile) {
   }
 }
 
-TEST(SwSimdTest, MetricsCountDispatch) {
-  obs::MetricsRegistry registry;
-  AttachAlignSimdMetrics(&registry);
-  ScoringScheme scheme;
-  Aligner aligner(scheme);
-  aligner.set_simd_level(DetectCpuSimdLevel());
-  aligner.ScoreOnly("ACGTACGT", "ACGTACGT");
-  aligner.set_simd_level(SimdLevel::kScalar);
-  aligner.ScoreOnly("ACGTACGT", "ACGTACGT");
-  obs::MetricsSnapshot snap = registry.SnapshotData();
-  if (DetectCpuSimdLevel() != SimdLevel::kScalar) {
-    EXPECT_EQ(snap.counters["align.striped_scores"], 1u);
-  }
-  EXPECT_GE(snap.counters["align.scalar_scores"], 1u);
-  AttachAlignSimdMetrics(nullptr);
-}
-
 // Engine-level oracle: PartitionedSearch's parallel fine phase must
 // produce byte-identical top-hit sets at every tier x thread count.
 TEST(SwSimdTest, PartitionedTopHitsIdenticalAcrossTiers) {
@@ -236,11 +218,8 @@ TEST(SwSimdTest, PartitionedTopHitsIdenticalAcrossTiers) {
 }
 
 // Concurrency hammer for TSan: distinct Aligner instances (the
-// per-worker contract) scoring striped concurrently, with metrics
-// attached so the striped counters take the lock-free path in parallel.
+// per-worker contract) scoring striped concurrently.
 TEST(SwSimdTest, ConcurrentAlignersAreIndependent) {
-  obs::MetricsRegistry registry;
-  AttachAlignSimdMetrics(&registry);
   ScoringScheme scheme;
   Rng seed_rng(33);
   std::string q = RandomSeq(100, "ACGT", &seed_rng);
@@ -269,7 +248,6 @@ TEST(SwSimdTest, ConcurrentAlignersAreIndependent) {
   }
   for (std::thread& t : workers) t.join();
   for (int w = 0; w < 4; ++w) EXPECT_EQ(fails[w], 0) << "worker " << w;
-  AttachAlignSimdMetrics(nullptr);
 }
 
 }  // namespace

@@ -34,7 +34,6 @@
 #include <string>
 
 #include "align/statistics.h"
-#include "align/sw_simd.h"
 #include "alphabet/nucleotide.h"
 #include "collection/collection.h"
 #include "collection/genbank.h"
@@ -47,11 +46,11 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace.h"
-#include "search/chain.h"
 #include "search/partitioned.h"
 #include "sim/generator.h"
 #include "util/flags.h"
 #include "util/stringutil.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 #include "util/version.h"
 
@@ -178,14 +177,18 @@ Status CmdBuild(FlagParser& flags) {
   obs::MetricsRegistry registry;
   if (!stats_mode->empty()) options.metrics = &registry;
   WallTimer timer;
+  // --shards N builds N shards, and --threads alone one shard per
+  // worker; stopping is a whole-collection decision, so a stopped index
+  // is otherwise built directly. Every path yields the same index.
+  uint32_t parts = std::max<uint32_t>(shards, 1);
+  if (parts == 1 && threads != 1 && options.stop_doc_fraction >= 1.0) {
+    parts = threads == 0 ? ThreadPool::HardwareThreads() : threads;
+  }
+  const uint32_t docs_per_shard =
+      std::max<uint32_t>(1, (col->NumSequences() + parts - 1) / parts);
   Result<InvertedIndex> index =
-      shards > 1
-          ? BuildSharded(*col, options,
-                         (col->NumSequences() + shards - 1) / shards,
-                         threads)
-          : (threads != 1
-                 ? IndexBuilder::BuildParallel(*col, options, threads)
-                 : IndexBuilder::Build(*col, options));
+      parts > 1 ? BuildSharded(*col, options, docs_per_shard, threads)
+                : IndexBuilder::Build(*col, options);
   if (!index.ok()) return index.status();
   CAFE_RETURN_IF_ERROR(col->Save(col_path));
   CAFE_RETURN_IF_ERROR(index->Save(idx_path));
@@ -388,13 +391,9 @@ Status CmdSearch(FlagParser& flags, bool batch_mode) {
   Result<IndexReader> reader = IndexReader::Open(idx_path, *index_mode);
   if (spans != nullptr) spans->EndSpan(open_span);
   if (!reader.ok()) return reader.status();
-  if (!stats_mode.empty()) {
-    reader->AttachMetrics(&registry);
-    // SIMD dispatch counters (align.*) ride along so the stats verb
-    // shows which tier served the alignment kernels.
-    AttachAlignSimdMetrics(&registry);
-    AttachChainMetrics(&registry);
-  }
+  // The per-query traces below are the search accounting; the metrics
+  // object holds the index's open-time facts.
+  if (!stats_mode.empty()) reader->AttachMetrics(&registry);
   const PostingSource* source = reader->source();
 
   std::vector<std::pair<std::string, std::string>> queries;  // (name, seq)

@@ -51,13 +51,11 @@
 #include <string>
 #include <thread>
 
-#include "align/sw_simd.h"
 #include "collection/collection.h"
 #include "index/index_reader.h"
 #include "obs/flight.h"
 #include "obs/log.h"
 #include "obs/span.h"
-#include "search/chain.h"
 #include "search/partitioned.h"
 #include "server/http.h"
 #include "server/server.h"
@@ -261,16 +259,10 @@ Status Run(FlagParser& flags) {
   options.dispatcher.span_store = &span_store;
   server::Server server(&engine, options);
   obs::MetricsRegistry* metrics = server.metrics();
-  // Index read-path counters (mmap_index.*) join the server registry
-  // so they surface on /metrics and the stats verb. Attach before
-  // Start: queries may be in flight afterwards.
+  // The mapped index's open-time facts (mmap_index.*) join the server
+  // registry so they surface on /metrics and the stats verb. Search
+  // work reaches it through the dispatcher (search.*).
   reader->AttachMetrics(metrics);
-  // SIMD dispatch counters (align.*) likewise: they show which tier is
-  // serving the fine alignments.
-  AttachAlignSimdMetrics(metrics);
-  // chain.* counters: the middle-stage funnel (invocations, anchors,
-  // kept/dropped candidates) for the /metrics page.
-  AttachChainMetrics(metrics);
   CAFE_RETURN_IF_ERROR(server.Start());
   server::HttpOptions http_options;
   http_options.bind_address = options.bind_address;

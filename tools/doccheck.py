@@ -9,11 +9,17 @@ name. This check keeps that true in both directions, grep-style:
                 in docs/OBSERVABILITY.md — and so must the Prometheus
                 name it exports as on /metrics (`cafe_` prefix, dots to
                 underscores, `_total` suffix for counters; the mapping
-                in MetricsRegistry::SnapshotPrometheus)
+                in MetricsRegistry::SnapshotPrometheus). The search.*
+                metrics have no literals: the dispatcher records one
+                per SearchTrace field, so their names come from the
+                fields declared in src/obs/trace.h — `search.<field>`,
+                a counter for each uint64_t field and a histogram for
+                each double *_micros field
   doc -> code   every metric name in the catalogue tables (rows of the
-                form `| `name` | ...`) must appear as such a literal,
-                and every documented Prometheus name (`cafe_...` in
-                backticks) must be one a code metric actually exports
+                form `| `name` | ...`) must appear as such a literal or
+                SearchTrace field, and every documented Prometheus name
+                (`cafe_...` in backticks) must be one a code metric
+                actually exports
 
 docs/OBSERVABILITY.md also claims to catalogue every span name a
 timeline can contain (the `/tracez` view). Same bidirectional
@@ -61,6 +67,11 @@ DOC_ROW_RE = re.compile(
     r"^\|\s*`([a-z0-9_]+\.[a-z0-9_]+)`\s*\|\s*(?:counter|histogram)\s*\|")
 DOC_PROM_RE = re.compile(r"`(cafe_[a-z0-9_]+)`")
 DOC_PATH = "docs/OBSERVABILITY.md"
+
+TRACE_PATH = "src/obs/trace.h"
+# SearchTrace's data members: `uint64_t queries = 0;`,
+# `double coarse_micros = 0.0;`.
+TRACE_FIELD_RE = re.compile(r"^\s*(uint64_t|double)\s+(\w+)\s*=", re.M)
 
 # Span recording sites: explicit StartSpan/AddSpan calls plus the RAII
 # wrapper (`obs::Span span(recorder, "name")`, optionally followed by
@@ -123,6 +134,22 @@ def code_metric_names(root):
                     for kind, metric in GET_RE.findall(f.read()):
                         names.setdefault(
                             metric, (kind, os.path.relpath(path, root)))
+    return names
+
+
+def trace_metric_names(root):
+    """{search.<field>: (kind, TRACE_PATH)} for the metrics the dispatcher
+    records from each request's SearchTrace."""
+    with open(os.path.join(root, TRACE_PATH), encoding="utf-8") as f:
+        text = f.read()
+    body = text[text.index("struct SearchTrace {"):]
+    body = body[:body.index("\n};")]
+    names = {}
+    for ctype, field in TRACE_FIELD_RE.findall(body):
+        if ctype == "uint64_t":
+            names["search." + field] = ("Counter", TRACE_PATH)
+        elif field.endswith("_micros"):
+            names["search." + field] = ("Histogram", TRACE_PATH)
     return names
 
 
@@ -284,6 +311,7 @@ def main():
         doc_text = f.read()
 
     in_code = code_metric_names(root)
+    in_code.update(trace_metric_names(root))
     in_doc = doc_metric_names(doc_text)
     problems = []
 
@@ -310,7 +338,8 @@ def main():
         if metric not in in_code:
             problems.append(
                 f"{DOC_PATH}: documents {metric!r} but no "
-                f"GetCounter/GetHistogram literal in src/ or tools/ uses it")
+                f"GetCounter/GetHistogram literal in src/ or tools/ uses "
+                f"it, and no SearchTrace field in {TRACE_PATH} names it")
     for prom in sorted(set(DOC_PROM_RE.findall(doc_text))):
         if prom not in exported and prom not in NON_METRIC_NAMES:
             problems.append(

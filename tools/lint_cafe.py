@@ -37,6 +37,12 @@ Checks that clang-tidy / compiler warnings cannot express:
                   ForEachPosting / ScanPostings — a query's postings are
                   decoded once, by the coarse pass, and later stages
                   (chaining) read what it carries on CoarseCandidate
+  no-engine-metrics  src/align/ and src/search/ never touch the metrics
+                  registry: no obs/metrics.h include, no GetCounter /
+                  GetHistogram, no obs::Counter / obs::Histogram.
+                  Per-query facts go on SearchTrace, and the serving
+                  layer (server/dispatcher.cc) records them, once per
+                  request
 
 Files under tools/ are binaries, not library code; only the fprintf
 rule applies there, and only to cafe_serve.cc (the long-running
@@ -65,6 +71,7 @@ RULE_SOCKET = "cafe-no-raw-socket"
 RULE_FPRINTF = "cafe-no-raw-fprintf"
 RULE_MUTEX = "cafe-no-raw-mutex"
 RULE_POSTINGS = "cafe-one-postings-pass"
+RULE_ENGINE_METRICS = "cafe-no-engine-metrics"
 
 THROW_RE = re.compile(r"\bthrow\b")
 # `new X`, `new (nothrow) X`, `new X[...]`; `delete p`, `delete[] p`.
@@ -82,6 +89,10 @@ MUTEX_RE = re.compile(
     r"shared_timed_)?mutex|lock_guard|unique_lock|scoped_lock|"
     r"shared_lock|condition_variable(?:_any)?)\b")
 POSTINGS_RE = re.compile(r"\b(?:ForEachPosting|ScanPostings)\s*\(")
+# Matched before string literals are stripped: the path is a literal.
+METRICS_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"obs/metrics\.h"')
+ENGINE_METRICS_RE = re.compile(
+    r"\bGet(?:Counter|Histogram)\s*\(|\bobs::(?:Counter|Histogram)\b")
 
 
 def strip_code_noise(line):
@@ -134,6 +145,7 @@ def lint_lines(relpath, lines, findings):
     chrono_scoped = relpath.startswith(("src/search/", "src/index/"))
     postings_scoped = (relpath.startswith("src/search/")
                        and relpath != "src/search/coarse.cc")
+    engine_scoped = relpath.startswith(("src/align/", "src/search/"))
     fprintf_scoped = (relpath.startswith("src/server/")
                       or relpath == "tools/cafe_serve.cc")
     # tools/ entries are binaries; only the fprintf rule applies there.
@@ -223,6 +235,11 @@ def lint_lines(relpath, lines, findings):
             report(RULE_POSTINGS,
                    "postings decoded outside the coarse pass; read the "
                    "anchors CoarseRanker::Rank carries instead")
+        if engine_scoped and (METRICS_INCLUDE_RE.search(line)
+                              or ENGINE_METRICS_RE.search(code)):
+            report(RULE_ENGINE_METRICS,
+                   "metrics registry in engine code; put the per-query "
+                   "fact on SearchTrace (the dispatcher records it)")
         prev_raw = raw
 
 
@@ -285,6 +302,34 @@ SELFTEST_CASES = [
     ("src/search/chain.cc",
      "index.ForEachPosting(term, fn);  // NOLINT(cafe-one-postings-pass)",
      None),
+    # The engines' metric mirrors that SearchTrace replaced.
+    ("src/search/chain.cc", '#include "obs/metrics.h"',
+     RULE_ENGINE_METRICS),
+    ("src/search/chain.cc", "std::atomic<obs::Counter*> g_kept{nullptr};",
+     RULE_ENGINE_METRICS),
+    ("src/search/chain.cc",
+     'g_kept.store(registry->GetCounter("chain.candidates_kept"),',
+     RULE_ENGINE_METRICS),
+    ("src/align/sw_simd.cc", '#include "obs/metrics.h"',
+     RULE_ENGINE_METRICS),
+    ("src/align/sw_simd.cc",
+     "std::atomic<obs::Counter*> g_striped_scores{nullptr};",
+     RULE_ENGINE_METRICS),
+    ("src/align/sw_simd.cc",
+     "obs::Counter* counter = g_striped_fallbacks.load();",
+     RULE_ENGINE_METRICS),
+    ("src/search/x.h", "obs::Histogram* latency_ = nullptr;",
+     RULE_ENGINE_METRICS),
+    ("src/search/x.cc", 'm->GetHistogram("x.micros")->Record(1);',
+     RULE_ENGINE_METRICS),
+    # The serving layer and the index's open-time facts may record.
+    ("src/server/dispatcher.cc", 'm->GetCounter("server.batches");', None),
+    ("src/index/index_io.cc", '#include "obs/metrics.h"', None),
+    ("src/search/x.cc", '#include "obs/trace.h"', None),
+    ("src/search/x.cc", "obs::SearchTrace* trace = nullptr;", None),
+    ("src/search/x.cc", "// no GetCounter( here: use SearchTrace", None),
+    ("src/align/x.cc",
+     '#include "obs/metrics.h"  // NOLINT(cafe-no-engine-metrics)', None),
     ("src/a/b.cc", "// std::thread belongs in thread_pool", None),
     ("src/a/b.cc", 'const char* s = "std::thread";', None),
     ("src/a/b.cc", "/* assert(x) */ int y = 0;", None),
