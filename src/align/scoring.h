@@ -33,6 +33,8 @@ struct ScoringScheme {
   int Score(char a, char b) const;
 
   Status Validate() const;
+
+  bool operator==(const ScoringScheme&) const = default;
 };
 
 }  // namespace cafe

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "util/mutex.h"
+
 namespace cafe {
 namespace {
 
@@ -17,6 +19,12 @@ constexpr uint8_t kHMask = 3;
 constexpr uint8_t kEExtend = 4;  // E came from E (not H)
 constexpr uint8_t kFExtend = 8;  // F came from F (not H)
 
+// PairScoreTable::Shared's one slot: the most recently requested
+// scheme and its table.
+Mutex g_table_mu;
+ScoringScheme g_table_scheme CAFE_GUARDED_BY(g_table_mu);
+std::shared_ptr<const PairScoreTable> g_table CAFE_GUARDED_BY(g_table_mu);
+
 }  // namespace
 
 PairScoreTable::PairScoreTable(const ScoringScheme& scheme) {
@@ -28,9 +36,21 @@ PairScoreTable::PairScoreTable(const ScoringScheme& scheme) {
   }
 }
 
+std::shared_ptr<const PairScoreTable> PairScoreTable::Shared(
+    const ScoringScheme& scheme) {
+  MutexLock lock(&g_table_mu);
+  if (g_table == nullptr || g_table_scheme != scheme) {
+    // Built under the lock, so concurrent first requests for one scheme
+    // build it once.
+    g_table = std::make_shared<const PairScoreTable>(scheme);
+    g_table_scheme = scheme;
+  }
+  return g_table;
+}
+
 Aligner::Aligner(const ScoringScheme& scheme)
     : scheme_(scheme),
-      table_(scheme),
+      table_(PairScoreTable::Shared(scheme)),
       simd_level_(ActiveSimdLevel()),
       striped_ok_(StripedScorer::Supported(scheme)),
       striped_(scheme) {}
@@ -41,7 +61,7 @@ int Aligner::ScoreOnly(std::string_view query, std::string_view target) const {
   if (m == 0 || n == 0) return 0;
   if (simd_level_ != SimdLevel::kScalar && striped_ok_) {
     int score = 0;
-    if (striped_.Score(table_, query, target, simd_level_, &score)) {
+    if (striped_.Score(*table_, query, target, simd_level_, &score)) {
       // Same accounting as the scalar loop, so stats and traces are
       // byte-identical across dispatch tiers.
       cells_ += static_cast<uint64_t>(m) * n;
@@ -58,7 +78,7 @@ int Aligner::ScoreOnly(std::string_view query, std::string_view target) const {
 
   int32_t best = 0;
   for (size_t i = 1; i <= m; ++i) {
-    const int16_t* score_row = table_.Row(query[i - 1]);
+    const int16_t* score_row = table_->Row(query[i - 1]);
     int32_t diag = 0;  // H[i-1][0]
     int32_t e = kNegInf;
     int32_t h_left = 0;  // H[i][j-1]
@@ -105,7 +125,7 @@ Result<LocalAlignment> Aligner::Align(std::string_view query,
   int32_t best = 0;
   size_t best_i = 0, best_j = 0;
   for (size_t i = 1; i <= m; ++i) {
-    const int16_t* score_row = table_.Row(query[i - 1]);
+    const int16_t* score_row = table_->Row(query[i - 1]);
     uint8_t* dir_row = dir.data() + (i - 1) * n;
     int32_t diag = 0;
     int32_t e = kNegInf;

@@ -3,20 +3,25 @@
 // Aligner bundles a scoring scheme with a precomputed 256x256 pair-score
 // table so the O(mn) inner loops are pure table lookups. One Aligner is
 // built per search worker and reused across every candidate sequence it
-// scores.
+// scores. Aligners built from equal schemes share one table
+// (PairScoreTable::Shared), so building an Aligner per query costs no
+// table build.
 //
 // Reentrancy contract (scratch-per-instance): the const query methods
 // mutate only this instance's DP scratch and cell counter, so distinct
 // Aligner instances are safe to use concurrently — the parallel fine
 // phase gives every worker thread its own Aligner and sums the
-// per-instance cell counts afterwards. A single instance must not be
-// shared across threads without external synchronization.
+// per-instance cell counts afterwards. The shared table is never
+// written after it is built, so instances that share it stay
+// independent. A single instance must not be shared across threads
+// without external synchronization.
 
 #ifndef CAFE_ALIGN_SMITH_WATERMAN_H_
 #define CAFE_ALIGN_SMITH_WATERMAN_H_
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -32,6 +37,13 @@ namespace cafe {
 class PairScoreTable {
  public:
   explicit PairScoreTable(const ScoringScheme& scheme);
+
+  /// The table for `scheme`, shared and immutable. One slot keeps the
+  /// most recently requested scheme's table; a different scheme builds
+  /// a new table and takes the slot, while holders of the old one keep
+  /// it alive. Thread-safe.
+  static std::shared_ptr<const PairScoreTable> Shared(
+      const ScoringScheme& scheme);
 
   int operator()(char a, char b) const {
     return table_[static_cast<uint8_t>(a)][static_cast<uint8_t>(b)];
@@ -50,6 +62,8 @@ class Aligner {
   explicit Aligner(const ScoringScheme& scheme = ScoringScheme());
 
   const ScoringScheme& scheme() const { return scheme_; }
+  /// The pair-score table, shared with every Aligner of an equal scheme.
+  const PairScoreTable& table() const { return *table_; }
 
   /// Best local alignment score; linear space, O(|q|*|t|) time.
   /// Dispatches to the striped SIMD kernel (align/sw_simd.h) when the
@@ -68,11 +82,15 @@ class Aligner {
   /// `diagonal` (= target position - query position) with half-width
   /// `band`: only cells with |(j - i) - diagonal| <= band are computed.
   /// This is the fine-search workhorse — candidates arrive from the
-  /// coarse phase with a known hit diagonal.
+  /// coarse phase with a known hit diagonal. A scalar score-only loop;
+  /// it advances cells_computed() by |query| * (2 * band + 1), however
+  /// much of the band falls outside the target.
   int BandedScore(std::string_view query, std::string_view target,
                   int64_t diagonal, int band) const;
 
-  /// Banded local alignment with traceback.
+  /// Banded local alignment with traceback. Same score and cell
+  /// accounting as BandedScore; it also records one direction byte per
+  /// in-band cell, so it is for reported hits, not for ranking.
   Result<LocalAlignment> BandedAlign(std::string_view query,
                                      std::string_view target,
                                      int64_t diagonal, int band) const;
@@ -91,7 +109,7 @@ class Aligner {
 
  private:
   ScoringScheme scheme_;
-  PairScoreTable table_;
+  std::shared_ptr<const PairScoreTable> table_;
   SimdLevel simd_level_;
   bool striped_ok_;
   mutable uint64_t cells_ = 0;

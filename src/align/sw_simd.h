@@ -1,10 +1,13 @@
 // Striped (Farrar) SIMD Smith-Waterman, score-only.
 //
-// The fine phase's dominant cost is Aligner::ScoreOnly over the
-// candidate set. This is the Farrar 2007 formulation of that exact
-// recurrence: the query is laid out striped across 16-bit vector lanes
-// (8 for SSE2, 16 for AVX2), a per-target-character query profile turns
-// the substitution lookup into one vector load, and the vertical-gap
+// In hit-count mode (no coarse diagonal to band around) the fine
+// phase's dominant cost is Aligner::ScoreOnly over whole candidates;
+// the diagonal pipeline runs the banded loop instead (banded.cc), and
+// the exhaustive baseline runs this one. This is the Farrar 2007
+// formulation of that exact recurrence: the query is laid out striped
+// across 16-bit vector lanes (8 for SSE2, 16 for AVX2), a
+// per-target-character query profile turns the substitution lookup
+// into one vector load, and the vertical-gap
 // dependency is resolved by Farrar's lazy-F loop (test-before-apply,
 // so F chains propagate across stripe boundaries until no lane can
 // still improve). Saturating 16-bit arithmetic clamps E/F at zero —

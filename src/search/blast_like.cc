@@ -24,7 +24,7 @@ Result<SearchResult> BlastLikeSearch::Search(std::string_view query,
   obs::Span search_span(options.spans, "search", &trace.total_micros);
   trace.queries = 1;
   Aligner aligner(options.scoring);
-  PairScoreTable table(options.scoring);
+  const PairScoreTable& table = aligner.table();
   TopHits top(options.max_results);
 
   // Query word table: seed term -> query positions.

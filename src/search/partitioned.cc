@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <optional>
 
 #include "align/smith_waterman.h"
 #include "index/inverted_index.h"
@@ -210,14 +211,19 @@ Result<SearchResult> PartitionedSearch::Search(std::string_view query,
   // the output trivially deterministic. A truncated result skips it —
   // the contract after a deadline is "return what you have, fast".
   obs::Span post_span(spans, "post.process", &trace.post_micros);
-  Aligner post_aligner(options.scoring);
+  // Only rescoring and traceback align here; the default pipeline does
+  // neither, so it builds no aligner.
+  std::optional<Aligner> post_aligner;
+  if ((options.rescore_full || options.traceback) && !result.truncated) {
+    post_aligner.emplace(options.scoring);
+  }
   std::string seq;
   if (options.rescore_full && !result.truncated) {
     // Remove band clipping from the reported scores: one full DP per
     // reported hit (cheap — max_results sequences, not the collection).
     for (SearchHit& hit : result.hits) {
       CAFE_RETURN_IF_ERROR(collection_->GetSequence(hit.seq_id, &seq));
-      hit.score = post_aligner.ScoreOnly(query, seq);
+      hit.score = post_aligner->ScoreOnly(query, seq);
     }
     std::sort(result.hits.begin(), result.hits.end(),
               [](const SearchHit& a, const SearchHit& b) {
@@ -238,19 +244,21 @@ Result<SearchResult> PartitionedSearch::Search(std::string_view query,
           survivors.begin(), survivors.end(),
           [&](const CoarseCandidate& c) { return c.doc == hit.seq_id; });
       if (cand != survivors.end() && cand->has_diagonal) {
-        Result<LocalAlignment> aln = post_aligner.BandedAlign(
+        Result<LocalAlignment> aln = post_aligner->BandedAlign(
             query, seq, cand->diagonal, chained.traceback_band);
         if (!aln.ok()) return aln.status();
         hit.alignment = std::move(*aln);
       } else {
-        Result<LocalAlignment> aln = post_aligner.Align(query, seq);
+        Result<LocalAlignment> aln = post_aligner->Align(query, seq);
         if (!aln.ok()) return aln.status();
         hit.alignment = std::move(*aln);
       }
     }
   }
 
-  trace.cells_computed += post_aligner.cells_computed();
+  if (post_aligner.has_value()) {
+    trace.cells_computed += post_aligner->cells_computed();
+  }
   trace.hits_reported = result.hits.size();
   if (options.statistics.has_value()) {
     AnnotateStatistics(&result, query.size(), collection_->TotalBases(),

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "align/smith_waterman.h"
 #include "alphabet/nucleotide.h"
 #include "util/random.h"
@@ -82,18 +85,83 @@ TEST(BandedTest, GapWithinBand) {
   EXPECT_EQ(aligner.BandedScore(q, t, -1, 4), expected);
 }
 
+// A copy of `q` with ~10% substitutions and ~2% single-base indels.
+std::string Diverge(const std::string& q, Rng* rng) {
+  std::string out;
+  for (char c : q) {
+    const uint64_t roll = rng->Uniform(100);
+    if (roll < 1) continue;  // deletion
+    if (roll < 2) out.push_back(CodeToBase(static_cast<int>(rng->Uniform(4))));
+    out.push_back(roll < 12 ? CodeToBase(static_cast<int>(rng->Uniform(4)))
+                            : c);
+  }
+  return out;
+}
+
+// BandedScore (the clipped score-only loop) against BandedAlign (the
+// direction-recording loop, its oracle): equal scores and equal cell
+// accounting over bands 0-60, queries of 1-200 and targets of 1-400
+// bases (many shorter than the band), diagonals from wholly left to
+// wholly right of the matrix, ~2% N, three schemes, and a diverged copy
+// of the query planted on the diagonal in half the cases.
 TEST(BandedTest, BandedAlignMatchesBandedScore) {
+  ScoringScheme blastn;
+  blastn.match = 1;
+  blastn.mismatch = -3;
+  blastn.gap_open = -5;
+  blastn.gap_extend = -2;
+  blastn.iupac_aware = false;
+  ScoringScheme soft;
+  soft.match = 2;
+  soft.mismatch = -1;
+  soft.gap_open = -3;
+  soft.gap_extend = -1;
+  soft.wildcard_score = 1;
+  // Validate rejects `opening` (a gap pays to open). Under valid
+  // schemes an out-of-band neighbour read as 0 instead of -inf never
+  // changes a score; under this one it does, so the sweep pins the
+  // kernel's -inf edges too.
+  ScoringScheme opening;
+  opening.gap_open = 2;
+  opening.gap_extend = -3;
+  std::vector<Aligner> aligners = {Aligner(ScoringScheme()), Aligner(blastn),
+                                   Aligner(soft), Aligner(opening)};
   Rng rng(888);
-  Aligner aligner;
-  for (int trial = 0; trial < 25; ++trial) {
-    std::string q = RandomSeq(10 + rng.Uniform(50), &rng);
-    std::string t = RandomSeq(10 + rng.Uniform(50), &rng);
-    for (int band : {3, 10}) {
-      int score = aligner.BandedScore(q, t, 0, band);
-      Result<LocalAlignment> a = aligner.BandedAlign(q, t, 0, band);
-      ASSERT_TRUE(a.ok());
-      EXPECT_EQ(a->score, score);
+  auto with_ns = [&](std::string s) {
+    for (char& c : s) {
+      if (rng.Uniform(50) == 0) c = 'N';
     }
+    return s;
+  };
+  for (int trial = 0; trial < 10000; ++trial) {
+    Aligner& aligner = aligners[trial % aligners.size()];
+    const int band = static_cast<int>(rng.Uniform(61));
+    const std::string q = with_ns(RandomSeq(1 + rng.Uniform(200), &rng));
+    std::string t = RandomSeq(1 + rng.Uniform(400), &rng);
+    const int64_t m = static_cast<int64_t>(q.size());
+    const int64_t n = static_cast<int64_t>(t.size());
+    const int64_t diag = rng.UniformInt(-m - band - 2, n + band + 2);
+    if (trial % 2 == 0) {
+      const std::string copy = Diverge(q, &rng);
+      for (size_t p = 0; p < copy.size(); ++p) {
+        const int64_t j = diag + static_cast<int64_t>(p);
+        if (j >= 0 && j < n) t[static_cast<size_t>(j)] = copy[p];
+      }
+    }
+    t = with_ns(std::move(t));
+
+    const uint64_t before = aligner.cells_computed();
+    const int score = aligner.BandedScore(q, t, diag, band);
+    const uint64_t score_cells = aligner.cells_computed() - before;
+    Result<LocalAlignment> a = aligner.BandedAlign(q, t, diag, band);
+    const uint64_t align_cells =
+        aligner.cells_computed() - before - score_cells;
+    ASSERT_TRUE(a.ok());
+    ASSERT_EQ(score, a->score) << "trial " << trial << " band " << band
+                               << " diag " << diag << " q=" << q
+                               << " t=" << t;
+    ASSERT_EQ(score_cells, align_cells) << "trial " << trial;
+    ASSERT_EQ(score_cells, static_cast<uint64_t>(m) * (2 * band + 1));
   }
 }
 

@@ -73,5 +73,38 @@ TEST(PairScoreTableTest, RowAccessor) {
   EXPECT_EQ(row[static_cast<uint8_t>('C')], s.mismatch);
 }
 
+// Every entry of `table` equals the fresh table of `scheme`.
+void ExpectTableOf(const ScoringScheme& scheme, const PairScoreTable& table) {
+  const PairScoreTable fresh(scheme);
+  for (int a = 0; a < 256; ++a) {
+    const int16_t* got = table.Row(static_cast<char>(a));
+    const int16_t* want = fresh.Row(static_cast<char>(a));
+    for (int b = 0; b < 256; ++b) {
+      ASSERT_EQ(got[b], want[b]) << a << " vs " << b;
+    }
+  }
+}
+
+TEST(PairScoreTableTest, AlignersShareOneTablePerScheme) {
+  ScoringScheme s;
+  Aligner first(s);
+  Aligner second(s);
+  EXPECT_EQ(&first.table(), &second.table());
+  ExpectTableOf(s, first.table());
+
+  // Another scheme takes the shared slot with a table of its own; the
+  // first aligners keep theirs, unchanged.
+  ScoringScheme other;
+  other.match = 2;
+  other.mismatch = -7;
+  other.iupac_aware = false;
+  Aligner third(other);
+  EXPECT_NE(&third.table(), &first.table());
+  ExpectTableOf(other, third.table());
+  EXPECT_EQ(&first.table(), &second.table());
+  ExpectTableOf(s, first.table());
+  EXPECT_EQ(PairScoreTable::Shared(other).get(), &third.table());
+}
+
 }  // namespace
 }  // namespace cafe

@@ -219,29 +219,47 @@ TEST(SwSimdTest, PartitionedTopHitsIdenticalAcrossTiers) {
 
 // Concurrency hammer for TSan: distinct Aligner instances (the
 // per-worker contract) scoring striped concurrently.
+// Four workers alternate two schemes and build a fresh Aligner every
+// repetition, so the shared table slot changes hands while other
+// threads score with the table it held (TSan runs this in CI).
 TEST(SwSimdTest, ConcurrentAlignersAreIndependent) {
-  ScoringScheme scheme;
+  ScoringScheme schemes[2];
+  schemes[1].match = 2;
+  schemes[1].mismatch = -3;
+  schemes[1].gap_open = -5;
+  schemes[1].gap_extend = -1;
   Rng seed_rng(33);
   std::string q = RandomSeq(100, "ACGT", &seed_rng);
   std::vector<std::string> targets;
   for (int i = 0; i < 16; ++i) {
     targets.push_back(RandomSeq(150 + 10 * i, "ACGT", &seed_rng));
   }
-  Aligner oracle(scheme);
-  oracle.set_simd_level(SimdLevel::kScalar);
-  std::vector<int> want;
-  want.reserve(targets.size());
-  for (const std::string& t : targets) want.push_back(oracle.ScoreOnly(q, t));
+  const int band = 16;
+  const int64_t diagonal = 20;
+  std::vector<int> want_full[2], want_banded[2];
+  for (int s = 0; s < 2; ++s) {
+    Aligner oracle(schemes[s]);
+    oracle.set_simd_level(SimdLevel::kScalar);
+    for (const std::string& t : targets) {
+      want_full[s].push_back(oracle.ScoreOnly(q, t));
+      want_banded[s].push_back(oracle.BandedScore(q, t, diagonal, band));
+    }
+  }
 
   std::vector<std::thread> workers;
   std::vector<int> fails(4, 0);
   for (int w = 0; w < 4; ++w) {
     workers.emplace_back([&, w] {
-      Aligner aligner(scheme);
-      aligner.set_simd_level(DetectCpuSimdLevel());
       for (int rep = 0; rep < 50; ++rep) {
+        const int s = (rep + w) % 2;
+        Aligner aligner(schemes[s]);
+        aligner.set_simd_level(DetectCpuSimdLevel());
         for (size_t i = 0; i < targets.size(); ++i) {
-          if (aligner.ScoreOnly(q, targets[i]) != want[i]) ++fails[w];
+          if (aligner.ScoreOnly(q, targets[i]) != want_full[s][i]) ++fails[w];
+          if (aligner.BandedScore(q, targets[i], diagonal, band) !=
+              want_banded[s][i]) {
+            ++fails[w];
+          }
         }
       }
     });
