@@ -5,8 +5,6 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "obs/metrics.h"
-
 namespace cafe::obs {
 namespace {
 
@@ -40,9 +38,7 @@ std::string FlightRecord::ToJson() const {
                   trace_id);
     out += buf;
   }
-  out += ",\"options_key\":\"";
-  out += JsonEscape(options_key);
-  out += "\",\"trace\":";
+  out += ",\"trace\":";
   out += trace.ToJson();
   out += "}";
   return out;

@@ -2,9 +2,9 @@
 //
 // A metrics registry answers "how is the service doing overall"; the
 // flight recorder answers "why was *that* request slow". Every request
-// the dispatcher completes leaves one FlightRecord — trace id, options
-// fingerprint, queue wait, end-to-end time, and the full pruning
-// funnel (obs::SearchTrace) — in a fixed-size ring, and records whose
+// the dispatcher completes leaves one FlightRecord — trace id, queue
+// wait, end-to-end time, and the full pruning funnel
+// (obs::SearchTrace) — in a fixed-size ring, and records whose
 // end-to-end time reaches a configurable slow threshold are
 // additionally pinned into a separate bounded slow log, so a burst of
 // fast traffic cannot wash a slow request out of the ring before an
@@ -38,10 +38,7 @@ namespace cafe::obs {
 struct FlightRecord {
   /// Wire trace id (0 when the peer sent none).
   uint64_t trace_id = 0;
-  /// Hex fingerprint of the request's options key — requests with equal
-  /// fingerprints were batchable together.
-  std::string options_key;
-  /// Admission -> dispatch wait.
+  /// Admission -> start of its search.
   uint64_t queue_micros = 0;
   /// Admission -> completion (what the slow threshold is tested
   /// against).

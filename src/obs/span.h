@@ -2,8 +2,8 @@
 //
 // A SpanRecorder is attached to one request (keyed by its wire
 // trace_id) and collects a tree of named, thread-stamped wall-clock
-// spans — dispatcher queue wait, batch assembly, engine phases, per
-// partition fine workers — into a preallocated arena. Recording is
+// spans — dispatcher queue wait, engine phases, per partition fine
+// workers — into a preallocated arena. Recording is
 // lock-free: a slot is claimed with one relaxed fetch_add, and the
 // claiming thread alone writes that slot, so concurrent fine workers
 // never contend. When the arena is full further spans are counted in
@@ -24,12 +24,12 @@
 // a SearchTrace stage field on every query and, when the request is
 // sampled, the recorded span — so the two never disagree. Spans that
 // cross threads — queue.wait begins on the connection thread and ends
-// on a dispatcher worker; fine.worker lives on a pool thread — use
-// AddSpan with an explicit parent id and the begin/end stamps taken
-// where the work happened. Cross-thread visibility of slot contents is
-// the caller's synchronization (the dispatcher's done-publication
-// mutex, ThreadPool's join barrier); the recorder only guarantees
-// unique slot ownership.
+// on a dispatcher search thread; fine.worker lives on a pool thread —
+// use AddSpan with an explicit parent id and the begin/end stamps
+// taken where the work happened. Cross-thread visibility of slot
+// contents is the caller's synchronization (the future of a task
+// submitted to a ThreadPool, ThreadPool's join barrier); the recorder
+// only guarantees unique slot ownership.
 //
 // Export is Chrome trace-event JSON ("X" complete events, one per
 // span, microsecond timestamps relative to the recorder's creation),

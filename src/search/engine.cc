@@ -82,17 +82,7 @@ int TopHits::Floor() const {
 }
 
 Result<std::vector<SearchResult>> SearchEngine::BatchSearch(
-    const std::vector<std::string>& queries, const SearchOptions& options,
-    const std::vector<Deadline>* deadlines,
-    const std::vector<obs::SpanRecorder*>* spans) {
-  if (deadlines != nullptr && deadlines->size() != queries.size()) {
-    return Status::InvalidArgument(
-        "BatchSearch: deadlines must match queries in size");
-  }
-  if (spans != nullptr && spans->size() != queries.size()) {
-    return Status::InvalidArgument(
-        "BatchSearch: spans must match queries in size");
-  }
+    const std::vector<std::string>& queries, const SearchOptions& options) {
   std::vector<SearchResult> results(queries.size());
   const uint32_t requested = options.threads == 0
                                  ? ThreadPool::HardwareThreads()
@@ -106,10 +96,7 @@ Result<std::vector<SearchResult>> SearchEngine::BatchSearch(
   SearchOptions shared = options;
   if (concurrent) shared.threads = 1;
   auto run = [&](size_t i) -> Status {
-    SearchOptions per_query = shared;
-    if (deadlines != nullptr) per_query.deadline = &(*deadlines)[i];
-    if (spans != nullptr) per_query.spans = (*spans)[i];
-    Result<SearchResult> r = SearchWithStrands(this, queries[i], per_query);
+    Result<SearchResult> r = SearchWithStrands(this, queries[i], shared);
     if (!r.ok()) return r.status();
     results[i] = std::move(*r);
     return Status::OK();

@@ -207,20 +207,8 @@ class SearchEngine {
   /// the batch runs one query at a time, passing options.threads
   /// through so engines with an internal parallel phase still use it.
   /// Fails with the first (lowest-index) query error.
-  ///
-  /// `deadlines`, when non-null, must hold one Deadline per query; query
-  /// i runs with options.deadline pointing at (*deadlines)[i] (the
-  /// serving layer's per-request deadlines, which differ within one
-  /// coalesced batch). Null keeps options.deadline for every query.
-  ///
-  /// `spans`, when non-null, must hold one SpanRecorder pointer per
-  /// query (null entries allowed — only sampled requests in a coalesced
-  /// batch carry a recorder); query i runs with options.spans pointing
-  /// at (*spans)[i]. Null keeps options.spans for every query.
   Result<std::vector<SearchResult>> BatchSearch(
-      const std::vector<std::string>& queries, const SearchOptions& options,
-      const std::vector<Deadline>* deadlines = nullptr,
-      const std::vector<obs::SpanRecorder*>* spans = nullptr);
+      const std::vector<std::string>& queries, const SearchOptions& options);
 };
 
 /// Evaluates the query through `engine`, and — when

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -115,6 +116,9 @@ void Listener::AcceptLoop() {
       std::this_thread::sleep_for(kAcceptRetryDelay);
       continue;
     }
+    const timeval send_timeout{kSendTimeout.count(), 0};
+    setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
+               sizeof(send_timeout));
     std::vector<std::thread> ended;
     {
       MutexLock lock(&mu_);

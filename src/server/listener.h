@@ -10,6 +10,10 @@
 // ended since the last accept. A failed accept() (EMFILE, say) is
 // retried after a short pause; only Shutdown() ends the accept loop.
 //
+// Every accepted socket gets a send timeout (kSendTimeout), so a peer
+// that stops reading fails the handler's write with an IOError instead
+// of holding its thread.
+//
 // Shutdown() is ordered: stop accepting, half-close (SHUT_RD) every
 // live connection — a handler blocked in a read sees EOF, a handler
 // mid-response still writes its response — then join every connection
@@ -18,6 +22,7 @@
 #ifndef CAFE_SERVER_LISTENER_H_
 #define CAFE_SERVER_LISTENER_H_
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -37,6 +42,13 @@ class Listener {
   /// Runs on the connection's own thread and owns `fd` until it
   /// returns; the Listener closes it afterwards. Must be thread-safe.
   using Handler = std::function<void(int fd)>;
+
+  /// SO_SNDTIMEO of every accepted socket: a send() that can hand the
+  /// kernel nothing for this long fails. The call that filled the
+  /// socket buffers returns short at its first timeout and the next
+  /// call fails, so a peer that stops reading ends its handler (and
+  /// stops holding Shutdown()) within about twice this.
+  static constexpr std::chrono::seconds kSendTimeout{2};
 
   explicit Listener(Handler handler) : handler_(std::move(handler)) {}
   ~Listener() { Shutdown(); }

@@ -166,19 +166,6 @@ SearchOptions SearchRequest::ToSearchOptions() const {
   return options;
 }
 
-std::string SearchRequest::OptionsKey() const {
-  std::string key;
-  PutU32(&key, max_results);
-  PutU32(&key, fine_candidates);
-  PutU32(&key, static_cast<uint32_t>(band));
-  PutU32(&key, frame_width);
-  PutU32(&key, static_cast<uint32_t>(min_score));
-  PutU8(&key, static_cast<uint8_t>(diagonal_mode));
-  PutU8(&key, static_cast<uint8_t>(both_strands));
-  PutU8(&key, static_cast<uint8_t>(rescore_full));
-  return key;
-}
-
 std::string EncodeHello(const Hello& hello) {
   std::string out;
   PutString(&out, hello.server_version);

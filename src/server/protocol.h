@@ -83,17 +83,12 @@ struct SearchRequest {
   /// SearchResponse and stamped on the server's flight-recorder entry
   /// and log lines for this request. 0 = caller declined to pick one;
   /// Client::Search mints a random id in that case so every request is
-  /// joinable. Not part of OptionsKey().
+  /// joinable.
   uint64_t trace_id = 0;
 
   /// The engine-side options these wire fields select (deadline and
   /// server-side knobs left at their defaults).
   SearchOptions ToSearchOptions() const;
-
-  /// Batching compatibility key: requests with equal keys may share one
-  /// BatchSearch call (everything except the query and the deadline,
-  /// which stay per-request).
-  std::string OptionsKey() const;
 };
 
 struct SearchResponse {

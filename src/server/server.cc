@@ -25,14 +25,15 @@ Status Server::Start() {
   dopt.metrics = metrics_;
   dispatcher_ = std::make_unique<Dispatcher>(engine_, dopt);
   Status s = listener_.Start(options_.bind_address, options_.port);
-  if (!s.ok()) dispatcher_.reset();  // joins the workers
+  if (!s.ok()) dispatcher_.reset();  // joins the search threads
   return s;
 }
 
 void Server::Shutdown() {
-  // The Listener joins every connection first, so the dispatcher queue
-  // can only shrink while Stop drains it and joins the workers. Each
-  // step is serialized and idempotent on its own.
+  // The Listener joins every connection first, and with them every
+  // request, so Stop finds the dispatcher idle; the search threads go
+  // with the dispatcher. Each step is serialized and idempotent on its
+  // own.
   listener_.Shutdown();
   if (dispatcher_ != nullptr) dispatcher_->Stop();
 }

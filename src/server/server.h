@@ -3,15 +3,15 @@
 // Threading model: a Listener (server/listener.h) runs the accept
 // thread and one thread per connection (the protocol is strictly
 // request/response per connection, so blocking reads are the simple
-// and correct shape); the Dispatcher's worker pool does the actual
-// searching. Connection threads never touch the engine directly —
-// every query goes through Dispatcher::Execute, which is where
-// batching, admission control and deadlines live.
+// and correct shape). Connection threads never touch the engine
+// directly: every query goes through Dispatcher::Execute, the
+// admission gate that runs it on one of a fixed number of search
+// threads, and where queue bounds and deadlines live.
 //
 // Shutdown() is graceful and ordered: the Listener stops accepting,
 // half-closes every connection (pending reads see EOF, requests already
 // being processed still get their response written) and joins the
-// connection threads, then the dispatcher drains. Safe to call from a
+// connection threads, then the dispatcher stops. Safe to call from a
 // signal-notified thread; idempotent. Destruction shuts down too.
 
 #ifndef CAFE_SERVER_SERVER_H_
@@ -42,8 +42,8 @@ struct ServerOptions {
 
 class Server {
  public:
-  /// `engine` must outlive the server and support concurrent Search
-  /// (or the dispatcher's batches fall back to sequential evaluation).
+  /// `engine` must outlive the server. An engine that does not support
+  /// concurrent Search gets one search at a time.
   Server(SearchEngine* engine, const ServerOptions& options);
 
   Server(const Server&) = delete;
@@ -51,7 +51,7 @@ class Server {
 
   /// Starts the dispatcher, then binds, listens, and starts accepting.
   /// Fails with IOError when the address or port is unavailable, and
-  /// then leaves no dispatcher worker running.
+  /// then leaves no search thread running.
   [[nodiscard]] Status Start();
 
   /// The actually bound port (resolves port 0) — valid after Start().
@@ -63,8 +63,8 @@ class Server {
   /// The registry the server records into (owned or caller-provided).
   obs::MetricsRegistry* metrics() { return metrics_; }
 
-  /// Queued-but-not-yet-dispatched requests right now (0 before
-  /// Start()). Feeds /statusz.
+  /// Admitted requests still waiting for their turn right now (0
+  /// before Start()). Feeds /statusz.
   size_t QueueDepth() const {
     return dispatcher_ != nullptr ? dispatcher_->QueueDepth() : 0;
   }

@@ -1,9 +1,11 @@
-// Dispatcher semantics: request batching, admission control, queue-
-// expired deadlines, and graceful drain — all against a stub engine
-// whose Search can be held closed so the queue fills deterministically.
+// Dispatcher semantics: the FIFO admission gate, admission control,
+// queue-expired deadlines, accounting and graceful stop — all against
+// a stub engine whose Search can be held closed so requests pile up at
+// the gate deterministically.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -14,13 +16,14 @@
 
 #include "obs/flight.h"
 #include "obs/metrics.h"
+#include "obs/span.h"
 #include "server/dispatcher.h"
 
 namespace cafe::server {
 namespace {
 
-// Blocks callers until opened; lets tests hold the dispatcher's worker
-// inside the engine while more requests pile up behind it.
+// Blocks callers until opened; lets tests hold a request inside the
+// engine while more requests pile up behind it.
 class Gate {
  public:
   void Open() {
@@ -41,21 +44,32 @@ class Gate {
   bool open_ = false;
 };
 
-// Concurrent-safe engine that waits on a gate, counts entries, and
-// echoes the query length back as the hit score. Its trace gives every
-// field a distinct value scaled by the query length, so sums over
-// requests tell the fields and the requests apart; "NNNN" fails.
+// Engine that waits on a gate, counts entries, records the order in
+// which queries enter and the peak number of calls inside it at once,
+// and echoes the query length back as the hit score. Its trace gives
+// every field a distinct value scaled by the query length, so sums
+// over requests tell the fields and the requests apart; "NNNN" fails.
 class StubEngine : public SearchEngine {
  public:
-  explicit StubEngine(Gate* gate = nullptr) : gate_(gate) {}
+  explicit StubEngine(Gate* gate = nullptr, bool concurrent = true)
+      : gate_(gate), concurrent_(concurrent) {}
 
   std::string name() const override { return "stub"; }
-  bool SupportsConcurrentSearch() const override { return true; }
+  bool SupportsConcurrentSearch() const override { return concurrent_; }
 
   Result<SearchResult> Search(std::string_view query,
                               const SearchOptions& options) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      order_.emplace_back(query);
+      peak_ = std::max(peak_, ++inside_);
+    }
     entered_.fetch_add(1);
     if (gate_ != nullptr) gate_->Wait();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      --inside_;
+    }
     SearchResult result;
     if (options.deadline != nullptr && options.deadline->Expired()) {
       result.truncated = true;
@@ -79,10 +93,41 @@ class StubEngine : public SearchEngine {
   }
 
   int entered() const { return entered_.load(); }
+  int peak() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return peak_;
+  }
+  std::vector<std::string> order() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return order_;
+  }
 
  private:
-  Gate* gate_;
+  Gate* const gate_;
+  const bool concurrent_;
   std::atomic<int> entered_{0};
+  std::mutex mu_;
+  int inside_ = 0;
+  int peak_ = 0;
+  std::vector<std::string> order_;
+};
+
+// Sleeps through each search and times itself into trace.total_micros
+// with the engines' stage timer, as every real engine does.
+class SleepEngine : public SearchEngine {
+ public:
+  std::string name() const override { return "sleep"; }
+  bool SupportsConcurrentSearch() const override { return true; }
+
+  Result<SearchResult> Search(std::string_view /*query*/,
+                              const SearchOptions& options) override {
+    SearchResult result;
+    obs::Span span(options.spans, "search", &result.trace.total_micros);
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    span.End();
+    result.trace.queries = 1;
+    return result;
+  }
 };
 
 // Polls until `pred` holds (the cross-thread assertions here have no
@@ -116,62 +161,91 @@ TEST(DispatcherTest, ExecuteReturnsEngineResult) {
   EXPECT_FALSE(result->truncated);
 }
 
-TEST(DispatcherTest, CoalescesCompatibleRequests) {
+// Requests enter the engine in admission order, whatever their
+// options: B's narrower result list does not let C overtake it.
+TEST(DispatcherTest, RequestsStartInArrivalOrder) {
   Gate gate;
   StubEngine engine(&gate);
   obs::MetricsRegistry metrics;
   DispatcherOptions options;
   options.workers = 1;
-  options.max_batch = 8;
   options.metrics = &metrics;
   Dispatcher dispatcher(&engine, options);
 
-  // First request occupies the single worker inside the gated engine...
+  // The first request holds the only search thread in the gated
+  // engine...
   std::vector<std::thread> threads;
   threads.emplace_back(
       [&] { EXPECT_TRUE(dispatcher.Execute(Req("AAAA")).ok()); });
   WaitUntil([&] { return engine.entered() == 1; });
 
-  // ...so these three stack up in the queue and must leave as ONE batch.
-  for (int i = 0; i < 3; ++i) {
+  // ...so these three wait, admitted one at a time in a known order.
+  SearchRequest b = Req("CCCCC");
+  b.max_results = 3;
+  const std::vector<SearchRequest> queued = {Req("GGGG"), b, Req("TTTT")};
+  for (size_t i = 0; i < queued.size(); ++i) {
     threads.emplace_back(
-        [&] { EXPECT_TRUE(dispatcher.Execute(Req("CCCCC")).ok()); });
+        [&, i] { EXPECT_TRUE(dispatcher.Execute(queued[i]).ok()); });
+    WaitUntil([&] { return dispatcher.QueueDepth() == i + 1; });
   }
-  WaitUntil([&] { return dispatcher.QueueDepth() == 3; });
   gate.Open();
   for (std::thread& t : threads) t.join();
 
+  EXPECT_EQ(engine.order(), (std::vector<std::string>{"AAAA", "GGGG",
+                                                      "CCCCC", "TTTT"}));
   EXPECT_EQ(CounterValue(&metrics, "server.requests_accepted"), 4u);
-  EXPECT_EQ(CounterValue(&metrics, "server.batches_dispatched"), 2u);
   EXPECT_EQ(CounterValue(&metrics, "server.requests_rejected"), 0u);
 }
 
-TEST(DispatcherTest, IncompatibleOptionsDoNotShareABatch) {
+TEST(DispatcherTest, AtMostWorkersSearchesRunAtOnce) {
   Gate gate;
   StubEngine engine(&gate);
-  obs::MetricsRegistry metrics;
   DispatcherOptions options;
-  options.workers = 1;
-  options.metrics = &metrics;
+  options.workers = 2;
   Dispatcher dispatcher(&engine, options);
 
   std::vector<std::thread> threads;
-  threads.emplace_back(
-      [&] { EXPECT_TRUE(dispatcher.Execute(Req("AAAA")).ok()); });
-  WaitUntil([&] { return engine.entered() == 1; });
-
-  SearchRequest narrow = Req("CCCCC");
-  narrow.max_results = 3;  // different options key than the default
-  threads.emplace_back(
-      [&] { EXPECT_TRUE(dispatcher.Execute(Req("GGGGG")).ok()); });
-  threads.emplace_back(
-      [&] { EXPECT_TRUE(dispatcher.Execute(narrow).ok()); });
-  WaitUntil([&] { return dispatcher.QueueDepth() == 2; });
+  for (int i = 0; i < 8; ++i) {
+    threads.emplace_back(
+        [&] { EXPECT_TRUE(dispatcher.Execute(Req("ACGT")).ok()); });
+  }
+  // Two calls hold both search threads; the other six wait.
+  WaitUntil([&] {
+    return engine.entered() == 2 && dispatcher.QueueDepth() == 6;
+  });
   gate.Open();
   for (std::thread& t : threads) t.join();
 
-  // Blocker alone, then the two incompatible requests one each.
-  EXPECT_EQ(CounterValue(&metrics, "server.batches_dispatched"), 3u);
+  EXPECT_EQ(engine.entered(), 8);
+  EXPECT_EQ(engine.peak(), 2);
+}
+
+// An engine that does not support concurrent Search gets one call at
+// a time, whatever `workers` says.
+TEST(DispatcherTest, NonConcurrentEngineRunsOneSearchAtATime) {
+  Gate gate;
+  StubEngine engine(&gate, /*concurrent=*/false);
+  DispatcherOptions options;
+  options.workers = 4;
+  Dispatcher dispatcher(&engine, options);
+
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 4; ++i) {
+    threads.emplace_back(
+        [&] { EXPECT_TRUE(dispatcher.Execute(Req("ACGT")).ok()); });
+  }
+  // While the first call is held inside the engine, the other three
+  // wait at the gate instead of entering.
+  WaitUntil([&] {
+    return engine.entered() > 1 ||
+           (engine.entered() == 1 && dispatcher.QueueDepth() == 3);
+  });
+  EXPECT_EQ(engine.entered(), 1);
+  gate.Open();
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(engine.entered(), 4);
+  EXPECT_EQ(engine.peak(), 1);
 }
 
 TEST(DispatcherTest, FullQueueRejectsWithOverloaded) {
@@ -260,7 +334,6 @@ TEST(DispatcherTest, FlightRecorderGetsOneRecordPerRequest) {
   EXPECT_EQ(recent[1].status_code, 0u);  // wire code for OK
   EXPECT_FALSE(recent[1].truncated);
   EXPECT_FALSE(recent[1].deadline_expired);
-  EXPECT_FALSE(recent[1].options_key.empty());
   EXPECT_GE(recent[1].total_micros, recent[1].queue_micros);
   // slow_micros = 0 pins every record into the slow log too.
   EXPECT_EQ(flight.slow_recorded(), 2u);
@@ -397,6 +470,38 @@ TEST(DispatcherTest, LatencyMetricsMatchTheFlightRecord) {
   EXPECT_GE(records[0].total_micros, records[0].queue_micros);
 }
 
+// The stage times add up: a request's end-to-end time is its queue
+// wait plus its own engine call. (A request that waited for other
+// requests' searches inside a shared call would break the sum.)
+TEST(DispatcherTest, QueueWaitPlusSearchTimeIsRequestTime) {
+  SleepEngine engine;
+  obs::MetricsRegistry metrics;
+  DispatcherOptions options;
+  options.workers = 2;
+  options.metrics = &metrics;
+  Dispatcher dispatcher(&engine, options);
+
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.emplace_back([&] {
+      for (int i = 0; i < 5; ++i) {
+        EXPECT_TRUE(dispatcher.Execute(Req("ACGT")).ok());
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  const obs::MetricsSnapshot snap = metrics.SnapshotData();
+  const obs::Histogram::Snapshot& search =
+      snap.histograms.at("search.total_micros");
+  const uint64_t queue = snap.histograms.at("server.queue_wait_micros").sum;
+  const uint64_t request = snap.histograms.at("server.request_micros").sum;
+  EXPECT_EQ(search.count, 20u);
+  EXPECT_GT(queue, 0u);  // four clients on two search threads: a queue stood
+  EXPECT_NEAR(static_cast<double>(queue + search.sum),
+              static_cast<double>(request), 0.1 * request);
+}
+
 TEST(DispatcherTest, StopDrainsAdmittedRequests) {
   Gate gate;
   StubEngine engine(&gate);
@@ -446,7 +551,7 @@ TEST(DispatcherTest, StopIsIdempotentAndSafeConcurrently) {
   std::thread b([&] { dispatcher.Stop(); });
   a.join();
   b.join();
-  dispatcher.Stop();  // and again, after the workers are gone
+  dispatcher.Stop();  // and again, once stopped
 }
 
 }  // namespace

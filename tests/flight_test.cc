@@ -16,7 +16,6 @@ namespace {
 FlightRecord MakeRecord(uint64_t trace_id, uint64_t total_micros) {
   FlightRecord r;
   r.trace_id = trace_id;
-  r.options_key = "abcd";
   r.queue_micros = 7;
   r.total_micros = total_micros;
   r.trace.queries = 1;
@@ -117,7 +116,6 @@ TEST(FlightRecorderTest, JsonRendering) {
   EXPECT_NE(recent.find("\"total_us\":42"), std::string::npos);
   EXPECT_NE(recent.find("\"truncated\":true"), std::string::npos);
   EXPECT_NE(recent.find("\"deadline_expired\":false"), std::string::npos);
-  EXPECT_NE(recent.find("\"options_key\":\"abcd\""), std::string::npos);
   // The full pruning funnel rides along.
   EXPECT_NE(recent.find("\"candidates_aligned\":3"), std::string::npos);
 

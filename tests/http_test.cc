@@ -1,7 +1,7 @@
 // Tests for the introspection HTTP listener: request parsing, routing
 // to the handler, error statuses, connection-thread reaping, accepting
 // again after running out of descriptors, a peer that hangs up before
-// its response, and shutdown.
+// its response, a peer that never reads it, and shutdown.
 
 #include "server/http.h"
 
@@ -14,9 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <string>
 #include <thread>
 
@@ -277,6 +279,52 @@ TEST(HttpServerPeerTest, PeerGoneBeforeLargeResponseIsSurvived) {
   EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos)
       << response;
   server.Shutdown();
+}
+
+TEST(HttpServerPeerTest, ShutdownDoesNotWaitForAPeerThatNeverReads) {
+  // The body outgrows the socket buffers on both ends, so the handler
+  // blocks in send() until the listener's send timeout fails it.
+  std::atomic<bool> answered{false};
+  HttpServer server(
+      [&](const std::string&, const std::string&) {
+        HttpResponse response;
+        response.body.assign(size_t{16} << 20, 'x');
+        answered = true;
+        return response;
+      },
+      HttpOptions());
+  ASSERT_TRUE(server.Start().ok());
+
+  const int fd = Connect(server.port());
+  const std::string request = "GET /big HTTP/1.0\r\n\r\n";
+  ASSERT_EQ(write(fd, request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  for (int i = 0; i < 5000 && !answered; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(answered);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  // Closes the client late if Shutdown still waits on it, so a failing
+  // run ends instead of hanging.
+  std::promise<void> shut_down;
+  bool watchdog_closed = false;
+  std::thread watchdog([&, done = shut_down.get_future()] {
+    if (done.wait_for(std::chrono::seconds(20)) !=
+        std::future_status::ready) {
+      close(fd);
+      watchdog_closed = true;
+    }
+  });
+  const auto begin = std::chrono::steady_clock::now();
+  server.Shutdown();
+  const auto waited = std::chrono::steady_clock::now() - begin;
+  shut_down.set_value();
+  watchdog.join();
+  if (!watchdog_closed) close(fd);
+  // The send that filled the buffers returns short after one timeout,
+  // the next fails after another.
+  EXPECT_LT(waited, 2 * Listener::kSendTimeout + std::chrono::seconds(2));
 }
 
 }  // namespace

@@ -280,32 +280,5 @@ TEST(PartitionedSearchTest, TruncatedResultsStaySorted) {
   EXPECT_TRUE(r->truncated);
 }
 
-TEST(PartitionedSearchTest, BatchPerQueryDeadlines) {
-  Fixture f = MakeFixture(IndexGranularity::kPositional);
-  PartitionedSearch engine(&f.collection, &f.index);
-  SearchOptions options;
-
-  std::vector<std::string> queries = {f.queries[0].sequence,
-                                      f.queries[1].sequence};
-  // One live query and one whose budget is already gone: only the
-  // latter truncates.
-  std::vector<Deadline> deadlines = {Deadline::Infinite(),
-                                     Deadline::AfterSeconds(-1.0)};
-  Result<std::vector<SearchResult>> batch =
-      engine.BatchSearch(queries, options, &deadlines);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ASSERT_EQ(batch->size(), 2u);
-  EXPECT_FALSE((*batch)[0].truncated);
-  EXPECT_FALSE((*batch)[0].hits.empty());
-  EXPECT_TRUE((*batch)[1].truncated);
-
-  // A deadline list of the wrong length is an InvalidArgument.
-  deadlines.pop_back();
-  Result<std::vector<SearchResult>> bad =
-      engine.BatchSearch(queries, options, &deadlines);
-  ASSERT_FALSE(bad.ok());
-  EXPECT_TRUE(bad.status().IsInvalidArgument());
-}
-
 }  // namespace
 }  // namespace cafe

@@ -319,24 +319,6 @@ TEST(ProtocolTest, FlippedPayloadByteFailsCrc) {
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
-TEST(ProtocolTest, OptionsKeyIgnoresQueryAndDeadline) {
-  SearchRequest a = MakeRequest();
-  SearchRequest b = MakeRequest();
-  b.query = "TTTTTTTTTTTT";
-  b.deadline_millis = 9;
-  EXPECT_EQ(a.OptionsKey(), b.OptionsKey());
-
-  b = MakeRequest();
-  b.max_results += 1;
-  EXPECT_NE(a.OptionsKey(), b.OptionsKey());
-  b = MakeRequest();
-  b.both_strands = !b.both_strands;
-  EXPECT_NE(a.OptionsKey(), b.OptionsKey());
-  b = MakeRequest();
-  b.band += 1;
-  EXPECT_NE(a.OptionsKey(), b.OptionsKey());
-}
-
 TEST(ProtocolTest, ToSearchOptionsMapsEveryWireField) {
   SearchRequest r = MakeRequest();
   SearchOptions o = r.ToSearchOptions();

@@ -5,8 +5,9 @@
 # concurrent clients), follow one trace id from the loadgen report
 # into /slowz and its span timeline out of /tracez (validated as
 # loadable Chrome trace JSON by tools/tracecheck.py), validate
-# /metrics as Prometheus text exposition and check its search.*
-# metrics against the /flightz records, fetch the stats document,
+# /metrics as Prometheus text exposition, check its search.* metrics
+# against the /flightz records and that queue wait plus search time
+# adds up to request time, fetch the stats document,
 # then SIGTERM the server and require a clean (exit 0) graceful
 # shutdown.
 # Run by ctest as: serve_smoke_test.sh <cafe_cli> <cafe_serve> <cafe_loadgen>
@@ -134,7 +135,7 @@ fi
 # carries the server.* metrics, now with percentile summaries.
 grep -q '"command":"stats"' "$DIR/stats.json"
 grep -q 'server.requests_accepted' "$DIR/stats.json"
-grep -q 'server.batch_size' "$DIR/stats.json"
+grep -q 'server.queue_wait_micros' "$DIR/stats.json"
 grep -q '"p50"' "$DIR/stats.json"
 if [ "$HAVE_PYTHON" -eq 1 ]; then
   python3 - "$DIR/stats.json" << 'EOF'
@@ -196,6 +197,21 @@ got = metrics["cafe_search_total_micros_count"]
 assert got == searched, ("cafe_search_total_micros_count", got, searched)
 EOF
 
+  # The stage times add up: each request's end-to-end time is its queue
+  # wait plus its own engine call, so the sums agree within 10%.
+  python3 - "$DIR/metrics.txt" << 'EOF'
+import sys
+sums = {}
+for line in open(sys.argv[1]):
+    parts = line.split()
+    if len(parts) == 2 and parts[0].endswith("_sum"):
+        sums[parts[0]] = float(parts[1])
+queue = sums["cafe_server_queue_wait_micros_sum"]
+search = sums["cafe_search_total_micros_sum"]
+request = sums["cafe_server_request_micros_sum"]
+assert abs(queue + search - request) <= 0.1 * request, (queue, search, request)
+EOF
+
   # The full loop: the slowest trace id the *client* printed must be in
   # the server's slow log, with the complete pruning funnel attached.
   fetch "http://127.0.0.1:$HTTP_PORT/slowz" > "$DIR/slowz.json"
@@ -222,7 +238,7 @@ EOF
       > "$DIR/trace.json"
   grep -q '"queue.wait"' "$DIR/trace.json"
   python3 "$TOOLS_DIR/tracecheck.py" --min-names 8 \
-      --require fine.worker --require batch.search "$DIR/trace.json"
+      --require fine.worker --require search "$DIR/trace.json"
 
   # Unknown paths 404 without killing the listener.
   python3 -c '

@@ -21,7 +21,8 @@ regexes can express. Two passes, both scope-sensitive:
       while a cafe::MutexLock is live in an enclosing scope. Blocking
       under a lock turns one slow fd into a convoy for every thread
       behind that mutex; stage the I/O outside the critical section
-      (the Dispatcher::Complete / FlightRecorder split is the model).
+      (Dispatcher::Execute recording its FlightRecord before it takes
+      the lock to count the request completed is the model).
       CondVar::Wait is exempt: it releases the lock while blocked.
 
 Backends: by default a built-in single-pass lexer produces the line

@@ -2,7 +2,7 @@
 //
 //   cafe_serve --collection db.col --index db.idx
 //       [--host 127.0.0.1] [--port 0] [--port-file FILE]
-//       [--workers N] [--queue N] [--batch N] [--search-threads N]
+//       [--workers N] [--queue N] [--search-threads N]
 //       [--chain off|filter] [--min-chain N]
 //       [--index-mode memory|mmap]
 //       [--http-port N] [--http-port-file FILE]
@@ -84,8 +84,7 @@ int Usage() {
       stderr,
       "usage: cafe_serve --collection FILE --index FILE\n"
       "           [--host ADDR] [--port N] [--port-file FILE]\n"
-      "           [--workers N] [--queue N] [--batch N]\n"
-      "           [--search-threads N]\n"
+      "           [--workers N] [--queue N] [--search-threads N]\n"
       "           [--chain off|filter] [--min-chain N]\n"
       "           [--index-mode memory|mmap]\n"
       "           [--http-port N] [--http-port-file FILE]\n"
@@ -214,8 +213,6 @@ Status Run(FlagParser& flags) {
       static_cast<uint32_t>(flags.GetInt("workers", 2));
   options.dispatcher.max_queue =
       static_cast<uint32_t>(flags.GetInt("queue", 256));
-  options.dispatcher.max_batch =
-      static_cast<uint32_t>(flags.GetInt("batch", 8));
   options.dispatcher.search_threads =
       static_cast<uint32_t>(flags.GetInt("search-threads", 1));
   std::string chain_flag = flags.GetString("chain", "off");

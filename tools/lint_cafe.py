@@ -12,9 +12,11 @@ Checks that clang-tidy / compiler warnings cannot express:
   no-raw-assert   no raw assert() under src/ — use CAFE_CHECK /
                   CAFE_DCHECK from util/check.h (static_assert is fine)
   no-std-thread   std::thread only inside src/util/thread_pool.* and
-                  src/server/ (the serving layer owns blocking accept /
-                  connection threads) — all other code schedules onto
-                  ThreadPool
+                  src/server/listener.* (the connection core owns the
+                  blocking accept thread and one thread per connection)
+                  — all other code, the dispatcher's search threads
+                  included, schedules onto ThreadPool, so a second
+                  thread pool cannot creep back into the server
   no-adhoc-chrono no direct std::chrono in src/search/ or src/index/ —
                   hot-path timing goes through util/timer.h (WallTimer)
                   or the obs/ spans, so traces stay consistent
@@ -139,7 +141,7 @@ def lint_file(root, relpath, findings):
 def lint_lines(relpath, lines, findings):
     is_header = relpath.endswith(".h")
     thread_ok = relpath.startswith(("src/util/thread_pool.",
-                                    "src/server/"))
+                                    "src/server/listener."))
     mutex_ok = relpath == "src/util/mutex.h"
     socket_ok = relpath.startswith("src/server/")
     chrono_scoped = relpath.startswith(("src/search/", "src/index/"))
@@ -217,7 +219,7 @@ def lint_lines(relpath, lines, findings):
         if THREAD_RE.search(code) and not thread_ok:
             report(RULE_THREAD,
                    "std::thread outside src/util/thread_pool.* or "
-                   "src/server/; use ThreadPool")
+                   "src/server/listener.*; use ThreadPool")
         if MUTEX_RE.search(code) and not mutex_ok:
             report(RULE_MUTEX,
                    "raw std locking primitive; use cafe::Mutex / "
@@ -257,7 +259,14 @@ SELFTEST_CASES = [
     ("src/a/b.cc", "static_assert(sizeof(int) == 4);", None),
     ("src/a/b.cc", "std::thread t(run);", RULE_THREAD),
     ("src/util/thread_pool.cc", "std::thread t(run);", None),
-    ("src/server/server.cc", "std::thread t(run);", None),
+    ("src/server/listener.cc", "std::thread t(run);", None),
+    ("src/server/listener.h",
+     "#ifndef CAFE_SERVER_LISTENER_H_\nstd::thread accept_thread_;", None),
+    # The rest of the server uses the Listener's threads or ThreadPool.
+    ("src/server/server.cc", "std::thread t(run);", RULE_THREAD),
+    ("src/server/dispatcher.h",
+     "#ifndef CAFE_SERVER_DISPATCHER_H_\n"
+     "std::vector<std::thread> workers_;", RULE_THREAD),
     ("src/a/b.cc", "std::mutex mu;", RULE_MUTEX),
     ("src/a/b.cc", "std::lock_guard<std::mutex> lock(mu);", RULE_MUTEX),
     ("src/a/b.cc", "std::unique_lock<std::mutex> lock(mu);", RULE_MUTEX),
@@ -323,7 +332,8 @@ SELFTEST_CASES = [
     ("src/search/x.cc", 'm->GetHistogram("x.micros")->Record(1);',
      RULE_ENGINE_METRICS),
     # The serving layer and the index's open-time facts may record.
-    ("src/server/dispatcher.cc", 'm->GetCounter("server.batches");', None),
+    ("src/server/dispatcher.cc",
+     'm->GetCounter("server.requests_accepted");', None),
     ("src/index/index_io.cc", '#include "obs/metrics.h"', None),
     ("src/search/x.cc", '#include "obs/trace.h"', None),
     ("src/search/x.cc", "obs::SearchTrace* trace = nullptr;", None),
