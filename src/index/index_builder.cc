@@ -2,10 +2,10 @@
 #include <unordered_map>
 
 #include "collection/collection.h"
-#include "index/index_metrics.h"
 #include "index/interval.h"
 #include "index/inverted_index.h"
 #include "index/seed_extract.h"
+#include "obs/metrics.h"
 #include "util/timer.h"
 
 namespace cafe {
@@ -63,6 +63,24 @@ class CursorTable {
   std::unordered_map<uint32_t, uint64_t> sparse_table_;
 };
 
+// Records one completed build into `registry` (no-op when null).
+void RecordIndexBuildMetrics(obs::MetricsRegistry* registry,
+                             const IndexStats& stats, uint64_t num_docs,
+                             double micros) {
+  if (registry == nullptr) return;
+  registry->GetCounter("index_build.builds")->Add(1);
+  registry->GetCounter("index_build.docs_indexed")->Add(num_docs);
+  registry->GetCounter("index_build.terms_indexed")->Add(stats.num_terms);
+  registry->GetCounter("index_build.postings_indexed")
+      ->Add(stats.total_postings);
+  registry->GetCounter("index_build.terms_stopped")
+      ->Add(stats.stopped_terms);
+  registry->GetCounter("index_build.postings_stopped")
+      ->Add(stats.stopped_postings);
+  registry->GetHistogram("index_build.build_micros")
+      ->Record(micros <= 0.0 ? 0 : static_cast<uint64_t>(micros));
+}
+
 }  // namespace
 
 Status IndexOptions::Validate() const {
@@ -90,23 +108,11 @@ Status IndexOptions::Validate() const {
 Result<InvertedIndex> IndexBuilder::Build(const SequenceCollection& collection,
                                           const IndexOptions& options) {
   WallTimer timer;
-  Result<InvertedIndex> built =
-      BuildRange(collection, options, 0, collection.NumSequences());
-  if (built.ok()) {
-    RecordIndexBuildMetrics(options.metrics, (*built).stats(),
-                            (*built).num_docs(), timer.Micros());
-  }
-  return built;
-}
-
-Result<InvertedIndex> IndexBuilder::BuildRange(
-    const SequenceCollection& collection, const IndexOptions& options,
-    uint32_t doc_begin, uint32_t doc_end) {
   CAFE_RETURN_IF_ERROR(options.Validate());
-  if (doc_begin >= doc_end || doc_end > collection.NumSequences()) {
+  const uint32_t num_docs = collection.NumSequences();
+  if (num_docs == 0) {
     return Status::InvalidArgument("cannot index an empty collection");
   }
-  const uint32_t num_docs = doc_end - doc_begin;
 
   InvertedIndex index;
   index.options_ = options;
@@ -125,7 +131,7 @@ Result<InvertedIndex> IndexBuilder::BuildRange(
     LastDocTable last_doc(n, dense);
     std::string seq;
     for (uint32_t doc = 0; doc < num_docs; ++doc) {
-      CAFE_RETURN_IF_ERROR(collection.GetSequence(doc_begin + doc, &seq));
+      CAFE_RETURN_IF_ERROR(collection.GetSequence(doc, &seq));
       index.doc_lengths_[doc] = static_cast<uint32_t>(seq.size());
       extractor->ForEach(seq, options.stride,
                          [&](uint32_t /*pos*/, uint32_t term) {
@@ -169,7 +175,7 @@ Result<InvertedIndex> IndexBuilder::BuildRange(
   {
     std::string seq;
     for (uint32_t doc = 0; doc < num_docs; ++doc) {
-      CAFE_RETURN_IF_ERROR(collection.GetSequence(doc_begin + doc, &seq));
+      CAFE_RETURN_IF_ERROR(collection.GetSequence(doc, &seq));
       extractor->ForEach(seq, options.stride,
                          [&](uint32_t pos, uint32_t term) {
                            if (index.directory_.Find(term) == nullptr) return;
@@ -210,7 +216,30 @@ Result<InvertedIndex> IndexBuilder::BuildRange(
           ? 0.0
           : static_cast<double>(index.stats_.postings_bits) /
                 static_cast<double>(total_postings);
+  RecordIndexBuildMetrics(options.metrics, index.stats_, num_docs,
+                          timer.Micros());
   return index;
+}
+
+Status CheckIndexMatchesCollection(const InvertedIndex& index,
+                                   const SequenceCollection& collection) {
+  if (index.num_docs() != collection.NumSequences()) {
+    return Status::InvalidArgument(
+        "index covers " + std::to_string(index.num_docs()) +
+        " sequences but the collection holds " +
+        std::to_string(collection.NumSequences()));
+  }
+  for (uint32_t doc = 0; doc < index.num_docs(); ++doc) {
+    Result<size_t> length = collection.SequenceLength(doc);
+    CAFE_RETURN_IF_ERROR(length.status());
+    if (*length != index.doc_length(doc)) {
+      return Status::InvalidArgument(
+          "sequence " + std::to_string(doc) + " is " +
+          std::to_string(*length) + " bases in the collection but " +
+          std::to_string(index.doc_length(doc)) + " in the index");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace cafe

@@ -76,10 +76,9 @@ struct IndexOptions {
   double stop_doc_fraction = 1.0;
 
   /// Optional observability sink (obs/metrics.h). Runtime-only: never
-  /// serialized, never affects index contents. When non-null, top-level
-  /// builds (Build, BuildSharded) record the `index_build.*` counters
-  /// and the `index_build.build_micros` histogram into it exactly once
-  /// per build.
+  /// serialized, never affects index contents. When non-null, each
+  /// IndexBuilder::Build call records the `index_build.*` counters and
+  /// the `index_build.build_micros` histogram into it once.
   obs::MetricsRegistry* metrics = nullptr;
 
   [[nodiscard]] Status Validate() const;
@@ -180,9 +179,6 @@ class InvertedIndex final {
 
  private:
   friend class IndexBuilder;
-  friend Result<InvertedIndex> MergeIndexes(
-      const std::vector<const InvertedIndex*>& shards,
-      const std::vector<uint32_t>& doc_offsets);
 
   // TermDirectory has no default constructor; a freshly constructed index
   // holds an empty directory at the smallest length until Build/Load
@@ -225,14 +221,14 @@ class IndexBuilder {
  public:
   [[nodiscard]] static Result<InvertedIndex> Build(const SequenceCollection& collection,
                                      const IndexOptions& options);
-
-  /// Builds over the sub-range of sequences [doc_begin, doc_end);
-  /// document ids in the result are local (0-based within the range).
-  /// Used by the sharded construction path (index_merge.h).
-  [[nodiscard]] static Result<InvertedIndex> BuildRange(
-      const SequenceCollection& collection, const IndexOptions& options,
-      uint32_t doc_begin, uint32_t doc_end);
 };
+
+/// Checks that `index` was built over `collection`: the same number of
+/// sequences, each of the same length. Returns InvalidArgument naming
+/// the first mismatch. An index and a collection are separate files,
+/// so a program that opens both calls this before its first query.
+[[nodiscard]] Status CheckIndexMatchesCollection(
+    const InvertedIndex& index, const SequenceCollection& collection);
 
 }  // namespace cafe
 

@@ -14,6 +14,14 @@ int64_t NowUnixMicros() {
       .count();
 }
 
+// Copies of the last `max` records of an oldest-first deque, newest
+// first.
+std::vector<FlightRecord> NewestFirst(const std::deque<FlightRecord>& log,
+                                      size_t max) {
+  const size_t n = std::min(max, log.size());
+  return std::vector<FlightRecord>(log.rbegin(), log.rbegin() + n);
+}
+
 }  // namespace
 
 std::string FlightRecord::ToJson() const {
@@ -46,43 +54,20 @@ std::string FlightRecord::ToJson() const {
 
 FlightRecorder::FlightRecorder(const Options& options)
     : options_{std::max<size_t>(options.capacity, 1), options.slow_micros,
-               std::max<size_t>(options.slow_capacity, 1)} {
-  slots_.reserve(options_.capacity);
-  for (size_t i = 0; i < options_.capacity; ++i) {
-    slots_.push_back(std::make_unique<Slot>());
-  }
-}
-
-void FlightRecorder::LockSlot(Slot& slot) const {
-  uint32_t expected = 0;
-  while (!slot.lock.compare_exchange_weak(expected, 1,
-                                          std::memory_order_acquire,
-                                          std::memory_order_relaxed)) {
-    expected = 0;
-  }
-}
-
-void FlightRecorder::UnlockSlot(Slot& slot) const {
-  slot.lock.store(0, std::memory_order_release);
-}
+               std::max<size_t>(options.slow_capacity, 1)} {}
 
 void FlightRecorder::Record(FlightRecord record) {
   record.completed_unix_micros = NowUnixMicros();
   const bool slow = record.total_micros >= options_.slow_micros;
-
-  const uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = *slots_[seq % options_.capacity];
-  LockSlot(slot);
-  slot.seq = seq;
-  slot.record = record;  // copy: the slow log may still need it below
-  UnlockSlot(slot);
-
+  MutexLock lock(&mu_);
+  recorded_.fetch_add(1, std::memory_order_relaxed);
   if (slow) {
     slow_recorded_.fetch_add(1, std::memory_order_relaxed);
-    MutexLock lock(&slow_mu_);
-    slow_.push_back(std::move(record));
-    while (slow_.size() > options_.slow_capacity) slow_.pop_front();
+    slow_.push_back(record);
+    if (slow_.size() > options_.slow_capacity) slow_.pop_front();
   }
+  recent_.push_back(std::move(record));
+  if (recent_.size() > options_.capacity) recent_.pop_front();
 }
 
 bool FlightRecorder::SlowPinned(uint64_t trace_id) const {
@@ -90,7 +75,7 @@ bool FlightRecorder::SlowPinned(uint64_t trace_id) const {
   // Relaxed precheck: nothing has ever been pinned, so the common
   // (healthy-service) path never touches the mutex.
   if (slow_recorded_.load(std::memory_order_relaxed) == 0) return false;
-  MutexLock lock(&slow_mu_);
+  MutexLock lock(&mu_);
   for (const FlightRecord& record : slow_) {
     if (record.trace_id == trace_id) return true;
   }
@@ -98,37 +83,13 @@ bool FlightRecorder::SlowPinned(uint64_t trace_id) const {
 }
 
 std::vector<FlightRecord> FlightRecorder::Recent(size_t max) const {
-  // Copy every written slot with its sequence number, then sort
-  // newest-first. The ring is introspection-sized, so a full sweep is
-  // cheaper than trying to chase concurrent writers index by index.
-  std::vector<std::pair<uint64_t, FlightRecord>> copies;
-  copies.reserve(slots_.size());
-  for (const auto& slot_ptr : slots_) {
-    Slot& slot = *slot_ptr;
-    LockSlot(slot);
-    if (slot.seq != UINT64_MAX) {
-      copies.emplace_back(slot.seq, slot.record);
-    }
-    UnlockSlot(slot);
-  }
-  std::sort(copies.begin(), copies.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  if (copies.size() > max) copies.resize(max);
-  std::vector<FlightRecord> out;
-  out.reserve(copies.size());
-  for (auto& [seq, record] : copies) out.push_back(std::move(record));
-  return out;
+  MutexLock lock(&mu_);
+  return NewestFirst(recent_, max);
 }
 
 std::vector<FlightRecord> FlightRecorder::Slow(size_t max) const {
-  MutexLock lock(&slow_mu_);
-  std::vector<FlightRecord> out;
-  const size_t n = std::min(max, slow_.size());
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    out.push_back(slow_[slow_.size() - 1 - i]);  // newest first
-  }
-  return out;
+  MutexLock lock(&mu_);
+  return NewestFirst(slow_, max);
 }
 
 std::string FlightRecorder::RecentJson(size_t max) const {

@@ -11,13 +11,12 @@
 // operator looks at it. cafe_serve exposes both over HTTP as /flightz
 // and /slowz.
 //
-// Cost model. The hot path (Record) is one relaxed fetch_add to claim
-// a slot plus one per-slot spinlock acquire to publish the payload —
-// concurrent writers land on different slots and never contend unless
-// the ring wraps within one write. Readers (Recent/Slow) lock each
-// slot briefly while copying; they are introspection endpoints, not
-// hot paths. The slow log is mutex-guarded (slow requests are, by
-// definition, rare).
+// Cost model. Record runs once per completed request (a few hundred
+// times a second at most) and takes one mutex to append the record to
+// the ring, and to the slow log when it is slow. Readers (Recent/Slow)
+// take the same mutex while copying; they are introspection endpoints,
+// not hot paths. SlowPinned skips the mutex until something has been
+// pinned.
 
 #ifndef CAFE_OBS_FLIGHT_H_
 #define CAFE_OBS_FLIGHT_H_
@@ -25,7 +24,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -86,20 +84,19 @@ class FlightRecorder {
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   /// Publishes one completed request, stamping completed_unix_micros.
-  /// Thread-safe and wait-free against other writers except when two
-  /// writers wrap onto the same slot simultaneously.
-  void Record(FlightRecord record);
+  /// Thread-safe.
+  void Record(FlightRecord record) CAFE_EXCLUDES(mu_);
 
   /// Newest-first copies of up to `max` retained records.
-  std::vector<FlightRecord> Recent(size_t max) const;
+  std::vector<FlightRecord> Recent(size_t max) const CAFE_EXCLUDES(mu_);
 
   /// Newest-first copies of up to `max` pinned slow records.
-  std::vector<FlightRecord> Slow(size_t max) const;
+  std::vector<FlightRecord> Slow(size_t max) const CAFE_EXCLUDES(mu_);
 
   /// Requests recorded / pinned as slow since construction (monotonic,
   /// not bounded by the ring).
   uint64_t recorded() const {
-    return next_.load(std::memory_order_relaxed);
+    return recorded_.load(std::memory_order_relaxed);
   }
   uint64_t slow_recorded() const {
     return slow_recorded_.load(std::memory_order_relaxed);
@@ -113,7 +110,7 @@ class FlightRecorder {
   /// an operator is already staring at in /slowz gets a span timeline
   /// regardless of the sampling rate. Constant-time false until
   /// something has been pinned, then a scan of the bounded slow log.
-  bool SlowPinned(uint64_t trace_id) const CAFE_EXCLUDES(slow_mu_);
+  bool SlowPinned(uint64_t trace_id) const CAFE_EXCLUDES(mu_);
 
   /// {"records":[...]} — newest first, at most `max` entries.
   std::string RecentJson(size_t max) const;
@@ -121,27 +118,14 @@ class FlightRecorder {
   std::string SlowJson(size_t max) const;
 
  private:
-  // One ring slot: a tiny spinlock publishing `record`, plus the
-  // global sequence number it holds (UINT64_MAX = never written), so
-  // readers can order slots and skip ones a wrapping writer is
-  // mid-overwrite on.
-  struct Slot {
-    std::atomic<uint32_t> lock{0};
-    uint64_t seq = UINT64_MAX;
-    FlightRecord record;
-  };
-
-  void LockSlot(Slot& slot) const;
-  void UnlockSlot(Slot& slot) const;
-
   const Options options_;
-  std::atomic<uint64_t> next_{0};
-  std::vector<std::unique_ptr<Slot>> slots_;
-
-  mutable Mutex slow_mu_;
-  std::deque<FlightRecord> slow_
-      CAFE_GUARDED_BY(slow_mu_);  // oldest first, bounded
+  std::atomic<uint64_t> recorded_{0};
   std::atomic<uint64_t> slow_recorded_{0};
+
+  mutable Mutex mu_;
+  // Both oldest first, bounded by capacity and slow_capacity.
+  std::deque<FlightRecord> recent_ CAFE_GUARDED_BY(mu_);
+  std::deque<FlightRecord> slow_ CAFE_GUARDED_BY(mu_);
 };
 
 }  // namespace cafe::obs

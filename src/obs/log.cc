@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cinttypes>
+#include <cstdio>
 #include <ctime>
 
 #include "obs/span.h"
@@ -11,8 +12,6 @@ namespace cafe::obs {
 namespace {
 
 Mutex g_log_mu;
-std::FILE* g_log_sink CAFE_GUARDED_BY(g_log_mu) =
-    nullptr;  // null = stderr
 
 char SeverityLetter(LogSeverity severity) {
   switch (severity) {
@@ -61,19 +60,13 @@ void Log(LogSeverity severity, std::string_view message,
       FormatLogLine(severity, message, trace_id, now_micros,
                     DenseThreadId());
   MutexLock lock(&g_log_mu);
-  std::FILE* sink = g_log_sink != nullptr ? g_log_sink : stderr;
-  // The sink write *is* the critical section: g_log_mu exists to keep
-  // concurrent log lines from interleaving in the stream, so the I/O
-  // must happen under it. Nothing else is ever locked here, and every
-  // caller-side lock is screened by the same pass.
+  // The stderr write *is* the critical section: g_log_mu exists to
+  // keep concurrent log lines from interleaving in the stream, so the
+  // I/O must happen under it. Nothing else is ever locked here, and
+  // every caller-side lock is screened by the same pass.
   // NOLINTNEXTLINE(astcheck-lock-scope)
-  std::fprintf(sink, "%s\n", line.c_str());
-  std::fflush(sink);  // NOLINT(astcheck-lock-scope) — same line batch
-}
-
-void SetLogSink(std::FILE* sink) {
-  MutexLock lock(&g_log_mu);
-  g_log_sink = sink;
+  std::fprintf(stderr, "%s\n", line.c_str());
+  std::fflush(stderr);  // NOLINT(astcheck-lock-scope) — same line batch
 }
 
 }  // namespace cafe::obs

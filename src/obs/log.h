@@ -19,7 +19,6 @@
 #define CAFE_OBS_LOG_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <string_view>
 
@@ -42,8 +41,8 @@ std::string FormatLogLine(LogSeverity severity, std::string_view message,
                           uint64_t trace_id, int64_t unix_micros,
                           uint32_t tid);
 
-/// Writes one line to the log sink (stderr by default), stamped with
-/// the current wall-clock time. Thread-safe; lines never interleave.
+/// Writes one line to stderr, stamped with the current wall-clock
+/// time. Thread-safe; lines never interleave.
 void Log(LogSeverity severity, std::string_view message,
          uint64_t trace_id = 0);
 
@@ -56,10 +55,6 @@ inline void LogWarning(std::string_view message, uint64_t trace_id = 0) {
 inline void LogError(std::string_view message, uint64_t trace_id = 0) {
   Log(LogSeverity::kError, message, trace_id);
 }
-
-/// Redirects Log() output (tests; null resets to stderr). The stream
-/// must stay valid until the next SetLogSink call.
-void SetLogSink(std::FILE* sink);
 
 }  // namespace cafe::obs
 

@@ -71,9 +71,6 @@ class BitReader {
   /// Past-the-end reads return 0 and set the overflow flag.
   [[nodiscard]] uint64_t ReadBits(int nbits);
 
-  /// Reads a single bit.
-  [[nodiscard]] bool ReadBit() { return ReadBits(1) != 0; }
-
   /// Reads a unary code: the number of zero bits before the next one bit.
   [[nodiscard]] uint64_t ReadUnary();
 

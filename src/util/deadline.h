@@ -14,7 +14,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <limits>
 
 namespace cafe {
 
@@ -41,13 +40,6 @@ class Deadline {
   bool has_deadline() const { return has_deadline_; }
 
   bool Expired() const { return has_deadline_ && Clock::now() >= at_; }
-
-  /// Seconds until expiry; negative when expired, +infinity when this
-  /// deadline never expires.
-  double RemainingSeconds() const {
-    if (!has_deadline_) return std::numeric_limits<double>::infinity();
-    return std::chrono::duration<double>(at_ - Clock::now()).count();
-  }
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -1,12 +1,12 @@
 // Runtime SIMD dispatch tiers.
 //
-// Every vectorized kernel in the tree (the PCLMULQDQ CRC sweep, the
-// AVX2 packed-payload scan, the striped Smith-Waterman) keeps its
-// scalar implementation as the reference oracle and selects the widest
-// tier the CPU supports at runtime. `CAFE_SIMD_LEVEL` caps the tier
-// from the environment (`scalar` | `sse2` | `avx2`) so tests and CI can
-// force every path onto the same inputs; see docs/PERFORMANCE.md for
-// the tier table and the forcing recipe.
+// Every vectorized kernel in the tree (the PCLMULQDQ CRC sweep and the
+// striped Smith-Waterman) keeps its scalar implementation as the
+// reference oracle and selects the widest tier the CPU supports at
+// runtime. `CAFE_SIMD_LEVEL` caps the tier from the environment
+// (`scalar` | `sse2` | `avx2`) so tests and CI can force every path
+// onto the same inputs; see docs/PERFORMANCE.md for the tier table and
+// the forcing recipe.
 //
 // ActiveSimdLevel() is computed once (cpuid + env) and cached; the test
 // override in `internal` exists because the env is read only once —

@@ -12,9 +12,7 @@ class WallTimer {
  public:
   WallTimer() : start_(Clock::now()) {}
 
-  void Restart() { start_ = Clock::now(); }
-
-  /// Seconds elapsed since construction or the last Restart().
+  /// Seconds elapsed since construction.
   double Seconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }

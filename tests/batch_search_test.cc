@@ -1,12 +1,10 @@
 // Determinism of the parallel execution layer: BatchSearch and the
 // parallel fine phase must return bit-identical rankings at every
-// thread count, and the parallel index build must produce the same
-// index bytes as the sequential build.
+// thread count.
 
 #include <gtest/gtest.h>
 
 #include "index/inverted_index.h"
-#include "index/index_merge.h"
 #include "search/exhaustive.h"
 #include "search/partitioned.h"
 #include "sim/generator.h"
@@ -176,22 +174,6 @@ TEST(BatchSearchTest, BaselineEngineBatchIsDeterministic) {
       engine.BatchSearch(f.queries, options);
   ASSERT_TRUE(parallel.ok());
   ExpectSameBatch(*sequential, *parallel);
-}
-
-TEST(BatchSearchTest, ParallelIndexBuildMatchesSequentialBytes) {
-  Fixture f = MakeFixture(/*num_queries=*/1);
-  IndexOptions iopt;
-  iopt.interval_length = 8;
-  const uint32_t n = f.collection.NumSequences();
-  Result<InvertedIndex> parallel =
-      BuildSharded(f.collection, iopt, /*docs_per_shard=*/(n + 3) / 4,
-                   /*threads=*/4);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-
-  std::string sequential_bytes, parallel_bytes;
-  f.index.Serialize(&sequential_bytes);
-  parallel->Serialize(&parallel_bytes);
-  EXPECT_EQ(sequential_bytes, parallel_bytes);
 }
 
 TEST(BatchSearchTest, EmptyBatchAndErrorPropagation) {

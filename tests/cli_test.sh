@@ -22,16 +22,15 @@ grep -q "interval length" "$DIR/log"
 "$CLI" terms --index "$DIR/db.idx" --top 5 > "$DIR/log" 2>&1
 grep -q "interval" "$DIR/log"
 
-# Sharded build produces an equivalent index file (same search answers).
-"$CLI" build --fasta "$DIR/db.fa" --collection "$DIR/db2.col" \
-    --index "$DIR/db2.idx" --interval 8 --shards 4 > "$DIR/log" 2>&1
-grep -q "postings" "$DIR/log"
-cmp "$DIR/db.idx" "$DIR/db2.idx"
-
-# --threads alone builds one shard per worker: the same file again.
-"$CLI" build --fasta "$DIR/db.fa" --collection "$DIR/db3.col" \
-    --index "$DIR/db3.idx" --interval 8 --threads 4 > "$DIR/log" 2>&1
-cmp "$DIR/db.idx" "$DIR/db3.idx"
+# The build has one path: its former shards and threads flags are unknown.
+for flag in shards threads; do
+  if "$CLI" build --fasta "$DIR/db.fa" --collection "$DIR/db2.col" \
+      --index "$DIR/db2.idx" --interval 8 "--$flag" 4 > "$DIR/log" 2>&1; then
+    echo "expected failure on build --$flag" >&2
+    exit 1
+  fi
+  grep -q "$flag" "$DIR/log"
+done
 
 # Excise a query from the generated FASTA (second line = first sequence).
 QUERY="$(sed -n '2p' "$DIR/db.fa" | cut -c1-60)"
@@ -112,6 +111,24 @@ if "$CLI" batch --collection "$DIR/db.col" --index "$DIR/db.idx" \
   exit 1
 fi
 grep -q "query-file" "$DIR/log"
+
+# An index opened with a collection it was not built over is refused
+# before any query runs, in both pairings.
+"$CLI" generate --bases 50000 --out "$DIR/other.fa" --seed 6 > "$DIR/log" 2>&1
+"$CLI" build --fasta "$DIR/other.fa" --collection "$DIR/other.col" \
+    --index "$DIR/other.idx" > "$DIR/log" 2>&1
+if "$CLI" search --collection "$DIR/db.col" --index "$DIR/other.idx" \
+    --query "$QUERY" > "$DIR/log" 2>&1; then
+  echo "expected failure on a mismatched collection and index" >&2
+  exit 1
+fi
+grep -Eq "index covers|in the index" "$DIR/log"
+if "$CLI" batch --collection "$DIR/other.col" --index "$DIR/db.idx" \
+    --query-file "$DIR/q.fa" > "$DIR/log" 2>&1; then
+  echo "expected failure on a mismatched collection and index" >&2
+  exit 1
+fi
+grep -Eq "index covers|in the index" "$DIR/log"
 
 # Failure paths must exit non-zero with a diagnostic.
 if "$CLI" search --collection "$DIR/db.col" --index "$DIR/db.idx" \

@@ -208,6 +208,35 @@ TEST(IndexBuilderTest, RejectsEmptyCollection) {
                   .IsInvalidArgument());
 }
 
+TEST(IndexBuilderTest, CheckIndexMatchesCollection) {
+  SequenceCollection col = SmallCollection();
+  IndexOptions options;
+  options.interval_length = 4;
+  Result<InvertedIndex> index = IndexBuilder::Build(col, options);
+  ASSERT_TRUE(index.ok());
+  EXPECT_TRUE(CheckIndexMatchesCollection(*index, col).ok());
+
+  // One sequence more than the index covers.
+  SequenceCollection longer = SmallCollection();
+  ASSERT_TRUE(longer.Add("e", "", "ACGTACGT").ok());
+  Status count = CheckIndexMatchesCollection(*index, longer);
+  EXPECT_TRUE(count.IsInvalidArgument()) << count.ToString();
+  EXPECT_NE(count.ToString().find("4 sequences"), std::string::npos)
+      << count.ToString();
+
+  // Same count, but sequence 2 is one base longer.
+  SequenceCollection other;
+  ASSERT_TRUE(other.Add("a", "", "ACGTACGTAC").ok());
+  ASSERT_TRUE(other.Add("b", "", "TTTTACGTTTTT").ok());
+  ASSERT_TRUE(other.Add("c", "", "GGGGGGGGG").ok());
+  ASSERT_TRUE(other.Add("d", "", "ACGNNACGT").ok());
+  Status length = CheckIndexMatchesCollection(*index, other);
+  EXPECT_TRUE(length.IsInvalidArgument()) << length.ToString();
+  EXPECT_NE(length.ToString().find("sequence 2 is 9 bases"),
+            std::string::npos)
+      << length.ToString();
+}
+
 TEST(IndexBuilderTest, UnknownTermLookupIsNoop) {
   SequenceCollection col = SmallCollection();
   IndexOptions options;

@@ -9,7 +9,8 @@
 # against the /flightz records and that queue wait plus search time
 # adds up to request time, fetch the stats document,
 # then SIGTERM the server and require a clean (exit 0) graceful
-# shutdown.
+# shutdown. Before that, cafe_serve must refuse to start on an index
+# built over another collection.
 # Run by ctest as: serve_smoke_test.sh <cafe_cli> <cafe_serve> <cafe_loadgen>
 set -eu
 
@@ -48,6 +49,17 @@ with urllib.request.urlopen(sys.argv[1], timeout=10) as r:
 "$CLI" generate --bases 100000 --out "$DIR/db.fa" --seed 5 > /dev/null
 "$CLI" build --fasta "$DIR/db.fa" --collection "$DIR/db.col" \
     --index "$DIR/db.idx" --interval 8 > /dev/null
+
+# An index built over another collection is refused at startup.
+"$CLI" generate --bases 50000 --out "$DIR/other.fa" --seed 6 > /dev/null
+"$CLI" build --fasta "$DIR/other.fa" --collection "$DIR/other.col" \
+    --index "$DIR/other.idx" > /dev/null
+if "$SERVE" --collection "$DIR/db.col" --index "$DIR/other.idx" \
+    --port 0 > "$DIR/mismatch.log" 2>&1; then
+  echo "expected cafe_serve to refuse a mismatched collection and index" >&2
+  exit 1
+fi
+grep -Eq "index covers|in the index" "$DIR/mismatch.log"
 
 # --slow-ms 0 pins every completed request into the slow log, so the
 # trace id the loadgen reports below is guaranteed to be in /slowz;

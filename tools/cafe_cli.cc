@@ -4,7 +4,7 @@
 //       [--wildcards RATE]
 //   cafe_cli build --fasta db.fa --collection db.col --index db.idx
 //       [--interval 8] [--stride 1] [--granularity positional|document]
-//       [--stop FRACTION] [--threads N]
+//       [--stop FRACTION]
 //       [--seed-pattern 1101011]   (spaced seed; '1' count = interval)
 //   cafe_cli info --collection db.col [--index db.idx]
 //   cafe_cli search --collection db.col --index db.idx
@@ -38,7 +38,6 @@
 #include "collection/collection.h"
 #include "collection/genbank.h"
 #include "eval/table.h"
-#include "index/index_merge.h"
 #include "index/index_reader.h"
 #include "index/interval.h"
 #include "index/index_stats.h"
@@ -50,7 +49,6 @@
 #include "sim/generator.h"
 #include "util/flags.h"
 #include "util/stringutil.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 #include "util/version.h"
 
@@ -71,7 +69,7 @@ int Usage() {
       "           --index FILE\n"
       "           [--interval N] [--stride N] [--granularity g] [--stop F]\n"
       "           [--seed-pattern P]  (spaced seed; '1' count = interval)\n"
-      "           [--shards N] [--threads N] [--stats[=json]]\n"
+      "           [--stats[=json]]\n"
       "  info     --collection FILE [--index FILE]\n"
       "  terms    --index FILE [--top N]\n"
       "  search   --collection FILE --index FILE\n"
@@ -144,15 +142,9 @@ Status CmdBuild(FlagParser& flags) {
         options.spaced_seed.begin(), options.spaced_seed.end(), '1'));
   }
   std::string gran = flags.GetString("granularity", "positional");
-  uint32_t shards = static_cast<uint32_t>(flags.GetInt("shards", 0));
-  int64_t threads_flag = flags.GetInt("threads", 1);
   Result<std::string> stats_mode = ParseStatsMode(flags);
   CAFE_RETURN_IF_ERROR(flags.Finish());
   if (!stats_mode.ok()) return stats_mode.status();
-  if (threads_flag < 0) {
-    return Status::InvalidArgument("--threads must be >= 0");
-  }
-  unsigned threads = static_cast<unsigned>(threads_flag);
   if (fasta.empty() == genbank.empty() || col_path.empty() ||
       idx_path.empty()) {
     return Status::InvalidArgument(
@@ -177,18 +169,7 @@ Status CmdBuild(FlagParser& flags) {
   obs::MetricsRegistry registry;
   if (!stats_mode->empty()) options.metrics = &registry;
   WallTimer timer;
-  // --shards N builds N shards, and --threads alone one shard per
-  // worker; stopping is a whole-collection decision, so a stopped index
-  // is otherwise built directly. Every path yields the same index.
-  uint32_t parts = std::max<uint32_t>(shards, 1);
-  if (parts == 1 && threads != 1 && options.stop_doc_fraction >= 1.0) {
-    parts = threads == 0 ? ThreadPool::HardwareThreads() : threads;
-  }
-  const uint32_t docs_per_shard =
-      std::max<uint32_t>(1, (col->NumSequences() + parts - 1) / parts);
-  Result<InvertedIndex> index =
-      parts > 1 ? BuildSharded(*col, options, docs_per_shard, threads)
-                : IndexBuilder::Build(*col, options);
+  Result<InvertedIndex> index = IndexBuilder::Build(*col, options);
   if (!index.ok()) return index.status();
   CAFE_RETURN_IF_ERROR(col->Save(col_path));
   CAFE_RETURN_IF_ERROR(index->Save(idx_path));
@@ -391,10 +372,11 @@ Status CmdSearch(FlagParser& flags, bool batch_mode) {
   Result<IndexReader> reader = IndexReader::Open(idx_path, *index_mode);
   if (spans != nullptr) spans->EndSpan(open_span);
   if (!reader.ok()) return reader.status();
+  const PostingSource* source = reader->source();
+  CAFE_RETURN_IF_ERROR(CheckIndexMatchesCollection(*source, *col));
   // The per-query traces below are the search accounting; the metrics
   // object holds the index's open-time facts.
   if (!stats_mode.empty()) reader->AttachMetrics(&registry);
-  const PostingSource* source = reader->source();
 
   std::vector<std::pair<std::string, std::string>> queries;  // (name, seq)
   if (!query.empty()) {

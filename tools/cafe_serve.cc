@@ -247,6 +247,7 @@ Status Run(FlagParser& flags) {
   if (!reader.ok()) return reader.status();
   obs::LogInfo(std::string("index open (") + IndexModeName(index_mode) +
                " mode): " + std::to_string(open_timer.Millis()) + " ms");
+  CAFE_RETURN_IF_ERROR(CheckIndexMatchesCollection(*reader->source(), *col));
   PartitionedSearch engine(&*col, reader->source());
 
   WallTimer uptime;
