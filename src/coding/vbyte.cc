@@ -37,28 +37,4 @@ uint64_t VByteBits(uint64_t v) {
   return bytes * 8;
 }
 
-void AppendVByte(std::vector<uint8_t>* out, uint64_t v) {
-  CAFE_DCHECK(v >= 1);
-  uint64_t x = v - 1;
-  while (x >= 128) {
-    out->push_back(static_cast<uint8_t>(x & 0x7F));
-    x >>= 7;
-  }
-  out->push_back(static_cast<uint8_t>(x | 0x80));
-}
-
-uint64_t ReadVByte(const uint8_t* data, size_t size, size_t* pos) {
-  uint64_t x = 0;
-  int shift = 0;
-  // Ten 7-bit groups cover 64 bits; like DecodeVByte, stop there so a
-  // run of continuation bytes cannot shift past the word.
-  for (int i = 0; i < 10 && *pos < size; ++i) {
-    uint8_t byte = data[(*pos)++];
-    x |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if (byte & 0x80) return x + 1;
-    shift += 7;
-  }
-  return x + 1;  // truncated or overlong input; callers validate sizes
-}
-
 }  // namespace cafe::coding

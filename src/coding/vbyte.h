@@ -1,13 +1,13 @@
 // Variable-byte code: seven payload bits per byte, high bit set on the
 // terminating byte. Byte-aligned, so decode is branch-cheap; compression is
 // coarser than the bit-aligned codes. Included as the "engineering
-// baseline" the compressed-integer literature compares against.
+// baseline" the compressed-integer literature compares against. The
+// file formats write the same code byte by byte (coding/byte_io.h).
 
 #ifndef CAFE_CODING_VBYTE_H_
 #define CAFE_CODING_VBYTE_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "util/bitio.h"
 
@@ -22,10 +22,6 @@ uint64_t DecodeVByte(BitReader* r);
 
 /// Bits EncodeVByte emits for v (always a multiple of 8).
 uint64_t VByteBits(uint64_t v);
-
-/// Convenience byte-vector forms used where a bit stream is not in play.
-void AppendVByte(std::vector<uint8_t>* out, uint64_t v);
-uint64_t ReadVByte(const uint8_t* data, size_t size, size_t* pos);
 
 }  // namespace cafe::coding
 

@@ -1,35 +1,12 @@
 #include "collection/collection.h"
 
-#include <cstring>
-
-#include "coding/vbyte.h"
-#include "util/crc32.h"
+#include "coding/byte_io.h"
 #include "util/env.h"
 
 namespace cafe {
 namespace {
 
-constexpr char kMagic[8] = {'C', 'A', 'F', 'C', 'O', 'L', '1', '\0'};
-
-void AppendString(std::string* out, const std::string& s) {
-  std::vector<uint8_t> len;
-  coding::AppendVByte(&len, s.size() + 1);
-  out->append(reinterpret_cast<const char*>(len.data()), len.size());
-  out->append(s);
-}
-
-Status ReadString(std::string_view data, size_t* pos, std::string* out) {
-  uint64_t len = coding::ReadVByte(
-      reinterpret_cast<const uint8_t*>(data.data()), data.size(), pos);
-  if (len == 0) return Status::Corruption("collection: bad string length");
-  len -= 1;
-  if (*pos + len > data.size()) {
-    return Status::Corruption("collection: truncated string");
-  }
-  out->assign(data.data() + *pos, len);
-  *pos += len;
-  return Status::OK();
-}
+constexpr std::string_view kMagic("CAFCOL1\0", 8);
 
 }  // namespace
 
@@ -82,63 +59,40 @@ uint64_t SequenceCollection::StorageBytes() const {
 }
 
 void SequenceCollection::Serialize(std::string* out) const {
-  out->clear();
-  out->append(kMagic, 8);
-  std::vector<uint8_t> count;
-  coding::AppendVByte(&count, names_.size() + 1);
-  out->append(reinterpret_cast<const char*>(count.data()), count.size());
+  coding::FileWriter w(out, kMagic);
+  w.PutVByte(names_.size() + 1);
   for (size_t i = 0; i < names_.size(); ++i) {
-    AppendString(out, names_[i]);
-    AppendString(out, descriptions_[i]);
+    w.PutVByteString(names_[i]);
+    w.PutVByteString(descriptions_[i]);
   }
   std::string store_data;
   store_.Serialize(&store_data);
-  out->append(store_data);
-  uint32_t crc = Crc32(out->data(), out->size());
-  char buf[4];
-  std::memcpy(buf, &crc, 4);
-  out->append(buf, 4);
+  w.PutBytes(store_data);
+  w.Finish();
 }
 
 Result<SequenceCollection> SequenceCollection::Deserialize(
     std::string_view data) {
-  if (data.size() < 8 + 1 + 4) {
-    return Status::Corruption("collection: too short");
-  }
-  if (std::memcmp(data.data(), kMagic, 8) != 0) {
-    return Status::Corruption("collection: bad magic");
-  }
-  uint32_t stored_crc;
-  std::memcpy(&stored_crc, data.data() + data.size() - 4, 4);
-  if (Crc32(data.data(), data.size() - 4) != stored_crc) {
-    return Status::Corruption("collection: checksum mismatch");
-  }
-  data = data.substr(0, data.size() - 4);
-
-  size_t pos = 8;
-  uint64_t count = coding::ReadVByte(
-      reinterpret_cast<const uint8_t*>(data.data()), data.size(), &pos);
-  if (count == 0) return Status::Corruption("collection: bad count");
-  count -= 1;
-  if (count > data.size()) {
-    return Status::Corruption("collection: record count too large");
-  }
+  std::string_view body;
+  CAFE_RETURN_IF_ERROR(coding::OpenFile(data, "collection", {kMagic}, &body));
+  coding::ByteReader r(body, "collection");
+  uint64_t count = 0;
+  CAFE_RETURN_IF_ERROR(r.GetLength(&count));
 
   SequenceCollection col;
-  col.names_.reserve(count);
-  col.descriptions_.reserve(count);
+  col.names_.resize(count);
+  col.descriptions_.resize(count);
   for (uint64_t i = 0; i < count; ++i) {
-    std::string name, desc;
-    CAFE_RETURN_IF_ERROR(ReadString(data, &pos, &name));
-    CAFE_RETURN_IF_ERROR(ReadString(data, &pos, &desc));
-    col.names_.push_back(std::move(name));
-    col.descriptions_.push_back(std::move(desc));
+    CAFE_RETURN_IF_ERROR(r.GetVByteString(&col.names_[i]));
+    CAFE_RETURN_IF_ERROR(r.GetVByteString(&col.descriptions_[i]));
   }
 
-  Result<SequenceStore> store = SequenceStore::Deserialize(data.substr(pos));
+  std::string_view store_data;
+  CAFE_RETURN_IF_ERROR(r.GetBytes(r.remaining(), &store_data));
+  Result<SequenceStore> store = SequenceStore::Deserialize(store_data);
   if (!store.ok()) return store.status();
   if (store->NumSequences() != count) {
-    return Status::Corruption("collection: name/sequence count mismatch");
+    return r.Fail("name/sequence count mismatch");
   }
   col.store_ = std::move(*store);
   return col;

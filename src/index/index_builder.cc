@@ -93,7 +93,7 @@ Status IndexOptions::Validate() const {
   if (stride == 0) {
     return Status::InvalidArgument("stride must be >= 1");
   }
-  if (stop_doc_fraction <= 0.0 || stop_doc_fraction > 1.0) {
+  if (!(stop_doc_fraction > 0.0 && stop_doc_fraction <= 1.0)) {  // or NaN
     return Status::InvalidArgument("stop_doc_fraction must be in (0, 1]");
   }
   if (!spaced_seed.empty()) {

@@ -14,15 +14,13 @@
 //   vbyte blob_bytes+1, blob
 //   u32 CRC-32 of everything above
 
-#include <cstring>
+#include <string>
 #include <utility>
 
-#include "coding/vbyte.h"
-#include "index/index_format.h"
+#include "coding/byte_io.h"
 #include "index/interval.h"
 #include "index/inverted_index.h"
 #include "obs/metrics.h"
-#include "util/crc32.h"
 #include "util/env.h"
 #include "util/timer.h"
 
@@ -32,203 +30,147 @@ namespace {
 // Version 1 has no spaced-seed header field; indexes built without a
 // pattern still serialize as v1 byte-for-byte, so every pre-existing
 // index (and tool that compares default index files) is unaffected.
-constexpr char kMagicV1[8] = {'C', 'A', 'F', 'I', 'D', 'X', '1', '\0'};
-constexpr char kMagicV2[8] = {'C', 'A', 'F', 'I', 'D', 'X', '2', '\0'};
-
-void AppendVByteStr(std::string* out, uint64_t v) {
-  std::vector<uint8_t> tmp;
-  coding::AppendVByte(&tmp, v);
-  out->append(reinterpret_cast<const char*>(tmp.data()), tmp.size());
-}
-
-class Parser {
- public:
-  explicit Parser(std::string_view data) : data_(data) {}
-
-  uint64_t ReadVByte() {
-    if (pos_ >= data_.size()) {
-      failed_ = true;
-      return 1;
-    }
-    return coding::ReadVByte(
-        reinterpret_cast<const uint8_t*>(data_.data()), data_.size(), &pos_);
-  }
-
-  bool ReadRaw(void* dst, size_t n) {
-    if (pos_ + n > data_.size()) {
-      failed_ = true;
-      return false;
-    }
-    std::memcpy(dst, data_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  size_t pos() const { return pos_; }
-  bool failed() const { return failed_; }
-
- private:
-  std::string_view data_;
-  size_t pos_ = 0;
-  bool failed_ = false;
-};
+constexpr std::string_view kMagicV1("CAFIDX1\0", 8);
+constexpr std::string_view kMagicV2("CAFIDX2\0", 8);
 
 }  // namespace
 
-namespace index_internal {
-
-Status ParseIndexPrefix(std::string_view data, IndexPrefix* out) {
-  if (data.size() < 8 + 14) {
-    return Status::Corruption("index: too short");
-  }
-  const bool v2 = std::memcmp(data.data(), kMagicV2, 8) == 0;
-  if (!v2 && std::memcmp(data.data(), kMagicV1, 8) != 0) {
-    return Status::Corruption("index: bad magic");
-  }
-
-  Parser p(data.substr(8));
-  IndexOptions options;
+Status InvertedIndex::ParseIndexPrefix(std::string_view body, bool v2,
+                                       std::string_view* blob) {
+  coding::ByteReader r(body, "index");
   uint8_t n8 = 0, g8 = 0;
-  if (!p.ReadRaw(&n8, 1) || !p.ReadRaw(&g8, 1)) {
-    return Status::Corruption("index: truncated header");
-  }
-  options.interval_length = n8;
-  if (g8 > 1) return Status::Corruption("index: bad granularity");
-  options.granularity = static_cast<IndexGranularity>(g8);
-  uint32_t stride;
-  double stop;
-  if (!p.ReadRaw(&stride, 4) || !p.ReadRaw(&stop, 8)) {
-    return Status::Corruption("index: truncated header");
-  }
-  options.stride = stride;
-  options.stop_doc_fraction = stop;
+  CAFE_RETURN_IF_ERROR(r.GetU8(&n8));
+  CAFE_RETURN_IF_ERROR(r.GetU8(&g8));
+  if (g8 > 1) return r.Fail("bad granularity");
+  options_.interval_length = n8;
+  options_.granularity = static_cast<IndexGranularity>(g8);
+  CAFE_RETURN_IF_ERROR(r.GetU32(&options_.stride));
+  CAFE_RETURN_IF_ERROR(r.GetDouble(&options_.stop_doc_fraction));
   if (v2) {
     uint8_t span = 0;
-    if (!p.ReadRaw(&span, 1)) {
-      return Status::Corruption("index: truncated header");
-    }
-    if (span > 0) {
-      options.spaced_seed.resize(span);
-      if (!p.ReadRaw(options.spaced_seed.data(), span)) {
-        return Status::Corruption("index: truncated seed pattern");
-      }
-    }
+    std::string_view pattern;
+    CAFE_RETURN_IF_ERROR(r.GetU8(&span));
+    CAFE_RETURN_IF_ERROR(r.GetBytes(span, &pattern));
+    options_.spaced_seed = pattern;
   }
-  CAFE_RETURN_IF_ERROR(options.Validate());
-  out->options = options;
-
-  uint64_t num_docs = p.ReadVByte() - 1;
-  // Each document length costs at least one byte; bound before resizing.
-  if (num_docs > data.size()) {
-    return Status::Corruption("index: document count too large");
-  }
-  out->doc_lengths.resize(num_docs);
-  for (uint64_t i = 0; i < num_docs; ++i) {
-    out->doc_lengths[i] = static_cast<uint32_t>(p.ReadVByte() - 1);
+  if (Status valid = options_.Validate(); !valid.ok()) {
+    return r.Fail(valid.message());
   }
 
-  out->directory = TermDirectory(options.interval_length);
-  uint64_t num_terms = p.ReadVByte() - 1;
-  if (num_terms > data.size()) {
-    return Status::Corruption("index: term count too large");
+  uint64_t num_docs = 0;
+  CAFE_RETURN_IF_ERROR(r.GetLength(&num_docs));
+  doc_lengths_.resize(num_docs);
+  for (uint32_t& length : doc_lengths_) {
+    uint64_t stored = 0;  // length + 1
+    CAFE_RETURN_IF_ERROR(r.GetVByte(&stored));
+    if (stored - 1 > UINT32_MAX) {
+      return r.Fail("document length exceeds 32 bits");
+    }
+    length = static_cast<uint32_t>(stored - 1);
   }
+
+  directory_ = TermDirectory(options_.interval_length);
+  const uint64_t universe = VocabularyUniverse(options_.interval_length);
+  const bool positional =
+      options_.granularity == IndexGranularity::kPositional;
+  // Offsets are a running sum of gaps from the file: bound each step by
+  // the body's bits so the sum cannot wrap, and the last one by the blob.
+  const uint64_t body_bits = uint64_t{body.size()} * 8;
+  uint64_t num_terms = 0;
+  CAFE_RETURN_IF_ERROR(r.GetLength(&num_terms));
   uint64_t term = 0;
   uint64_t offset = 0;
   uint64_t total_postings = 0;
+  uint32_t last_postings = 0;
+  // Every position costs at least one bit, so the positional list before
+  // one starting at `end` holds at most end - offset postings.
+  auto check_list_bits = [&](uint64_t end) {
+    return positional && last_postings > end - offset
+               ? r.Fail("posting count exceeds the list's bits")
+               : Status::OK();
+  };
   for (uint64_t i = 0; i < num_terms; ++i) {
-    uint64_t gap = p.ReadVByte();
-    term = (i == 0) ? gap - 1 : term + gap;
-    if (term >= VocabularyUniverse(options.interval_length)) {
-      return Status::Corruption("index: term out of range");
+    uint64_t gap = 0;
+    CAFE_RETURN_IF_ERROR(r.GetVByte(&gap));
+    const uint64_t next = i == 0 ? gap - 1 : term + gap;
+    if (i > 0 && next <= term) return r.Fail("terms out of order");
+    if (next >= universe) return r.Fail("term out of range");
+    term = next;
+    TermEntry* e = directory_.FindOrCreate(static_cast<uint32_t>(term));
+    CAFE_RETURN_IF_ERROR(r.GetVByte(&e->doc_count));
+    CAFE_RETURN_IF_ERROR(r.GetVByte(&e->posting_count));
+    CAFE_RETURN_IF_ERROR(r.GetVByte(&e->position_param));
+    uint64_t offset_gap = 0;  // gap + 1
+    CAFE_RETURN_IF_ERROR(r.GetVByte(&offset_gap));
+    if (offset_gap - 1 > body_bits - offset) {
+      return r.Fail("postings offset out of range");
     }
-    TermEntry* e = out->directory.FindOrCreate(static_cast<uint32_t>(term));
-    e->doc_count = static_cast<uint32_t>(p.ReadVByte());
-    e->posting_count = static_cast<uint32_t>(p.ReadVByte());
-    e->position_param = static_cast<uint32_t>(p.ReadVByte());
-    // Offsets are a running sum of gaps from the file: bound each step
-    // by the file size so the sum cannot wrap, and the last one by the
-    // blob below.
-    const uint64_t offset_gap = p.ReadVByte() - 1;
-    if (offset_gap > data.size() * 8 - offset) {
-      return Status::Corruption("index: postings offset out of range");
-    }
-    offset += offset_gap;
+    CAFE_RETURN_IF_ERROR(check_list_bits(offset + offset_gap - 1));
+    offset += offset_gap - 1;
     e->bit_offset = offset;
-    if (e->doc_count == 0 || e->doc_count > num_docs ||
-        e->posting_count < e->doc_count || e->position_param == 0) {
-      return Status::Corruption("index: bad term entry");
+    if (e->doc_count > num_docs || e->posting_count < e->doc_count) {
+      return r.Fail("bad term entry");
     }
+    last_postings = e->posting_count;
     total_postings += e->posting_count;
   }
 
-  uint64_t blob_bytes = p.ReadVByte() - 1;
-  if (p.failed()) return Status::Corruption("index: truncated directory");
-  if (8 + p.pos() + blob_bytes != data.size()) {
-    return Status::Corruption("index: blob size mismatch");
-  }
+  uint64_t blob_bytes = 0;
+  CAFE_RETURN_IF_ERROR(r.GetLength(&blob_bytes));
+  if (blob_bytes != r.remaining()) return r.Fail("blob size mismatch");
   // Offsets never decrease, so the last one is the largest; every list
   // holds at least one posting, so it starts strictly inside the blob.
   if (num_terms > 0 && offset >= blob_bytes * 8) {
-    return Status::Corruption("index: postings offset out of range");
+    return r.Fail("postings offset out of range");
   }
-  out->blob_offset = 8 + p.pos();
-  out->blob_bytes = blob_bytes;
+  CAFE_RETURN_IF_ERROR(check_list_bits(blob_bytes * 8));
+  CAFE_RETURN_IF_ERROR(r.GetBytes(blob_bytes, blob));
 
-  out->stats = IndexStats{};
-  out->stats.num_terms = num_terms;
-  out->stats.total_postings = total_postings;
-  out->stats.postings_bits = blob_bytes * 8;
-  out->stats.directory_bytes = out->directory.MemoryBytes();
-  out->stats.bits_per_posting =
+  stats_.num_terms = num_terms;
+  stats_.total_postings = total_postings;
+  stats_.postings_bits = blob_bytes * 8;
+  stats_.directory_bytes = directory_.MemoryBytes();
+  stats_.bits_per_posting =
       total_postings == 0 ? 0.0
                           : static_cast<double>(blob_bytes * 8) /
                                 static_cast<double>(total_postings);
   return Status::OK();
 }
 
-}  // namespace index_internal
-
 void InvertedIndex::Serialize(std::string* out) const {
-  out->clear();
   const bool v2 = !options_.spaced_seed.empty();
-  out->append(v2 ? kMagicV2 : kMagicV1, 8);
-  out->push_back(static_cast<char>(options_.interval_length));
-  out->push_back(static_cast<char>(options_.granularity));
-  uint32_t stride = options_.stride;
-  out->append(reinterpret_cast<const char*>(&stride), 4);
-  double stop = options_.stop_doc_fraction;
-  out->append(reinterpret_cast<const char*>(&stop), 8);
+  coding::FileWriter w(out, v2 ? kMagicV2 : kMagicV1);
+  w.PutU8(static_cast<uint8_t>(options_.interval_length));
+  w.PutU8(static_cast<uint8_t>(options_.granularity));
+  w.PutU32(options_.stride);
+  w.PutDouble(options_.stop_doc_fraction);
   if (v2) {
-    out->push_back(static_cast<char>(options_.spaced_seed.size()));
-    out->append(options_.spaced_seed);
+    w.PutU8(static_cast<uint8_t>(options_.spaced_seed.size()));
+    w.PutBytes(options_.spaced_seed);
   }
 
-  AppendVByteStr(out, doc_lengths_.size() + 1);
-  for (uint32_t len : doc_lengths_) AppendVByteStr(out, uint64_t{len} + 1);
+  w.PutVByte(doc_lengths_.size() + 1);
+  for (uint32_t len : doc_lengths_) w.PutVByte(uint64_t{len} + 1);
 
-  AppendVByteStr(out, directory_.NumTerms() + 1);
+  w.PutVByte(directory_.NumTerms() + 1);
   uint64_t prev_term = 0;
   uint64_t prev_offset = 0;
   bool first = true;
   directory_.ForEachTerm([&](uint32_t term, const TermEntry& e) {
-    AppendVByteStr(out, first ? uint64_t{term} + 1 : term - prev_term);
-    AppendVByteStr(out, e.doc_count);
-    AppendVByteStr(out, e.posting_count);
-    AppendVByteStr(out, e.position_param);
-    AppendVByteStr(out, e.bit_offset - prev_offset + 1);
+    w.PutVByte(first ? uint64_t{term} + 1 : term - prev_term);
+    w.PutVByte(e.doc_count);
+    w.PutVByte(e.posting_count);
+    w.PutVByte(e.position_param);
+    w.PutVByte(e.bit_offset - prev_offset + 1);
     prev_term = term;
     prev_offset = e.bit_offset;
     first = false;
   });
 
   const std::span<const uint8_t> blob = Blob();
-  AppendVByteStr(out, blob.size() + 1);
-  out->append(reinterpret_cast<const char*>(blob.data()), blob.size());
-
-  uint32_t crc = Crc32(out->data(), out->size());
-  char buf[4];
-  std::memcpy(buf, &crc, 4);
-  out->append(buf, 4);
+  w.PutVByte(blob.size() + 1);
+  w.PutBytes(blob);
+  w.Finish();
 
   // Cache the serialized size for SerializedBytes().
   serialized_bytes_cache_ = out->size();
@@ -244,9 +186,6 @@ uint64_t InvertedIndex::SerializedBytes() const {
 
 Result<InvertedIndex> InvertedIndex::FromFile(std::string_view file,
                                               MmapFile mapping) {
-  if (file.size() < 8 + 14 + 4) {
-    return Status::Corruption("index: too short");
-  }
   // One sequential sweep verifies the CRC. Over a mapping it is also
   // the first touch of every page, which mmap_index.first_touch_micros
   // reports. Readahead is wide open for the sweep, then switched to
@@ -254,33 +193,24 @@ Result<InvertedIndex> InvertedIndex::FromFile(std::string_view file,
   // mapping is a no-op).
   WallTimer sweep_timer;
   mapping.Advise(MmapFile::Advice::kSequential);
-  const size_t body = file.size() - 4;
-  uint32_t stored_crc;
-  std::memcpy(&stored_crc, file.data() + body, 4);
-  if (Crc32(file.data(), body) != stored_crc) {
-    return Status::Corruption("index: checksum mismatch");
-  }
+  std::string_view body;
+  CAFE_RETURN_IF_ERROR(
+      coding::OpenFile(file, "index", {kMagicV1, kMagicV2}, &body));
   const auto sweep_micros = static_cast<uint64_t>(sweep_timer.Micros());
   mapping.Advise(MmapFile::Advice::kRandom);
 
-  index_internal::IndexPrefix prefix;
-  CAFE_RETURN_IF_ERROR(
-      index_internal::ParseIndexPrefix(file.substr(0, body), &prefix));
-
   InvertedIndex index;
-  index.options_ = prefix.options;
-  index.doc_lengths_ = std::move(prefix.doc_lengths);
-  index.directory_ = std::move(prefix.directory);
-  index.stats_ = prefix.stats;
+  std::string_view blob;
+  CAFE_RETURN_IF_ERROR(
+      index.ParseIndexPrefix(body, file.starts_with(kMagicV2), &blob));
   if (mapping.size() != 0) {
-    index.blob_offset_ = prefix.blob_offset;
-    index.blob_bytes_ = prefix.blob_bytes;
+    index.blob_offset_ = static_cast<size_t>(blob.data() - file.data());
+    index.blob_bytes_ = blob.size();
     index.first_touch_micros_ = sweep_micros;
     index.mapping_ = std::move(mapping);
   } else {
-    const auto* blob =
-        reinterpret_cast<const uint8_t*>(file.data() + prefix.blob_offset);
-    index.blob_.assign(blob, blob + prefix.blob_bytes);
+    const auto* bytes = reinterpret_cast<const uint8_t*>(blob.data());
+    index.blob_.assign(bytes, bytes + blob.size());
   }
   return index;
 }

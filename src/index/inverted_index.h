@@ -192,6 +192,12 @@ class InvertedIndex final {
   [[nodiscard]] static Result<InvertedIndex> FromFile(std::string_view file,
                                                       MmapFile mapping);
 
+  /// Fills the options, document lengths and directory from the body of
+  /// an index file (between magic and CRC), checking the structure a CRC
+  /// cannot vouch for, and points *blob at the postings within it.
+  [[nodiscard]] Status ParseIndexPrefix(std::string_view body, bool v2,
+                                        std::string_view* blob);
+
   /// The postings blob, worked out on every read so that a moved index
   /// never points into another object's storage.
   std::span<const uint8_t> Blob() const {

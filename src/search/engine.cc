@@ -87,7 +87,11 @@ Result<std::vector<SearchResult>> SearchEngine::BatchSearch(
   const uint32_t requested = options.threads == 0
                                  ? ThreadPool::HardwareThreads()
                                  : options.threads;
+  // A traced batch runs one query at a time: the recorder's implicit
+  // parent is shared by every thread, so concurrent queries would nest
+  // their spans under each other's.
   const bool concurrent = requested > 1 && queries.size() > 1 &&
+                          options.spans == nullptr &&
                           SupportsConcurrentSearch();
   // One worker per query slot, each query internally sequential so the
   // pool is never entered recursively. Each query's trace rides in its

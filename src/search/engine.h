@@ -202,10 +202,11 @@ class SearchEngine {
   /// serving shape. Results arrive in input order and each equals what
   /// SearchWithStrands(this, query, options) returns (both strands are
   /// searched when options.search_both_strands is set), trace included.
-  /// With options.threads > 1 and SupportsConcurrentSearch(), queries
-  /// are evaluated concurrently, each internally sequential; otherwise
-  /// the batch runs one query at a time, passing options.threads
-  /// through so engines with an internal parallel phase still use it.
+  /// With options.threads > 1, no options.spans and
+  /// SupportsConcurrentSearch(), queries are evaluated concurrently,
+  /// each internally sequential; otherwise the batch runs one query at
+  /// a time, passing options.threads through so engines with an
+  /// internal parallel phase still use it.
   /// Fails with the first (lowest-index) query error.
   Result<std::vector<SearchResult>> BatchSearch(
       const std::vector<std::string>& queries, const SearchOptions& options);

@@ -1,27 +1,13 @@
 #include "seqstore/sequence_store.h"
 
-#include <cstring>
-
+#include "coding/byte_io.h"
 #include "seqstore/direct_coding.h"
-#include "util/crc32.h"
 #include "util/env.h"
 
 namespace cafe {
 namespace {
 
-constexpr char kMagic[8] = {'C', 'A', 'F', 'S', 'E', 'Q', '1', '\0'};
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-uint64_t ReadU64(const char* p) {
-  uint64_t v;
-  std::memcpy(&v, p, 8);
-  return v;
-}
+constexpr std::string_view kMagic("CAFSEQ1\0", 8);
 
 }  // namespace
 
@@ -78,62 +64,41 @@ Result<PackedView> SequenceStore::GetPackedView(uint32_t id) const {
 }
 
 void SequenceStore::Serialize(std::string* out) const {
-  out->clear();
-  out->append(kMagic, 8);
-  AppendU64(out, offsets_.size() - 1);  // sequence count
-  AppendU64(out, total_bases_);
-  AppendU64(out, blob_.size());
-  for (uint64_t off : offsets_) AppendU64(out, off);
-  out->append(reinterpret_cast<const char*>(blob_.data()), blob_.size());
-  uint32_t crc = Crc32(out->data(), out->size());
-  char buf[4];
-  std::memcpy(buf, &crc, 4);
-  out->append(buf, 4);
+  coding::FileWriter w(out, kMagic);
+  w.PutU64(offsets_.size() - 1);  // sequence count
+  w.PutU64(total_bases_);
+  w.PutU64(blob_.size());
+  for (uint64_t off : offsets_) w.PutU64(off);
+  w.PutBytes(blob_);
+  w.Finish();
 }
 
 Result<SequenceStore> SequenceStore::Deserialize(std::string_view data) {
-  if (data.size() < 8 + 24 + 8 + 4) {
-    return Status::Corruption("sequence store: too short");
-  }
-  if (std::memcmp(data.data(), kMagic, 8) != 0) {
-    return Status::Corruption("sequence store: bad magic");
-  }
-  uint32_t stored_crc;
-  std::memcpy(&stored_crc, data.data() + data.size() - 4, 4);
-  if (Crc32(data.data(), data.size() - 4) != stored_crc) {
-    return Status::Corruption("sequence store: checksum mismatch");
-  }
-
-  const char* p = data.data() + 8;
-  uint64_t count = ReadU64(p);
-  uint64_t total_bases = ReadU64(p + 8);
-  uint64_t blob_size = ReadU64(p + 16);
-  p += 24;
-  if (count > data.size() || blob_size > data.size()) {
-    return Status::Corruption("sequence store: counts too large");
-  }
-  uint64_t need = 8 + 24 + (count + 1) * 8 + blob_size + 4;
-  if (data.size() != need) {
-    return Status::Corruption("sequence store: size mismatch");
-  }
-
+  std::string_view body;
+  CAFE_RETURN_IF_ERROR(
+      coding::OpenFile(data, "sequence store", {kMagic}, &body));
+  coding::ByteReader r(body, "sequence store");
   SequenceStore store;
+  uint64_t count = 0, blob_size = 0;
+  CAFE_RETURN_IF_ERROR(r.GetU64(&count));
+  CAFE_RETURN_IF_ERROR(r.GetU64(&store.total_bases_));
+  CAFE_RETURN_IF_ERROR(r.GetU64(&blob_size));
+  CAFE_RETURN_IF_ERROR(r.CheckCount(count, 8));  // count + 1 u64 offsets
   store.offsets_.resize(count + 1);
-  for (uint64_t i = 0; i <= count; ++i) {
-    store.offsets_[i] = ReadU64(p);
-    p += 8;
-  }
+  for (uint64_t& off : store.offsets_) CAFE_RETURN_IF_ERROR(r.GetU64(&off));
+  std::string_view blob;
+  CAFE_RETURN_IF_ERROR(r.GetBytes(blob_size, &blob));
+  CAFE_RETURN_IF_ERROR(r.ExpectDone());
   if (store.offsets_[0] != 0 || store.offsets_[count] != blob_size) {
-    return Status::Corruption("sequence store: bad offsets");
+    return r.Fail("bad offsets");
   }
   for (uint64_t i = 0; i < count; ++i) {
     if (store.offsets_[i] > store.offsets_[i + 1]) {
-      return Status::Corruption("sequence store: unsorted offsets");
+      return r.Fail("unsorted offsets");
     }
   }
-  store.blob_.assign(reinterpret_cast<const uint8_t*>(p),
-                     reinterpret_cast<const uint8_t*>(p) + blob_size);
-  store.total_bases_ = total_bases;
+  const auto* bytes = reinterpret_cast<const uint8_t*>(blob.data());
+  store.blob_.assign(bytes, bytes + blob.size());
   return store;
 }
 

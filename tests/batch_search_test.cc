@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "index/inverted_index.h"
+#include "obs/span.h"
 #include "search/exhaustive.h"
 #include "search/partitioned.h"
 #include "sim/generator.h"
@@ -111,6 +114,39 @@ TEST(BatchSearchTest, ParallelFinePhaseMatchesSequential) {
     ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
     ExpectSameResult(*sequential, *parallel);
   }
+}
+
+// A traced batch keeps each query's spans under its own "search" span:
+// the recorder's implicit parent is shared by every thread, so queries
+// run concurrently would nest under each other's spans.
+TEST(BatchSearchTest, TracedBatchNestsEachQueryUnderItsOwnSearch) {
+  Fixture f = MakeFixture(/*num_queries=*/12);
+  PartitionedSearch engine(&f.collection, &f.index);
+  obs::SpanRecorder spans(/*trace_id=*/0);
+  SearchOptions options;
+  options.threads = 4;
+  options.spans = &spans;
+  ASSERT_TRUE(engine.BatchSearch(f.queries, options).ok());
+
+  const std::vector<obs::SpanEvent> events = spans.Snapshot();
+  std::map<uint32_t, obs::SpanEvent> by_id;
+  for (const obs::SpanEvent& e : events) by_id[e.id] = e;
+  size_t searches = 0;
+  for (const obs::SpanEvent& e : events) {
+    const std::string name = e.name;
+    if (name == "search") {
+      ++searches;
+      EXPECT_EQ(e.parent, 0u) << "search span " << e.id;
+    } else if (name == "coarse.rank" || name == "fine.align" ||
+               name == "post.process") {
+      ASSERT_EQ(by_id.count(e.parent), 1u) << name << " " << e.id;
+      const obs::SpanEvent& parent = by_id[e.parent];
+      EXPECT_STREQ(parent.name, "search") << name << " " << e.id;
+      EXPECT_EQ(parent.tid, e.tid) << name << " " << e.id;
+    }
+  }
+  EXPECT_EQ(searches, f.queries.size());
+  EXPECT_EQ(spans.dropped(), 0u);
 }
 
 TEST(BatchSearchTest, BothStrandsAndRescoreStayDeterministic) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "coding/binary.h"
+#include "coding/byte_io.h"
 #include "coding/elias.h"
 #include "coding/golomb.h"
 #include "coding/unary.h"
@@ -176,16 +177,147 @@ TEST(VByteCodeTest, ByteBoundaries) {
   EXPECT_EQ(VByteBits(uint64_t{1} << 22), 32u);
 }
 
-TEST(VByteCodeTest, ByteVectorForm) {
-  std::vector<uint8_t> buf;
-  AppendVByte(&buf, 1);
-  AppendVByte(&buf, 300);
-  AppendVByte(&buf, uint64_t{1} << 33);
-  size_t pos = 0;
-  EXPECT_EQ(ReadVByte(buf.data(), buf.size(), &pos), 1u);
-  EXPECT_EQ(ReadVByte(buf.data(), buf.size(), &pos), 300u);
-  EXPECT_EQ(ReadVByte(buf.data(), buf.size(), &pos), uint64_t{1} << 33);
-  EXPECT_EQ(pos, buf.size());
+// The byte writer's vbyte is the bit-level code, byte-aligned, and the
+// reader decodes it back.
+TEST(VByteCodeTest, ByteFormMatchesTheBitStream) {
+  const std::vector<uint64_t> values = {1, 128, 129, 300, uint64_t{1} << 33,
+                                        ~uint64_t{0}};
+  BitWriter bits;
+  std::string bytes;
+  ByteWriter w(&bytes);
+  for (uint64_t v : values) {
+    EncodeVByte(&bits, v);
+    w.PutVByte(v);
+  }
+  const std::vector<uint8_t> expected = bits.Finish();
+  EXPECT_EQ(bytes, std::string(expected.begin(), expected.end()));
+  ByteReader r(bytes, "test");
+  for (uint64_t v : values) {
+    uint64_t got = 0;
+    ASSERT_TRUE(r.GetVByte(&got).ok());
+    EXPECT_EQ(got, v);
+  }
+  EXPECT_TRUE(r.ExpectDone().ok());
+}
+
+Status ReadOneVByte(const std::string& bytes) {
+  ByteReader r(bytes, "test");
+  uint64_t v = 0;
+  return r.GetVByte(&v);
+}
+
+TEST(ByteReaderTest, MalformedVBytesAreCorruption) {
+  const struct {
+    std::string bytes;
+    const char* message;
+  } cases[] = {
+      {"", "test: truncated"},
+      {"\x7f", "test: truncated"},
+      // No terminator in ten bytes.
+      {std::string(10, '\0'), "test: vbyte exceeds 64 bits"},
+      // A tenth group past bit 63.
+      {std::string(9, '\x7f') + '\x82', "test: vbyte exceeds 64 bits"},
+      // The all-ones word: v - 1 = 2^64 - 1, so v would wrap to 0.
+      {std::string(9, '\x7f') + '\x81', "test: vbyte exceeds 64 bits"},
+  };
+  for (const auto& c : cases) {
+    Status s = ReadOneVByte(c.bytes);
+    EXPECT_TRUE(s.IsCorruption()) << c.message;
+    EXPECT_EQ(s.message(), c.message);
+  }
+}
+
+TEST(ByteReaderTest, ThirtyTwoBitFieldsAreRangeChecked) {
+  std::string bytes;
+  ByteWriter w(&bytes);
+  w.PutVByte(UINT32_MAX);
+  w.PutVByte(uint64_t{UINT32_MAX} + 1);
+  ByteReader r(bytes, "test");
+  uint32_t v = 0;
+  ASSERT_TRUE(r.GetVByte(&v).ok());
+  EXPECT_EQ(v, UINT32_MAX);
+  Status s = r.GetVByte(&v);
+  EXPECT_EQ(s.message(), "test: value exceeds 32 bits");
+  EXPECT_EQ(v, UINT32_MAX);
+}
+
+TEST(ByteReaderTest, LengthsAndCountsAreBoundedByTheBytesLeft) {
+  // A length of 2^64 - 2 wraps pos + n; the reader compares it with the
+  // bytes left instead.
+  std::string bytes;
+  ByteWriter w(&bytes);
+  w.PutVByte(~uint64_t{0});
+  w.PutBytes("abc");
+  ByteReader r(bytes, "test");
+  uint64_t n = 0;
+  EXPECT_EQ(r.GetLength(&n).message(), "test: length exceeds the bytes left");
+
+  bytes.clear();
+  w.PutVByteString("abc");
+  w.PutU32String("de");
+  ByteReader strings(bytes, "test");
+  std::string s;
+  ASSERT_TRUE(strings.GetVByteString(&s).ok());
+  EXPECT_EQ(s, "abc");
+  EXPECT_TRUE(strings.CheckCount(6, 1).ok());
+  EXPECT_FALSE(strings.CheckCount(7, 1).ok());
+  EXPECT_FALSE(strings.CheckCount(2, 4).ok());
+  ASSERT_TRUE(strings.GetU32String(&s).ok());
+  EXPECT_EQ(s, "de");
+  EXPECT_TRUE(strings.ExpectDone().ok());
+  std::string_view view;
+  EXPECT_EQ(strings.GetBytes(1, &view).message(), "test: truncated");
+}
+
+TEST(ByteWriterTest, FixedWidthIsLittleEndian) {
+  std::string bytes;
+  ByteWriter w(&bytes);
+  w.PutU8(0x01);
+  w.PutU16(0x0302);
+  w.PutU32(0x07060504);
+  w.PutU64(0x0f0e0d0c0b0a0908);
+  w.PutDouble(1.0);
+  EXPECT_EQ(bytes, std::string("\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a"
+                               "\x0b\x0c\x0d\x0e\x0f"
+                               "\x00\x00\x00\x00\x00\x00\xf0\x3f",
+                               23));
+  ByteReader r(bytes, "test");
+  uint8_t u8 = 0;
+  uint16_t u16 = 0;
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  double d = 0;
+  ASSERT_TRUE(r.GetU8(&u8).ok() && r.GetU16(&u16).ok() &&
+              r.GetU32(&u32).ok() && r.GetU64(&u64).ok() &&
+              r.GetDouble(&d).ok());
+  EXPECT_EQ(u8, 0x01);
+  EXPECT_EQ(u16, 0x0302);
+  EXPECT_EQ(u32, 0x07060504u);
+  EXPECT_EQ(u64, 0x0f0e0d0c0b0a0908u);
+  EXPECT_EQ(d, 1.0);
+  EXPECT_EQ(r.GetU8(&u8).message(), "test: truncated");
+}
+
+TEST(FileFrameTest, ChecksMagicAndChecksum) {
+  constexpr std::string_view kMagic("TESTFMT\0", 8);
+  constexpr std::string_view kOther("OTHERFM\0", 8);
+  std::string file;
+  FileWriter w(&file, kMagic);
+  w.PutBytes("body");
+  w.Finish();
+  ASSERT_EQ(file.size(), 8u + 4u + 4u);
+  std::string_view body;
+  ASSERT_TRUE(OpenFile(file, "test", {kOther, kMagic}, &body).ok());
+  EXPECT_EQ(body, "body");
+
+  EXPECT_EQ(OpenFile(file.substr(0, 11), "test", {kMagic}, &body).message(),
+            "test: too short");
+  EXPECT_EQ(OpenFile(file, "test", {kOther}, &body).message(),
+            "test: bad magic");
+  std::string bad = file;
+  bad[9] ^= 1;
+  EXPECT_EQ(OpenFile(bad, "test", {kMagic}, &body).message(),
+            "test: checksum mismatch");
 }
 
 TEST(FixedCodeTest, RoundTrip) {

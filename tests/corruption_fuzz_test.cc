@@ -4,15 +4,27 @@
 // to serialized collections, stores and indexes. The CRC makes
 // acceptance of a flipped payload effectively impossible; acceptance of
 // a *truncated-then-CRC-correct* payload is impossible by construction.
+//
+// The re-CRC cases below mutate a file and then recompute its CRC (and
+// mutate wire payloads, whose CRC lives in the frame header), so only
+// the parsers' structural checks stand between the bytes and the
+// decoders.
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+
+#include "coding/byte_io.h"
 #include "collection/collection.h"
 #include "index/inverted_index.h"
 #include "seqstore/direct_coding.h"
 #include "seqstore/sequence_store.h"
+#include "server/protocol.h"
 #include "sim/generator.h"
+#include "util/crc32.h"
 #include "util/random.h"
+#include "util/timer.h"
 
 namespace cafe {
 namespace {
@@ -45,7 +57,7 @@ std::string SerializedStore() {
   return data;
 }
 
-std::string SerializedIndex() {
+std::string SerializedIndex(const std::string& seed_pattern = "") {
   sim::CollectionOptions copt;
   copt.num_sequences = 12;
   copt.length_mu = 5.0;
@@ -54,6 +66,7 @@ std::string SerializedIndex() {
   EXPECT_TRUE(col.ok());
   IndexOptions options;
   options.interval_length = 6;
+  options.spaced_seed = seed_pattern;
   Result<InvertedIndex> index = IndexBuilder::Build(*col, options);
   EXPECT_TRUE(index.ok());
   std::string data;
@@ -129,6 +142,238 @@ TEST(CorruptionFuzzTest, IndexNeverCrashesAlwaysDetects) {
     if (bad == good) continue;
     Result<InvertedIndex> r = InvertedIndex::Deserialize(bad);
     EXPECT_FALSE(r.ok()) << "mutation accepted at trial " << trial;
+  }
+}
+
+// ---- Re-CRC mutations ----------------------------------------------
+
+enum class Edit { kBitFlip, kInsert, kDelete, kRun7F, kSpliceVByte };
+constexpr Edit kEdits[] = {Edit::kBitFlip, Edit::kInsert, Edit::kDelete,
+                           Edit::kRun7F, Edit::kSpliceVByte};
+
+// vbytes at the edges of 64- and 32-bit fields, plus the ten-byte
+// all-ones word, which no writer emits (it would be 2^64).
+std::string EdgeVByte(Rng* rng) {
+  const uint64_t values[] = {~uint64_t{0}, ~uint64_t{0} - 1,
+                             uint64_t{1} << 63, (uint64_t{1} << 32) - 1,
+                             (uint64_t{1} << 32) + 1};
+  const uint64_t pick = rng->Uniform(6);
+  if (pick == 5) return std::string(9, '\x7f') + '\x81';
+  std::string out;
+  coding::ByteWriter(&out).PutVByte(values[pick]);
+  return out;
+}
+
+// Applies one edit at a random position of a non-empty *s.
+void ApplyEdit(std::string* s, Edit edit, Rng* rng) {
+  if (s->empty()) return;
+  const size_t pos = rng->Uniform(s->size());
+  switch (edit) {
+    case Edit::kBitFlip:
+      (*s)[pos] = static_cast<char>((*s)[pos] ^ (1 << rng->Uniform(8)));
+      break;
+    case Edit::kInsert: {
+      std::string bytes(1 + rng->Uniform(8), '\0');
+      for (char& c : bytes) c = static_cast<char>(rng->Uniform(256));
+      s->insert(pos, bytes);
+      break;
+    }
+    case Edit::kDelete:
+      s->erase(pos, 1 + rng->Uniform(8));
+      break;
+    case Edit::kRun7F:
+      s->replace(pos, 2 + rng->Uniform(14), 2 + rng->Uniform(14), '\x7f');
+      break;
+    case Edit::kSpliceVByte: {
+      const std::string vbyte = EdgeVByte(rng);
+      s->replace(pos, vbyte.size(), vbyte);
+      break;
+    }
+  }
+}
+
+// Feeds seeded inputs from `mutate` to `check` for a fixed number of
+// trials or until the time box closes (sanitizer builds run slower).
+void RunMutations(uint64_t seed,
+                  const std::function<std::string(Edit, Rng*)>& mutate,
+                  const std::function<void(const std::string&)>& check) {
+  constexpr int kTrials = 4000;
+  constexpr double kTimeBoxSeconds = 3.0;
+  Rng rng(seed);
+  WallTimer timer;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    if (timer.Seconds() > kTimeBoxSeconds) break;
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    check(mutate(kEdits[trial % 5], &rng));
+  }
+}
+
+// A file mutated between its magic and its trailer, then resealed with
+// a fresh CRC. With prefix_bytes > 0 half the edits land in the first
+// prefix_bytes of the body (the index directory, which is small beside
+// the postings blob).
+std::function<std::string(Edit, Rng*)> ResealedFile(std::string good,
+                                                    size_t prefix_bytes) {
+  return [good = std::move(good), prefix_bytes](Edit edit, Rng* rng) {
+    std::string body =
+        good.substr(coding::kFileMagicBytes,
+                    good.size() - coding::kFileMagicBytes - 4);
+    if (prefix_bytes > 0 && rng->Uniform(2) == 0) {
+      std::string prefix = body.substr(0, prefix_bytes);
+      ApplyEdit(&prefix, edit, rng);
+      body = prefix + body.substr(prefix_bytes);
+    } else {
+      ApplyEdit(&body, edit, rng);
+    }
+    std::string file = good.substr(0, coding::kFileMagicBytes) + body;
+    coding::ByteWriter(&file).PutU32(Crc32(file.data(), file.size()));
+    return file;
+  };
+}
+
+void ExpectCleanRejection(const Status& s) {
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
+// An accepted index must decode every list without faulting, and hand
+// out only doc ids below num_docs.
+void CheckIndex(const std::string& file) {
+  Result<InvertedIndex> index = InvertedIndex::Deserialize(file);
+  if (!index.ok()) return ExpectCleanRejection(index.status());
+  index->directory().ForEachTerm([&](uint32_t term, const TermEntry&) {
+    index->ForEachPosting(
+        term, [&](uint32_t doc, uint32_t, const uint32_t*, uint32_t) {
+          EXPECT_LT(doc, index->num_docs());
+        });
+  });
+}
+
+size_t IndexPrefixBytes(const std::string& file) {
+  Result<InvertedIndex> index = InvertedIndex::Deserialize(file);
+  EXPECT_TRUE(index.ok());
+  return file.size() - coding::kFileMagicBytes - 4 -
+         index->stats().postings_bits / 8;
+}
+
+TEST(CorruptionFuzzTest, ResealedContiguousIndexNeverCrashes) {
+  const std::string good = SerializedIndex();
+  ASSERT_EQ(good.substr(0, 7), "CAFIDX1");
+  RunMutations(11, ResealedFile(good, IndexPrefixBytes(good)), CheckIndex);
+}
+
+TEST(CorruptionFuzzTest, ResealedSpacedSeedIndexNeverCrashes) {
+  const std::string good = SerializedIndex("1101100011");
+  ASSERT_EQ(good.substr(0, 7), "CAFIDX2");
+  RunMutations(12, ResealedFile(good, IndexPrefixBytes(good)), CheckIndex);
+}
+
+TEST(CorruptionFuzzTest, ResealedCollectionNeverCrashes) {
+  RunMutations(13, ResealedFile(SerializedCollection(), 0),
+               [](const std::string& file) {
+                 Result<SequenceCollection> col =
+                     SequenceCollection::Deserialize(file);
+                 if (!col.ok()) return ExpectCleanRejection(col.status());
+                 std::string seq;
+                 for (uint32_t id = 0; id < col->NumSequences(); ++id) {
+                   col->GetSequence(id, &seq).IgnoreError();
+                 }
+               });
+}
+
+TEST(CorruptionFuzzTest, ResealedStoreNeverCrashes) {
+  RunMutations(14, ResealedFile(SerializedStore(), 0),
+               [](const std::string& file) {
+                 Result<SequenceStore> store = SequenceStore::Deserialize(file);
+                 if (!store.ok()) return ExpectCleanRejection(store.status());
+                 std::string seq;
+                 for (uint32_t id = 0; id < store->NumSequences(); ++id) {
+                   store->Get(id, &seq).IgnoreError();
+                 }
+               });
+}
+
+// Wire payloads carry no CRC of their own (the frame header holds it),
+// so the decoders are called on the mutated bytes directly.
+std::function<std::string(Edit, Rng*)> MutatedPayload(std::string good) {
+  return [good = std::move(good)](Edit edit, Rng* rng) {
+    std::string payload = good;
+    ApplyEdit(&payload, edit, rng);
+    return payload;
+  };
+}
+
+TEST(CorruptionFuzzTest, MutatedWirePayloadsNeverCrash) {
+  server::Hello hello;
+  hello.server_version = "cafe 1.2.3 (abcdef)";
+  server::SearchRequest request;
+  request.query = "ACGTACGTTGCANNACGTAGGCT";
+  request.trace_id = 0x1234;
+  server::SearchResponse response;
+  response.status = Status::NotFound("no such sequence");
+  for (uint32_t i = 0; i < 3; ++i) {
+    SearchHit hit;
+    hit.seq_id = i;
+    hit.score = 40 - static_cast<int32_t>(i);
+    hit.coarse_score = 1.5 * i;
+    response.hits.push_back(hit);
+  }
+
+  RunMutations(15, MutatedPayload(server::EncodeHello(hello)),
+               [](const std::string& payload) {
+                 server::Hello out;
+                 Status s = server::DecodeHello(payload, &out);
+                 if (!s.ok()) ExpectCleanRejection(s);
+               });
+  RunMutations(16, MutatedPayload(server::EncodeSearchRequest(request)),
+               [](const std::string& payload) {
+                 server::SearchRequest out;
+                 Status s = server::DecodeSearchRequest(payload, &out);
+                 if (!s.ok()) ExpectCleanRejection(s);
+               });
+  RunMutations(17, MutatedPayload(server::EncodeSearchResponse(response)),
+               [](const std::string& payload) {
+                 server::SearchResponse out;
+                 Status s = server::DecodeSearchResponse(payload, &out);
+                 if (!s.ok()) ExpectCleanRejection(s);
+               });
+}
+
+// CRC-valid files whose length or count fields claim close to 2^64: a
+// bounds check written as pos + n > size wraps and lets them through.
+TEST(CorruptionFuzzTest, LengthsNear2To64AreCorruption) {
+  const uint64_t kHuge = ~uint64_t{0};  // vbyte(n + 1) with n = 2^64 - 2
+  const auto collection = [&](bool huge_description) {
+    std::string file;
+    coding::FileWriter w(&file, std::string_view("CAFCOL1\0", 8));
+    w.PutVByte(1 + 1);  // one record
+    if (huge_description) w.PutVByteString("seq1");
+    w.PutVByte(kHuge);
+    w.PutBytes(std::string(16, 'x'));
+    w.Finish();
+    return file;
+  };
+  EXPECT_EQ(collection(false).size(), 39u);
+  ExpectCleanRejection(
+      SequenceCollection::Deserialize(collection(false)).status());
+  ExpectCleanRejection(
+      SequenceCollection::Deserialize(collection(true)).status());
+
+  const auto store = [](uint64_t count, uint64_t blob_size) {
+    std::string file;
+    coding::FileWriter w(&file, std::string_view("CAFSEQ1\0", 8));
+    w.PutU64(count);
+    w.PutU64(0);  // total bases
+    w.PutU64(blob_size);
+    w.PutU64(0);  // offsets[0]
+    w.PutU64(0);  // offsets[1]
+    w.Finish();
+    return file;
+  };
+  for (const auto& [count, blob_size] :
+       {std::pair{kHuge, uint64_t{0}}, std::pair{kHuge / 8, uint64_t{0}},
+        std::pair{uint64_t{1}, kHuge}, std::pair{uint64_t{1}, kHuge - 7}}) {
+    ExpectCleanRejection(
+        SequenceStore::Deserialize(store(count, blob_size)).status());
   }
 }
 

@@ -4,6 +4,7 @@
 #include "index/interval.h"
 #include "index/inverted_index.h"
 #include "sim/generator.h"
+#include "util/crc32.h"
 #include "util/env.h"
 
 namespace cafe {
@@ -158,6 +159,37 @@ TEST(IndexIoTest, DetectsCorruption) {
   bad[3] = '?';
   EXPECT_TRUE(InvertedIndex::Deserialize(bad).status().IsCorruption());
   EXPECT_TRUE(InvertedIndex::Deserialize("").status().IsCorruption());
+}
+
+// The three file formats' bytes for a fixed input, pinned by size and
+// CRC-32: a change to the writers must keep every file byte-identical.
+TEST(IndexIoTest, FileBytesArePinned) {
+  SequenceCollection col;
+  ASSERT_TRUE(col.Add("s0", "first", "ACGTACGTTTGACCAGTNACGTACGA").ok());
+  ASSERT_TRUE(col.Add("s1", "", "GGCATTACGTACGAACGTRYACG").ok());
+  IndexOptions options;
+  options.interval_length = 4;
+  Result<InvertedIndex> contiguous = IndexBuilder::Build(col, options);
+  ASSERT_TRUE(contiguous.ok());
+  options.spaced_seed = "110101";
+  options.granularity = IndexGranularity::kDocument;
+  Result<InvertedIndex> spaced = IndexBuilder::Build(col, options);
+  ASSERT_TRUE(spaced.ok());
+
+  // The CRC of a whole file, trailer included, is a constant residue.
+  const auto pin = [](const std::string& bytes) {
+    return std::to_string(bytes.size()) + " bytes, crc " +
+           std::to_string(Crc32(bytes.data(), bytes.size() - 4));
+  };
+  std::string data;
+  col.store().Serialize(&data);
+  EXPECT_EQ(pin(data), "80 bytes, crc 1660718311");
+  col.Serialize(&data);
+  EXPECT_EQ(pin(data), "106 bytes, crc 2773272180");
+  contiguous->Serialize(&data);
+  EXPECT_EQ(pin(data), "169 bytes, crc 453130482");
+  spaced->Serialize(&data);
+  EXPECT_EQ(pin(data), "162 bytes, crc 4198589947");
 }
 
 TEST(IndexIoTest, SerializedBytesMatchesSerializeOutput) {

@@ -10,9 +10,9 @@
 #include <utility>
 #include <vector>
 
+#include "coding/byte_io.h"
 #include "coding/elias.h"
 #include "coding/golomb.h"
-#include "coding/vbyte.h"
 #include "collection/collection.h"
 #include "index/index_reader.h"
 #include "obs/trace.h"
@@ -20,7 +20,6 @@
 #include "search/partitioned.h"
 #include "sim/workload.h"
 #include "util/bitio.h"
-#include "util/crc32.h"
 #include "util/env.h"
 #include "util/mmap_file.h"
 
@@ -370,10 +369,14 @@ TEST(IndexReadPathTest, CorruptFileFails) {
 // document granularity, and carries a correct CRC-32, so only the
 // structural checks stand between its fields and the decoder.
 
+// vbyte(v). For v = 0 it is what a writer without the v >= 1 check
+// would emit: the ten-byte code of v - 1 = 2^64 - 1, which wraps back to
+// 0 in a reader that does not range-check it.
 std::string VByte(uint64_t v) {
-  std::vector<uint8_t> bytes;
-  coding::AppendVByte(&bytes, v);
-  return {bytes.begin(), bytes.end()};
+  if (v == 0) return std::string(9, '\x7f') + '\x81';
+  std::string out;
+  coding::ByteWriter(&out).PutVByte(v);
+  return out;
 }
 
 struct RawTerm {
@@ -386,31 +389,31 @@ struct RawTerm {
 struct RawIndex {
   IndexGranularity granularity = IndexGranularity::kDocument;
   std::string num_docs_field = VByte(2 + 1);
-  std::vector<uint32_t> doc_lengths = {10, 10};
+  std::vector<uint64_t> doc_lengths = {10, 10};
   std::vector<RawTerm> terms;
   std::vector<uint8_t> blob;
 };
 
 std::string Serialize(const RawIndex& raw) {
-  std::string out("CAFIDX1\0", 8);
-  out.push_back(4);  // interval length
-  out.push_back(static_cast<char>(raw.granularity));
-  const uint32_t stride = 1;
-  const double stop = 1.0;
-  out.append(reinterpret_cast<const char*>(&stride), 4);
-  out.append(reinterpret_cast<const char*>(&stop), 8);
-  out += raw.num_docs_field;
-  for (uint32_t len : raw.doc_lengths) out += VByte(uint64_t{len} + 1);
-  out += VByte(raw.terms.size() + 1);
+  std::string out;
+  coding::FileWriter w(&out, std::string_view("CAFIDX1\0", 8));
+  w.PutU8(4);  // interval length
+  w.PutU8(static_cast<uint8_t>(raw.granularity));
+  w.PutU32(1);       // stride
+  w.PutDouble(1.0);  // stop_doc_fraction
+  w.PutBytes(raw.num_docs_field);
+  for (uint64_t len : raw.doc_lengths) w.PutVByte(len + 1);
+  w.PutVByte(raw.terms.size() + 1);
   for (const RawTerm& t : raw.terms) {
-    out += VByte(t.term_gap) + VByte(t.doc_count) + VByte(t.posting_count);
-    out += VByte(1);  // position_param
-    out += VByte(t.offset_gap + 1);
+    w.PutBytes(VByte(t.term_gap));
+    w.PutVByte(t.doc_count);
+    w.PutVByte(t.posting_count);
+    w.PutVByte(1);  // position_param
+    w.PutVByte(t.offset_gap + 1);
   }
-  out += VByte(raw.blob.size() + 1);
-  out.append(raw.blob.begin(), raw.blob.end());
-  const uint32_t crc = Crc32(out.data(), out.size());
-  out.append(reinterpret_cast<const char*>(&crc), 4);
+  w.PutVByte(raw.blob.size() + 1);
+  w.PutBytes(raw.blob);
+  w.Finish();
   return out;
 }
 
@@ -469,6 +472,72 @@ TEST(IndexStructureTest, OffsetPastBlobIsRejected) {
   ExpectRejected(raw, "postings offset out of range");
 }
 
+// Terms must strictly ascend. A gap of 0 repeats the previous term, and
+// a gap that wraps the 64-bit sum goes back to an earlier one; either
+// way two entries would share one directory slot, the second list would
+// answer for the first, and the count of terms would be off by one.
+TEST(IndexStructureTest, RepeatedTermIsRejected) {
+  RawIndex zero_gap = ValidRawIndex();
+  zero_gap.terms[0].offset_gap = 8;
+  zero_gap.terms.push_back(RawTerm{0, 1, 1, 8});
+  zero_gap.blob = ListBlob({2});
+  zero_gap.blob.push_back(zero_gap.blob[0]);
+  zero_gap.blob.push_back(zero_gap.blob[0]);
+  ExpectRejected(zero_gap, "vbyte exceeds 64 bits");
+
+  RawIndex wrapped = zero_gap;  // terms 1, 2, then 2 + (2^64 - 1) = 1
+  wrapped.terms = {RawTerm{2, 1, 1, 0}, RawTerm{1, 1, 1, 8},
+                   RawTerm{~uint64_t{0}, 1, 1, 8}};
+  ExpectRejected(wrapped, "terms out of order");
+}
+
+// Counts and lengths are 32-bit fields: a vbyte past 2^32 is rejected,
+// not narrowed to its low 32 bits (2^32 + 1 documents would open as 1).
+TEST(IndexStructureTest, ValuesPast32BitsAreRejected) {
+  RawIndex counts = ValidRawIndex();
+  counts.terms[0].doc_count = (uint64_t{1} << 32) + 1;
+  counts.terms[0].posting_count = (uint64_t{1} << 32) + 1;
+  ExpectRejected(counts, "value exceeds 32 bits");
+
+  RawIndex lengths = ValidRawIndex();
+  lengths.doc_lengths[1] = (uint64_t{1} << 32) + 10;
+  ExpectRejected(lengths, "document length exceeds 32 bits");
+}
+
+// Every position costs at least one bit, so a positional list cannot
+// hold more postings than its bits: the next list's offset minus its
+// own, or the blob end for the last list.
+TEST(IndexStructureTest, PositionalListBeyondItsBitsIsRejected) {
+  RawIndex last = ValidRawIndex();
+  last.granularity = IndexGranularity::kPositional;
+  last.terms[0].posting_count = last.blob.size() * 8 + 1;
+  ExpectRejected(last, "posting count exceeds the list's bits");
+
+  RawIndex first = last;
+  first.terms = {RawTerm{1, 1, 9, 8}, RawTerm{1, 1, 1, 8}};
+  first.blob = {0, 0};
+  ExpectRejected(first, "posting count exceeds the list's bits");
+}
+
+// At document granularity posting_count is the sum of tf, which gamma
+// codes in a few bits: one poly-A sequence puts 1,993 occurrences of
+// AAAAAAAA in a 24-bit list, and that index must open.
+TEST(IndexStructureTest, DocumentListMayHoldMorePostingsThanBits) {
+  SequenceCollection collection;
+  ASSERT_TRUE(collection.Add("polyA", "", std::string(2000, 'A')).ok());
+  IndexOptions options;
+  options.granularity = IndexGranularity::kDocument;
+  Result<InvertedIndex> built = IndexBuilder::Build(collection, options);
+  ASSERT_TRUE(built.ok());
+  ASSERT_EQ(built->FindTerm(0)->posting_count, 1993u);
+  ASSERT_LT(built->stats().postings_bits, 1993u);
+  std::string data;
+  built->Serialize(&data);
+  Result<InvertedIndex> opened = InvertedIndex::Deserialize(data);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened->FindTerm(0)->posting_count, 1993u);
+}
+
 TEST(IndexStructureTest, WrappingOffsetSumIsRejected) {
   // The second gap wraps the running sum back to bit 0: every stored
   // offset looks in range, but they no longer ascend.
@@ -492,7 +561,7 @@ TEST(IndexStructureTest, OverlongVByteIsRejected) {
   // decoder without a cap shifts beyond 64 bits.
   RawIndex raw = ValidRawIndex();
   raw.num_docs_field = std::string(12, '\x7f') + '\x80';
-  ExpectRejected(raw, "document count too large");
+  ExpectRejected(raw, "vbyte exceeds 64 bits");
 }
 
 // A list whose doc id runs past the collection opens (the directory is

@@ -78,6 +78,62 @@ SearchRequest MakeRequest() {
   return r;
 }
 
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 15]);
+  }
+  return out;
+}
+
+// The encoders' bytes for fixed inputs, pinned: a change to the codecs
+// must keep every payload and frame byte-identical.
+TEST(ProtocolTest, GoldenBytes) {
+  Hello hello;
+  hello.server_version = "cafe 0.4.0";
+  EXPECT_EQ(Hex(EncodeHello(hello)), "0a0000006361666520302e342e30");
+
+  SearchRequest request = MakeRequest();
+  request.band = -3;
+  request.min_score = 300;
+  request.query = "ACGTNRY";
+  request.trace_id = 0x0123456789abcdefULL;
+  EXPECT_EQ(Hex(EncodeSearchRequest(request)),
+            "0700000037000000fdffffff180000002c010000000101dc050000"
+            "07000000414347544e5259efcdab8967452301");
+
+  SearchResponse response;
+  response.status = Status::Overloaded("queue full");
+  response.truncated = true;
+  SearchHit forward;
+  forward.seq_id = 3;
+  forward.score = 57;
+  forward.coarse_score = 12.5;
+  SearchHit reverse;
+  reverse.seq_id = 70000;
+  reverse.score = -1;
+  reverse.coarse_score = -0.25;
+  reverse.strand = Strand::kReverse;
+  response.hits = {forward, reverse};
+  response.trace_id = 0xfedcba9876543210ULL;
+  response.sampled = true;
+  EXPECT_EQ(Hex(EncodeSearchResponse(response)),
+            "080a00000071756575652066756c6c0102000000030000003900000000"
+            "000000000029400070110100ffffffff000000000000d0bf0110325476"
+            "98badcfe01");
+
+  SocketPair sp;
+  ASSERT_TRUE(
+      WriteFrame(sp.fds[0], FrameType::kHello, EncodeHello(hello)).ok());
+  char frame[64];
+  const ssize_t n = recv(sp.fds[1], frame, sizeof(frame), 0);
+  ASSERT_GT(n, 0);
+  EXPECT_EQ(Hex(std::string_view(frame, static_cast<size_t>(n))),
+            "43414645030001000e000000c75292550a0000006361666520302e342e30");
+}
+
 TEST(ProtocolTest, HelloRoundTrip) {
   Hello in;
   in.server_version = "0.4.0+abc123";

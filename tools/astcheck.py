@@ -25,25 +25,20 @@ regexes can express. Two passes, both scope-sensitive:
       the lock to count the request completed is the model).
       CondVar::Wait is exempt: it releases the lock while blocked.
 
-Backends: by default a built-in single-pass lexer produces the line
-stream (no dependencies — this is what CI runs). With
-`--backend=libclang` (or `auto` when python3-clang is installed) the
-same analyses run over libclang's token stream instead, using
-compile_commands.json (-p) for include paths, which sees through
-macro expansion. The findings format is identical.
+A built-in single-pass lexer produces the line stream, with no
+dependencies.
 
 A finding on a line containing `NOLINT(astcheck-<rule>)` — or below a
 `NOLINTNEXTLINE(astcheck-<rule>)` line — is suppressed; every
 suppression must carry a comment arguing why the exception is sound.
 
-Usage: tools/astcheck.py [-p build-dir] [repo-root]
+Usage: tools/astcheck.py [repo-root]
            (exit 0 = clean, 1 = findings)
        tools/astcheck.py --selftest
            (verify both passes fire and NOLINT suppresses them)
 """
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -303,70 +298,10 @@ def analyze_lines(relpath, lines, findings):
     check_view_escape(relpath, lines, findings)
 
 
-def analyze_file(root, relpath, findings, backend="lite", compile_db=None):
-    path = os.path.join(root, relpath)
-    if backend == "libclang":
-        lines = libclang_lines(path, compile_db)
-        if lines is None:  # parse failure: fall back, never skip
-            backend = "lite"
-    if backend == "lite":
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().split("\n")
+def analyze_file(root, relpath, findings):
+    with open(os.path.join(root, relpath), encoding="utf-8") as f:
+        lines = f.read().split("\n")
     analyze_lines(relpath, lines, findings)
-
-
-# -------------------------------------------------------------------
-# libclang backend: reconstructs the per-line stream from clang's own
-# lexer (comments already classified, literals exact, macros visible
-# post-expansion in the token spellings). The analyses are shared with
-# the lite backend — only the lexing differs.
-
-def load_compile_db(build_dir):
-    path = os.path.join(build_dir, "compile_commands.json")
-    try:
-        with open(path, encoding="utf-8") as f:
-            entries = json.load(f)
-    except OSError:
-        return {}
-    db = {}
-    for entry in entries:
-        args = entry.get("arguments")
-        if args is None:
-            args = entry.get("command", "").split()
-        keep = [a for a in args[1:]
-                if a.startswith(("-I", "-D", "-std", "-isystem"))]
-        db[os.path.realpath(entry["file"])] = keep
-    return db
-
-
-def libclang_lines(path, compile_db):
-    try:
-        from clang import cindex  # noqa: PLC0415 — optional backend
-    except ImportError:
-        return None
-    args = (compile_db or {}).get(os.path.realpath(path),
-                                  ["-std=c++20", "-Isrc"])
-    try:
-        tu = cindex.Index.create().parse(path, args=args)
-    except cindex.LibclangError:
-        return None
-    # Rebuild source lines from the token stream; comment tokens are
-    # kept (NOLINT lives there), literals get clang's exact extents.
-    lines = {}
-    for tok in tu.get_tokens(extent=tu.cursor.extent):
-        loc = tok.location
-        if loc.file is None or os.path.realpath(loc.file.name) != \
-                os.path.realpath(path):
-            continue
-        lineno = loc.line
-        text = lines.get(lineno, "")
-        col = loc.column - 1
-        if len(text) < col:
-            text += " " * (col - len(text))
-        lines[lineno] = text + tok.spelling.split("\n")[0]
-    if not lines:
-        return None
-    return [lines.get(i, "") for i in range(1, max(lines) + 1)]
 
 
 # -------------------------------------------------------------------
@@ -520,31 +455,12 @@ def main():
         description="cafe repo-aware static analysis")
     parser.add_argument("root", nargs="?", default=".",
                         help="repo root (default: .)")
-    parser.add_argument("-p", dest="build_dir", default=None,
-                        help="build dir with compile_commands.json "
-                             "(libclang backend include paths)")
-    parser.add_argument("--backend", default="lite",
-                        choices=["lite", "libclang", "auto"],
-                        help="lexer backend (default: lite — no "
-                             "dependencies)")
     parser.add_argument("--selftest", action="store_true",
                         help="run the fixture suite and exit")
     opts = parser.parse_args()
 
     if opts.selftest:
         return selftest()
-
-    backend = opts.backend
-    if backend == "auto":
-        try:
-            import clang.cindex  # noqa: F401,PLC0415
-            backend = "libclang"
-        except ImportError:
-            backend = "lite"
-
-    compile_db = None
-    if backend == "libclang" and opts.build_dir:
-        compile_db = load_compile_db(opts.build_dir)
 
     targets = []
     for dirpath, _, names in os.walk(os.path.join(opts.root, "src")):
@@ -557,12 +473,11 @@ def main():
 
     findings = []
     for rel in targets:
-        analyze_file(opts.root, rel, findings,
-                     backend=backend, compile_db=compile_db)
+        analyze_file(opts.root, rel, findings)
 
     for relpath, lineno, rule, message in findings:
         print(f"{relpath}:{lineno}: [{rule}] {message}")
-    print(f"astcheck ({backend}): {len(targets)} files, "
+    print(f"astcheck: {len(targets)} files, "
           f"{len(findings)} finding(s)")
     return 1 if findings else 0
 
