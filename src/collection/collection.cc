@@ -6,7 +6,7 @@
 namespace cafe {
 namespace {
 
-constexpr std::string_view kMagic("CAFCOL1\0", 8);
+constexpr std::string_view kMagic("CAFCOL2\0", 8);
 
 }  // namespace
 
@@ -65,9 +65,8 @@ void SequenceCollection::Serialize(std::string* out) const {
     w.PutVByteString(names_[i]);
     w.PutVByteString(descriptions_[i]);
   }
-  std::string store_data;
-  store_.Serialize(&store_data);
-  w.PutBytes(store_data);
+  w.PutVByte(store_.blob().size() + 1);
+  w.PutBytes(store_.blob());
   w.Finish();
 }
 
@@ -87,13 +86,14 @@ Result<SequenceCollection> SequenceCollection::Deserialize(
     CAFE_RETURN_IF_ERROR(r.GetVByteString(&col.descriptions_[i]));
   }
 
-  std::string_view store_data;
-  CAFE_RETURN_IF_ERROR(r.GetBytes(r.remaining(), &store_data));
-  Result<SequenceStore> store = SequenceStore::Deserialize(store_data);
+  uint64_t blob_size = 0;
+  std::string_view blob;
+  CAFE_RETURN_IF_ERROR(r.GetLength(&blob_size));
+  CAFE_RETURN_IF_ERROR(r.GetBytes(blob_size, &blob));
+  CAFE_RETURN_IF_ERROR(r.ExpectDone());
+  Result<SequenceStore> store = SequenceStore::FromBlob(
+      {reinterpret_cast<const uint8_t*>(blob.data()), blob.size()}, count);
   if (!store.ok()) return store.status();
-  if (store->NumSequences() != count) {
-    return r.Fail("name/sequence count mismatch");
-  }
   col.store_ = std::move(*store);
   return col;
 }

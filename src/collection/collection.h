@@ -1,7 +1,7 @@
 // SequenceCollection: the nucleotide database. Pairs the direct-coded
 // sequence store with record identifiers/descriptions and an on-disk
-// format. This is the object the index is built over and that both search
-// phases read from.
+// format (docs/FORMATS.md: the names, then the store's blob). This is the
+// object the index is built over and that both search phases read from.
 
 #ifndef CAFE_COLLECTION_COLLECTION_H_
 #define CAFE_COLLECTION_COLLECTION_H_

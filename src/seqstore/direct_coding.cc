@@ -36,6 +36,60 @@ int MaskFirstBaseCode(uint8_t mask) {
   return 0;
 }
 
+// One wildcard of a decoded sequence.
+struct Wildcard {
+  size_t position;  // 0-based
+  char letter;      // IUPAC
+};
+
+// The one reader of a direct-coded header. It checks, in stream order:
+// the length and the exception count (each exception costs at least a
+// Golomb bit and a 4-bit mask); every Golomb position inside the
+// sequence; every mask non-zero; the byte alignment; and that the
+// ceil(length / 4) payload bytes fit in what is left (compared as
+// length > 4 x left, since (length + 3) / 4 wraps). The wildcards go to
+// *wildcards unless it is null.
+Status ParseHeader(const uint8_t* data, size_t size, size_t* length,
+                   size_t* payload_offset, std::vector<Wildcard>* wildcards) {
+  BitReader r(data, size);
+  const uint64_t n = coding::DecodeGamma(&r) - 1;
+  const uint64_t w = coding::DecodeGamma(&r) - 1;
+  if (r.overflowed() || w > n || w > r.bits_remaining() / 5) {
+    return Status::Corruption("direct coding: bad header");
+  }
+  if (w > 0) {
+    if (wildcards != nullptr) wildcards->resize(w);
+    const uint64_t b = coding::OptimalGolombParameter(w, n);
+    uint64_t prev = 0;  // 1-based position of the previous wildcard
+    for (uint64_t i = 0; i < w; ++i) {
+      const uint64_t gap = coding::DecodeGolomb(&r, b);
+      if (gap > n - prev) {
+        return Status::Corruption("direct coding: bad position");
+      }
+      prev += gap;
+      if (wildcards != nullptr) {
+        (*wildcards)[i].position = static_cast<size_t>(prev - 1);
+      }
+    }
+    if (r.overflowed() || r.bits_remaining() / 4 < w) {
+      return Status::Corruption("direct coding: truncated exceptions");
+    }
+    for (uint64_t i = 0; i < w; ++i) {
+      const auto mask = static_cast<uint8_t>(r.ReadBits(4));
+      if (mask == 0) return Status::Corruption("direct coding: zero mask");
+      if (wildcards != nullptr) (*wildcards)[i].letter = MaskToIupac(mask);
+    }
+  }
+  r.AlignToByte();
+  const size_t start = r.bit_position() / 8;
+  if (n > 4 * uint64_t{size - start}) {
+    return Status::Corruption("direct coding: truncated payload");
+  }
+  *length = static_cast<size_t>(n);
+  *payload_offset = start;
+  return Status::OK();
+}
+
 }  // namespace
 
 Status DirectEncodeAppend(std::string_view seq, std::vector<uint8_t>* out) {
@@ -95,44 +149,10 @@ Status DirectEncodeAppend(std::string_view seq, std::vector<uint8_t>* out) {
 }
 
 Status DirectDecode(const uint8_t* data, size_t size, std::string* out) {
-  BitReader r(data, size);
-  uint64_t n = coding::DecodeGamma(&r) - 1;
-  uint64_t w = coding::DecodeGamma(&r) - 1;
-  if (r.overflowed() || w > n) {
-    return Status::Corruption("direct coding: bad header");
-  }
-  // Each exception costs several bits, so w can never exceed the input's
-  // bit count; reject before sizing the exception arrays (guards decode
-  // of adversarial buffers against huge allocations).
-  if (w > size * 8) {
-    return Status::Corruption("direct coding: exception count too large");
-  }
-
-  std::vector<uint32_t> positions(w);
-  std::vector<uint8_t> masks(w);
-  if (w > 0) {
-    uint64_t b = coding::OptimalGolombParameter(w, n);
-    uint64_t prev = 0;
-    for (uint64_t i = 0; i < w; ++i) {
-      uint64_t gap = coding::DecodeGolomb(&r, b);
-      prev += gap;
-      if (prev > n) return Status::Corruption("direct coding: bad position");
-      positions[i] = static_cast<uint32_t>(prev - 1);
-    }
-    for (uint64_t i = 0; i < w; ++i) {
-      masks[i] = static_cast<uint8_t>(r.ReadBits(4));
-    }
-  }
-  r.AlignToByte();
-  if (r.overflowed()) {
-    return Status::Corruption("direct coding: truncated exceptions");
-  }
-
-  size_t payload_bytes = (n + 3) / 4;
-  size_t payload_start = r.bit_position() / 8;
-  if (payload_start + payload_bytes > size) {
-    return Status::Corruption("direct coding: truncated payload");
-  }
+  size_t n = 0, payload_start = 0;
+  std::vector<Wildcard> wildcards;
+  CAFE_RETURN_IF_ERROR(
+      ParseHeader(data, size, &n, &payload_start, &wildcards));
 
   out->resize(n);
   char* dst = out->data();
@@ -153,113 +173,18 @@ Status DirectDecode(const uint8_t* data, size_t size, std::string* out) {
     for (size_t j = 0; j < rem; ++j) dst[j] = row[j];
   }
 
-  for (uint64_t i = 0; i < w; ++i) {
-    (*out)[positions[i]] = MaskToIupac(masks[i]);
-  }
-  return Status::OK();
-}
-
-Status DirectDecodeRange(const uint8_t* data, size_t size, size_t start,
-                         size_t count, std::string* out) {
-  BitReader r(data, size);
-  uint64_t n = coding::DecodeGamma(&r) - 1;
-  uint64_t w = coding::DecodeGamma(&r) - 1;
-  if (r.overflowed() || w > n || w > size * 8) {
-    return Status::Corruption("direct coding: bad header");
-  }
-  if (start + count > n) {
-    return Status::OutOfRange("range [" + std::to_string(start) + ", " +
-                              std::to_string(start + count) +
-                              ") exceeds sequence length " +
-                              std::to_string(n));
-  }
-
-  // Exceptions are in the header regardless; collect only those that
-  // fall inside the window.
-  std::vector<std::pair<uint32_t, uint8_t>> window_exceptions;
-  if (w > 0) {
-    uint64_t b = coding::OptimalGolombParameter(w, n);
-    std::vector<uint64_t> positions(w);
-    uint64_t prev = 0;
-    for (uint64_t i = 0; i < w; ++i) {
-      prev += coding::DecodeGolomb(&r, b);
-      if (prev > n) return Status::Corruption("direct coding: bad position");
-      positions[i] = prev - 1;
-    }
-    for (uint64_t i = 0; i < w; ++i) {
-      uint8_t mask = static_cast<uint8_t>(r.ReadBits(4));
-      if (positions[i] >= start && positions[i] < start + count) {
-        window_exceptions.emplace_back(
-            static_cast<uint32_t>(positions[i] - start), mask);
-      }
-    }
-  }
-  r.AlignToByte();
-  if (r.overflowed()) {
-    return Status::Corruption("direct coding: truncated exceptions");
-  }
-
-  size_t payload_start = r.bit_position() / 8;
-  if (payload_start + (n + 3) / 4 > size) {
-    return Status::Corruption("direct coding: truncated payload");
-  }
-
-  out->resize(count);
-  const uint8_t* payload = data + payload_start;
-  const ExpandTable& table = Expander();
-  for (size_t i = 0; i < count; ++i) {
-    size_t base_index = start + i;
-    uint8_t byte = payload[base_index / 4];
-    (*out)[i] = table.rows[byte][base_index % 4];
-  }
-  for (const auto& [offset, mask] : window_exceptions) {
-    (*out)[offset] = MaskToIupac(mask);
-  }
+  for (const Wildcard& wc : wildcards) (*out)[wc.position] = wc.letter;
   return Status::OK();
 }
 
 Status DirectLocatePayload(const uint8_t* data, size_t size,
                            size_t* length, size_t* payload_offset) {
-  BitReader r(data, size);
-  uint64_t n = coding::DecodeGamma(&r) - 1;
-  uint64_t w = coding::DecodeGamma(&r) - 1;
-  if (r.overflowed() || w > n || w > size * 8) {
-    return Status::Corruption("direct coding: bad header");
-  }
-  if (w > 0) {
-    uint64_t b = coding::OptimalGolombParameter(w, n);
-    uint64_t prev = 0;
-    for (uint64_t i = 0; i < w; ++i) {
-      prev += coding::DecodeGolomb(&r, b);
-      if (prev > n) return Status::Corruption("direct coding: bad position");
-    }
-    r.SeekToBit(r.bit_position() + 4 * w);  // skip the IUPAC masks
-  }
-  r.AlignToByte();
-  if (r.overflowed()) {
-    return Status::Corruption("direct coding: truncated exceptions");
-  }
-  size_t start = r.bit_position() / 8;
-  if (start + (n + 3) / 4 > size) {
-    return Status::Corruption("direct coding: truncated payload");
-  }
-  *length = static_cast<size_t>(n);
-  *payload_offset = start;
-  return Status::OK();
+  return ParseHeader(data, size, length, payload_offset, nullptr);
 }
 
 Status DirectDecodeLength(const uint8_t* data, size_t size, size_t* length) {
-  BitReader r(data, size);
-  uint64_t n = coding::DecodeGamma(&r) - 1;
-  if (r.overflowed()) return Status::Corruption("direct coding: bad header");
-  *length = static_cast<size_t>(n);
-  return Status::OK();
-}
-
-size_t DirectEncodedSize(std::string_view seq) {
-  std::vector<uint8_t> tmp;
-  Status s = DirectEncodeAppend(seq, &tmp);
-  return s.ok() ? tmp.size() : 0;
+  size_t payload_offset = 0;
+  return DirectLocatePayload(data, size, length, &payload_offset);
 }
 
 }  // namespace cafe

@@ -39,30 +39,21 @@ namespace cafe {
 /// offsets.
 [[nodiscard]] Status DirectEncodeAppend(std::string_view seq, std::vector<uint8_t>* out);
 
-/// Decodes one sequence from `data` (which must contain exactly the bytes
-/// produced by one DirectEncodeAppend call — the store tracks per-sequence
-/// byte ranges).
+/// Decodes one sequence from `data`, which must hold exactly the bytes
+/// of one DirectEncodeAppend call.
 [[nodiscard]] Status DirectDecode(const uint8_t* data, size_t size, std::string* out);
 
 /// Decodes only the length, without expanding the bases.
 [[nodiscard]] Status DirectDecodeLength(const uint8_t* data, size_t size, size_t* length);
 
-/// Decodes only bases [start, start+count) of one encoded sequence —
-/// the byte-aligned 2-bit payload permits random access within a
-/// sequence, so long records need not be fully expanded to align a
-/// region. Fails with OutOfRange if the window exceeds the sequence.
-[[nodiscard]] Status DirectDecodeRange(const uint8_t* data, size_t size, size_t start,
-                         size_t count, std::string* out);
-
-/// Locates the byte-aligned 2-bit payload inside one encoded sequence:
-/// on success *length is the base count and *payload_offset the byte
-/// offset of the packed bases within `data`. Enables zero-decode packed
-/// comparison (seqstore/packed_view.h).
+/// Parses the header of the sequence that starts at `data`, with `size`
+/// bytes left: on success *length is the base count and *payload_offset
+/// the byte offset of the packed bases within `data`, so the encoding
+/// ends at *payload_offset + ceil(*length / 4). Enables zero-decode
+/// packed comparison (seqstore/packed_view.h). The header is checked
+/// as DirectDecode checks it, so a sequence located here decodes.
 [[nodiscard]] Status DirectLocatePayload(const uint8_t* data, size_t size,
                            size_t* length, size_t* payload_offset);
-
-/// Bytes DirectEncodeAppend would emit for `seq` (for sizing tables).
-size_t DirectEncodedSize(std::string_view seq);
 
 }  // namespace cafe
 

@@ -21,19 +21,6 @@ Status PlainSequenceStore::Get(uint32_t id, std::string* out) const {
   return Status::OK();
 }
 
-Status PlainSequenceStore::GetRange(uint32_t id, size_t start,
-                                    size_t count, std::string* out) const {
-  if (id + 1 >= offsets_.size()) {
-    return Status::NotFound("sequence id " + std::to_string(id));
-  }
-  size_t len = offsets_[id + 1] - offsets_[id];
-  if (start + count > len) {
-    return Status::OutOfRange("range exceeds sequence length");
-  }
-  out->assign(blob_, offsets_[id] + start, count);
-  return Status::OK();
-}
-
 Result<size_t> PlainSequenceStore::Length(uint32_t id) const {
   if (id + 1 >= offsets_.size()) {
     return Status::NotFound("sequence id " + std::to_string(id));

@@ -19,8 +19,6 @@ class PlainSequenceStore final : public SequenceStoreInterface {
 
   [[nodiscard]] Result<uint32_t> Append(std::string_view seq) override;
   [[nodiscard]] Status Get(uint32_t id, std::string* out) const override;
-  [[nodiscard]] Status GetRange(uint32_t id, size_t start, size_t count,
-                  std::string* out) const override;
   [[nodiscard]] Result<size_t> Length(uint32_t id) const override;
   uint32_t NumSequences() const override {
     return static_cast<uint32_t>(offsets_.size() - 1);

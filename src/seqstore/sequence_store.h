@@ -1,16 +1,18 @@
 // Random-access stores of nucleotide sequences.
 //
 // SequenceStore keeps every sequence direct-coded (see direct_coding.h) in
-// one contiguous blob with a byte-offset table, so sequences can be
-// retrieved independently of insertion order — the access pattern of the
-// fine-search phase, which pulls an arbitrary ranked subset of the
-// collection. An uncompressed PlainSequenceStore (plain_store.h) with the
-// same interface is the experimental control.
+// one contiguous blob with an in-memory byte-offset table, so sequences
+// can be retrieved independently of insertion order — the access pattern
+// of the fine-search phase, which pulls an arbitrary ranked subset of the
+// collection. The collection file stores the blob alone (FromBlob
+// rebuilds the table). An uncompressed PlainSequenceStore (plain_store.h)
+// with the same interface is the experimental control.
 
 #ifndef CAFE_SEQSTORE_SEQUENCE_STORE_H_
 #define CAFE_SEQSTORE_SEQUENCE_STORE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,12 +34,6 @@ class SequenceStoreInterface {
   /// Materializes sequence `id` into `*out`.
   [[nodiscard]] virtual Status Get(uint32_t id, std::string* out) const = 0;
 
-  /// Materializes only bases [start, start+count) of sequence `id`
-  /// (random access within a record; the direct-coded store does this
-  /// without expanding the whole sequence).
-  [[nodiscard]] virtual Status GetRange(uint32_t id, size_t start, size_t count,
-                          std::string* out) const = 0;
-
   /// Length in bases of sequence `id` (no decode of the payload).
   [[nodiscard]] virtual Result<size_t> Length(uint32_t id) const = 0;
 
@@ -55,8 +51,6 @@ class SequenceStore final : public SequenceStoreInterface {
 
   [[nodiscard]] Result<uint32_t> Append(std::string_view seq) override;
   [[nodiscard]] Status Get(uint32_t id, std::string* out) const override;
-  [[nodiscard]] Status GetRange(uint32_t id, size_t start, size_t count,
-                  std::string* out) const override;
   [[nodiscard]] Result<size_t> Length(uint32_t id) const override;
   uint32_t NumSequences() const override {
     return static_cast<uint32_t>(offsets_.size() - 1);
@@ -71,14 +65,15 @@ class SequenceStore final : public SequenceStoreInterface {
   /// store's memory: valid until the store is mutated or destroyed.
   [[nodiscard]] Result<PackedView> GetPackedView(uint32_t id) const;
 
-  /// Serializes to a self-checking byte string (magic, version, CRC).
-  void Serialize(std::string* out) const;
+  /// The concatenated direct-coded sequences, in id order.
+  std::span<const uint8_t> blob() const { return blob_; }
 
-  /// Parses a string produced by Serialize.
-  [[nodiscard]] static Result<SequenceStore> Deserialize(std::string_view data);
-
-  [[nodiscard]] Status Save(const std::string& path) const;
-  [[nodiscard]] static Result<SequenceStore> Load(const std::string& path);
+  /// Rebuilds a store from `count` sequences laid back to back in
+  /// `blob` (a copy is kept). One walk parses every header: each
+  /// sequence starts where the one before it ends, and the last must end
+  /// exactly at the end of the blob; anything else is Corruption.
+  [[nodiscard]] static Result<SequenceStore> FromBlob(std::span<const uint8_t> blob,
+                                                      uint64_t count);
 
  private:
   std::vector<uint8_t> blob_;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "coding/byte_io.h"
+#include "coding/elias.h"
+#include "seqstore/direct_coding.h"
+#include "sim/generator.h"
+#include "util/bitio.h"
 #include "util/env.h"
 
 namespace cafe {
@@ -80,22 +85,54 @@ TEST(CollectionTest, FromFasta) {
   EXPECT_EQ(col->Name(0), "r1");
 }
 
-TEST(CollectionTest, SerializeRoundTrip) {
-  SequenceCollection col = MakeSample();
+// Every sequence, name and description, byte for byte.
+void ExpectSameCollection(const SequenceCollection& a,
+                          const SequenceCollection& b) {
+  ASSERT_EQ(a.NumSequences(), b.NumSequences());
+  EXPECT_EQ(a.TotalBases(), b.TotalBases());
+  uint64_t bases = 0;
+  std::string sa, sb;
+  for (uint32_t i = 0; i < a.NumSequences(); ++i) {
+    ASSERT_TRUE(a.GetSequence(i, &sa).ok());
+    ASSERT_TRUE(b.GetSequence(i, &sb).ok());
+    EXPECT_EQ(sa, sb) << i;
+    EXPECT_EQ(a.Name(i), b.Name(i));
+    EXPECT_EQ(a.Description(i), b.Description(i));
+    bases += sb.size();
+  }
+  EXPECT_EQ(b.TotalBases(), bases);
+}
+
+SequenceCollection RoundTrip(const SequenceCollection& col) {
   std::string data;
   col.Serialize(&data);
   Result<SequenceCollection> back = SequenceCollection::Deserialize(data);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->NumSequences(), 3u);
-  EXPECT_EQ(back->TotalBases(), 16u);
-  for (uint32_t i = 0; i < 3; ++i) {
-    std::string a, b;
-    ASSERT_TRUE(col.GetSequence(i, &a).ok());
-    ASSERT_TRUE(back->GetSequence(i, &b).ok());
-    EXPECT_EQ(a, b);
-    EXPECT_EQ(col.Name(i), back->Name(i));
-    EXPECT_EQ(col.Description(i), back->Description(i));
+  EXPECT_TRUE(back.ok()) << back.status().ToString();
+  return back.ok() ? std::move(*back) : SequenceCollection();
+}
+
+TEST(CollectionTest, SerializeRoundTrip) {
+  SequenceCollection col = MakeSample();
+  ExpectSameCollection(col, RoundTrip(col));
+}
+
+TEST(CollectionTest, SerializeRoundTripKeepsEmptySequencesAndWildcards) {
+  SequenceCollection col;
+  for (const char* seq : {"ACGT", "NNNACGTNNN", "", "T", "ACGTACGTACGTACG",
+                          "ACGRYSWKMBDHVNT", ""}) {
+    ASSERT_TRUE(col.Add("id", "desc", seq).ok());
   }
+  ExpectSameCollection(col, RoundTrip(col));
+}
+
+TEST(CollectionTest, GeneratedCollectionRoundTrips) {
+  sim::CollectionOptions copt;
+  copt.target_bases = 200000;
+  copt.wildcard_rate = 0.002;
+  copt.seed = 31;
+  Result<SequenceCollection> col = sim::CollectionGenerator(copt).Generate();
+  ASSERT_TRUE(col.ok());
+  ExpectSameCollection(*col, RoundTrip(*col));
 }
 
 TEST(CollectionTest, DeserializeDetectsCorruption) {
@@ -106,7 +143,15 @@ TEST(CollectionTest, DeserializeDetectsCorruption) {
   std::string bad = data;
   bad[10] ^= 0x01;
   EXPECT_TRUE(SequenceCollection::Deserialize(bad).status().IsCorruption());
+  bad = data;
+  bad[bad.size() / 2] ^= 0x40;
+  EXPECT_TRUE(SequenceCollection::Deserialize(bad).status().IsCorruption());
+  EXPECT_TRUE(SequenceCollection::Deserialize(
+                  std::string_view(data).substr(0, data.size() - 3))
+                  .status()
+                  .IsCorruption());
   EXPECT_TRUE(SequenceCollection::Deserialize("short").status().IsCorruption());
+  EXPECT_TRUE(SequenceCollection::Deserialize("").status().IsCorruption());
   bad = data;
   bad[1] = 'z';
   EXPECT_TRUE(SequenceCollection::Deserialize(bad).status().IsCorruption());
@@ -118,8 +163,87 @@ TEST(CollectionTest, SaveLoad) {
   ASSERT_TRUE(col.Save(path).ok());
   Result<SequenceCollection> back = SequenceCollection::Load(path);
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->NumSequences(), 3u);
+  ExpectSameCollection(col, *back);
   ASSERT_TRUE(RemoveFile(path).ok());
+}
+
+TEST(CollectionTest, LoadMissingFileIsIOError) {
+  EXPECT_TRUE(SequenceCollection::Load("/nonexistent/cafe.bin")
+                  .status()
+                  .IsIOError());
+}
+
+// ---- Crafted files -------------------------------------------------
+
+constexpr std::string_view kMagic("CAFCOL2\0", 8);
+
+// A collection file holding one record, "s", whose sequence is `blob`.
+std::string OneRecordFile(const std::vector<uint8_t>& blob) {
+  std::string file;
+  coding::FileWriter w(&file, kMagic);
+  w.PutVByte(1 + 1);
+  w.PutVByteString("s");
+  w.PutVByteString("");
+  w.PutVByte(blob.size() + 1);
+  w.PutBytes(blob);
+  w.Finish();
+  return file;
+}
+
+// "ACNGT" as DirectEncodeAppend writes it: gamma(6) gamma(2), the N's
+// position as Golomb(3; b = 3), its mask 1111 and one pad bit, then
+// A C A G (the N slot holds A) and T.
+const std::vector<uint8_t> kAcngt = {0b00110'010, 0b111'1111'0,
+                                     0b00'01'00'10, 0b11'00'00'00};
+
+TEST(CollectionTest, CraftedFileMatchesTheWriter) {
+  std::vector<uint8_t> blob;
+  ASSERT_TRUE(DirectEncodeAppend("ACNGT", &blob).ok());
+  ASSERT_EQ(blob, kAcngt);
+  SequenceCollection col;
+  ASSERT_TRUE(col.Add("s", "", "ACNGT").ok());
+  std::string data;
+  col.Serialize(&data);
+  EXPECT_EQ(data, OneRecordFile(kAcngt));
+}
+
+TEST(CollectionTest, ZeroMaskIsCorruptionAtLoad) {
+  std::vector<uint8_t> blob = kAcngt;
+  blob[1] = 0b111'0000'0;
+  Status s = SequenceCollection::Deserialize(OneRecordFile(blob)).status();
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
+TEST(CollectionTest, WrappedLengthIsCorruptionAtLoad) {
+  // gamma(2^64 - 1), gamma(1): a 16-byte header claiming 2^64 - 2 bases.
+  BitWriter w;
+  coding::EncodeGamma(&w, ~uint64_t{0});
+  coding::EncodeGamma(&w, 1);
+  Status s =
+      SequenceCollection::Deserialize(OneRecordFile(w.Finish())).status();
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
+TEST(CollectionTest, VersionOneFileIsBadMagic) {
+  // The CAFCOL1 layout: the names, then a whole CAFSEQ1 store file
+  // (count, total bases, blob size, offset table, blob, its own CRC).
+  std::string store;
+  coding::FileWriter sw(&store, std::string_view("CAFSEQ1\0", 8));
+  for (uint64_t v : {uint64_t{1}, uint64_t{5}, uint64_t{kAcngt.size()},
+                     uint64_t{0}, uint64_t{kAcngt.size()}}) {
+    sw.PutU64(v);
+  }
+  sw.PutBytes(kAcngt);
+  sw.Finish();
+  std::string file;
+  coding::FileWriter w(&file, std::string_view("CAFCOL1\0", 8));
+  w.PutVByte(1 + 1);
+  w.PutVByteString("s");
+  w.PutVByteString("");
+  w.PutBytes(store);
+  w.Finish();
+  EXPECT_EQ(SequenceCollection::Deserialize(file).status().ToString(),
+            Status::Corruption("collection: bad magic").ToString());
 }
 
 TEST(CollectionTest, StorageBytesAccountsNames) {

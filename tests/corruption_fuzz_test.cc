@@ -1,7 +1,7 @@
 // Failure-injection property tests: every on-disk format must either
 // reject a corrupted payload with a Corruption/IOError status or (never)
 // crash — random single-bit flips, truncations and extensions are applied
-// to serialized collections, stores and indexes. The CRC makes
+// to serialized collections and indexes. The CRC makes
 // acceptance of a flipped payload effectively impossible; acceptance of
 // a *truncated-then-CRC-correct* payload is impossible by construction.
 //
@@ -15,11 +15,11 @@
 #include <functional>
 #include <utility>
 
+#include "alphabet/nucleotide.h"
 #include "coding/byte_io.h"
 #include "collection/collection.h"
 #include "index/inverted_index.h"
 #include "seqstore/direct_coding.h"
-#include "seqstore/sequence_store.h"
 #include "server/protocol.h"
 #include "sim/generator.h"
 #include "util/crc32.h"
@@ -39,21 +39,6 @@ std::string SerializedCollection() {
   EXPECT_TRUE(col.ok());
   std::string data;
   col->Serialize(&data);
-  return data;
-}
-
-std::string SerializedStore() {
-  sim::CollectionOptions copt;
-  copt.num_sequences = 12;
-  copt.length_mu = 5.0;
-  copt.seed = 2025;
-  sim::CollectionGenerator gen(copt);
-  SequenceStore store;
-  for (int i = 0; i < 12; ++i) {
-    EXPECT_TRUE(store.Append(gen.RandomSequence(200)).ok());
-  }
-  std::string data;
-  store.Serialize(&data);
   return data;
 }
 
@@ -117,18 +102,6 @@ TEST(CorruptionFuzzTest, CollectionNeverCrashesAlwaysDetects) {
         Corrupt(good, kMutations[trial % 4], &rng);
     if (bad == good) continue;
     Result<SequenceCollection> r = SequenceCollection::Deserialize(bad);
-    EXPECT_FALSE(r.ok()) << "mutation accepted at trial " << trial;
-  }
-}
-
-TEST(CorruptionFuzzTest, StoreNeverCrashesAlwaysDetects) {
-  std::string good = SerializedStore();
-  ASSERT_TRUE(SequenceStore::Deserialize(good).ok());
-  Rng rng(2);
-  for (int trial = 0; trial < 300; ++trial) {
-    std::string bad = Corrupt(good, kMutations[trial % 4], &rng);
-    if (bad == good) continue;
-    Result<SequenceStore> r = SequenceStore::Deserialize(bad);
     EXPECT_FALSE(r.ok()) << "mutation accepted at trial " << trial;
   }
 }
@@ -267,29 +240,24 @@ TEST(CorruptionFuzzTest, ResealedSpacedSeedIndexNeverCrashes) {
   RunMutations(12, ResealedFile(good, IndexPrefixBytes(good)), CheckIndex);
 }
 
-TEST(CorruptionFuzzTest, ResealedCollectionNeverCrashes) {
-  RunMutations(13, ResealedFile(SerializedCollection(), 0),
-               [](const std::string& file) {
-                 Result<SequenceCollection> col =
-                     SequenceCollection::Deserialize(file);
-                 if (!col.ok()) return ExpectCleanRejection(col.status());
-                 std::string seq;
-                 for (uint32_t id = 0; id < col->NumSequences(); ++id) {
-                   col->GetSequence(id, &seq).IgnoreError();
-                 }
-               });
+// An accepted collection must hand out every sequence, each one valid
+// IUPAC, and its lengths must sum to TotalBases().
+void CheckCollection(const std::string& file) {
+  Result<SequenceCollection> col = SequenceCollection::Deserialize(file);
+  if (!col.ok()) return ExpectCleanRejection(col.status());
+  uint64_t bases = 0;
+  std::string seq;
+  for (uint32_t id = 0; id < col->NumSequences(); ++id) {
+    Status s = col->GetSequence(id, &seq);
+    ASSERT_TRUE(s.ok()) << "sequence " << id << ": " << s.ToString();
+    EXPECT_TRUE(IsValidSequence(seq)) << "sequence " << id;
+    bases += seq.size();
+  }
+  EXPECT_EQ(bases, col->TotalBases());
 }
 
-TEST(CorruptionFuzzTest, ResealedStoreNeverCrashes) {
-  RunMutations(14, ResealedFile(SerializedStore(), 0),
-               [](const std::string& file) {
-                 Result<SequenceStore> store = SequenceStore::Deserialize(file);
-                 if (!store.ok()) return ExpectCleanRejection(store.status());
-                 std::string seq;
-                 for (uint32_t id = 0; id < store->NumSequences(); ++id) {
-                   store->Get(id, &seq).IgnoreError();
-                 }
-               });
+TEST(CorruptionFuzzTest, ResealedCollectionNeverCrashes) {
+  RunMutations(13, ResealedFile(SerializedCollection(), 0), CheckCollection);
 }
 
 // Wire payloads carry no CRC of their own (the frame header holds it),
@@ -340,11 +308,13 @@ TEST(CorruptionFuzzTest, MutatedWirePayloadsNeverCrash) {
 
 // CRC-valid files whose length or count fields claim close to 2^64: a
 // bounds check written as pos + n > size wraps and lets them through.
+// Then the blob walk: sequences must fill the blob exactly, one per name.
 TEST(CorruptionFuzzTest, LengthsNear2To64AreCorruption) {
   const uint64_t kHuge = ~uint64_t{0};  // vbyte(n + 1) with n = 2^64 - 2
+  const std::string_view kMagic("CAFCOL2\0", 8);
   const auto collection = [&](bool huge_description) {
     std::string file;
-    coding::FileWriter w(&file, std::string_view("CAFCOL1\0", 8));
+    coding::FileWriter w(&file, kMagic);
     w.PutVByte(1 + 1);  // one record
     if (huge_description) w.PutVByteString("seq1");
     w.PutVByte(kHuge);
@@ -358,22 +328,39 @@ TEST(CorruptionFuzzTest, LengthsNear2To64AreCorruption) {
   ExpectCleanRejection(
       SequenceCollection::Deserialize(collection(true)).status());
 
-  const auto store = [](uint64_t count, uint64_t blob_size) {
+  // `names` records, then `blob` under a length field of `blob_size`.
+  const auto blob_file = [&](int names, const std::vector<uint8_t>& blob,
+                             uint64_t blob_size) {
     std::string file;
-    coding::FileWriter w(&file, std::string_view("CAFSEQ1\0", 8));
-    w.PutU64(count);
-    w.PutU64(0);  // total bases
-    w.PutU64(blob_size);
-    w.PutU64(0);  // offsets[0]
-    w.PutU64(0);  // offsets[1]
+    coding::FileWriter w(&file, kMagic);
+    w.PutVByte(names + 1);
+    for (int i = 0; i < names; ++i) {
+      w.PutVByteString("seq" + std::to_string(i));
+      w.PutVByteString("");
+    }
+    w.PutVByte(blob_size + 1);
+    w.PutBytes(blob);
     w.Finish();
     return file;
   };
-  for (const auto& [count, blob_size] :
-       {std::pair{kHuge, uint64_t{0}}, std::pair{kHuge / 8, uint64_t{0}},
-        std::pair{uint64_t{1}, kHuge}, std::pair{uint64_t{1}, kHuge - 7}}) {
-    ExpectCleanRejection(
-        SequenceStore::Deserialize(store(count, blob_size)).status());
+  std::vector<uint8_t> two;
+  for (std::string_view seq : {"ACGTACGTAC", "GGNNTTAC"}) {
+    ASSERT_TRUE(DirectEncodeAppend(seq, &two).ok());
+  }
+  ASSERT_TRUE(
+      SequenceCollection::Deserialize(blob_file(2, two, two.size())).ok());
+  const std::vector<uint8_t> cut(two.begin(), two.end() - 1);
+  std::vector<uint8_t> padded = two;
+  padded.push_back(0);
+  for (const std::string& file : {
+           blob_file(2, two, kHuge - 1),           // blob length 2^64 - 2
+           blob_file(2, two, two.size() + 1),      // one byte past the body
+           blob_file(2, cut, cut.size()),          // runs past the blob
+           blob_file(2, padded, padded.size()),    // a byte after the last
+           blob_file(3, two, two.size()),          // more names than
+           blob_file(1, two, two.size()),          // ... or fewer
+       }) {
+    ExpectCleanRejection(SequenceCollection::Deserialize(file).status());
   }
 }
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "alphabet/nucleotide.h"
+#include "coding/elias.h"
+#include "coding/golomb.h"
+#include "util/bitio.h"
 #include "util/random.h"
 
 namespace cafe {
@@ -59,7 +62,9 @@ TEST(DirectCodingTest, CompressionNearTwoBitsPerBase) {
   std::string seq(10000, 'A');
   Rng rng(5);
   for (char& c : seq) c = CodeToBase(static_cast<int>(rng.Uniform(4)));
-  size_t bytes = DirectEncodedSize(seq);
+  std::vector<uint8_t> buf;
+  ASSERT_TRUE(DirectEncodeAppend(seq, &buf).ok());
+  size_t bytes = buf.size();
   // 2 bits/base = 2500 bytes; header overhead must stay tiny.
   EXPECT_LT(bytes, 2520u);
   EXPECT_GE(bytes, 2500u);
@@ -71,8 +76,9 @@ TEST(DirectCodingTest, WildcardOverheadModest) {
   for (char& c : seq) c = CodeToBase(static_cast<int>(rng.Uniform(4)));
   // GenBank-like 0.02% wildcards.
   for (size_t i = 0; i < seq.size(); i += 500) seq[i] = 'N';
-  size_t bytes = DirectEncodedSize(seq);
-  EXPECT_LT(bytes, 2600u);
+  std::vector<uint8_t> buf;
+  ASSERT_TRUE(DirectEncodeAppend(seq, &buf).ok());
+  EXPECT_LT(buf.size(), 2600u);
   EXPECT_EQ(RoundTrip(seq), seq);
 }
 
@@ -116,6 +122,64 @@ TEST(DirectCodingTest, EmptyBufferDetected) {
   EXPECT_TRUE(s.IsCorruption());
 }
 
+// Every decoder reads the header through one parser, so each rejects a
+// malformed header alike.
+void ExpectCorruptHeader(const std::vector<uint8_t>& buf) {
+  std::string out;
+  EXPECT_TRUE(DirectDecode(buf.data(), buf.size(), &out).IsCorruption());
+  size_t length = 0, payload_offset = 0;
+  EXPECT_TRUE(DirectLocatePayload(buf.data(), buf.size(), &length,
+                                  &payload_offset)
+                  .IsCorruption());
+  EXPECT_TRUE(DirectDecodeLength(buf.data(), buf.size(), &length)
+                  .IsCorruption());
+}
+
+TEST(DirectCodingTest, LengthThatWrapsIsCorruption) {
+  // gamma(2^64 - 1), gamma(1): 2^64 - 2 bases and no wildcards, in 16
+  // bytes. (n + 3) / 4 wraps to 0, so only n > 4 x left rejects it.
+  BitWriter w;
+  coding::EncodeGamma(&w, ~uint64_t{0});
+  coding::EncodeGamma(&w, 1);
+  std::vector<uint8_t> buf = w.Finish();
+  ASSERT_EQ(buf.size(), 16u);
+  ExpectCorruptHeader(buf);
+}
+
+TEST(DirectCodingTest, PayloadBoundIsExact) {
+  std::vector<uint8_t> buf;
+  ASSERT_TRUE(DirectEncodeAppend("ACGTACGTA", &buf).ok());  // 3 bytes
+  size_t length = 0, payload_offset = 0;
+  ASSERT_TRUE(DirectLocatePayload(buf.data(), buf.size(), &length,
+                                  &payload_offset)
+                  .ok());
+  EXPECT_EQ(length, 9u);
+  EXPECT_EQ(payload_offset + 3, buf.size());
+  buf.pop_back();
+  ExpectCorruptHeader(buf);
+}
+
+// "ACNGT" laid out as DirectEncodeAppend writes it, with the N's 4-bit
+// IUPAC mask replaced by `mask`.
+std::vector<uint8_t> AcngtWithMask(uint8_t mask) {
+  BitWriter w;
+  coding::EncodeGamma(&w, 5 + 1);
+  coding::EncodeGamma(&w, 1 + 1);
+  coding::EncodeGolomb(&w, 3, coding::OptimalGolombParameter(1, 5));
+  w.WriteBits(mask, 4);
+  w.AlignToByte();
+  w.WriteBits(0b00'01'00'10, 8);  // A C A G: the N slot holds A
+  w.WriteBits(0b11'00'00'00, 8);  // T
+  return w.Finish();
+}
+
+TEST(DirectCodingTest, ZeroMaskIsCorruption) {
+  std::vector<uint8_t> good;
+  ASSERT_TRUE(DirectEncodeAppend("ACNGT", &good).ok());
+  ASSERT_EQ(AcngtWithMask(IupacMask('N')), good);
+  ExpectCorruptHeader(AcngtWithMask(0));
+}
+
 TEST(DirectCodingPropertyTest, RandomRoundTrip) {
   Rng rng(77);
   const std::string wildcards = "NRYSWKMBDHV";
@@ -133,7 +197,7 @@ TEST(DirectCodingPropertyTest, RandomRoundTrip) {
   }
 }
 
-TEST(DirectCodingPropertyTest, EncodedSizeMatchesAppend) {
+TEST(DirectCodingPropertyTest, LocatedPayloadEndsTheEncoding) {
   Rng rng(88);
   for (int trial = 0; trial < 50; ++trial) {
     size_t len = rng.Uniform(300);
@@ -144,7 +208,12 @@ TEST(DirectCodingPropertyTest, EncodedSizeMatchesAppend) {
     }
     std::vector<uint8_t> buf;
     ASSERT_TRUE(DirectEncodeAppend(seq, &buf).ok());
-    EXPECT_EQ(DirectEncodedSize(seq), buf.size());
+    size_t length = 0, payload_offset = 0;
+    ASSERT_TRUE(DirectLocatePayload(buf.data(), buf.size(), &length,
+                                    &payload_offset)
+                    .ok());
+    EXPECT_EQ(length, len);
+    EXPECT_EQ(payload_offset + (len + 3) / 4, buf.size());
   }
 }
 

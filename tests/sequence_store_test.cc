@@ -4,7 +4,6 @@
 
 #include "alphabet/nucleotide.h"
 #include "seqstore/plain_store.h"
-#include "util/env.h"
 #include "util/random.h"
 
 namespace cafe {
@@ -73,16 +72,16 @@ TEST(SequenceStoreTest, RejectsInvalidSequence) {
   EXPECT_EQ(store.NumSequences(), 0u);
 }
 
-TEST(SequenceStoreTest, SerializeDeserializeRoundTrip) {
+TEST(SequenceStoreTest, FromBlobRebuildsTheStore) {
   SequenceStore store;
   auto seqs = SampleSequences();
   for (const auto& s : seqs) ASSERT_TRUE(store.Append(s).ok());
-  std::string data;
-  store.Serialize(&data);
-  Result<SequenceStore> back = SequenceStore::Deserialize(data);
+  Result<SequenceStore> back =
+      SequenceStore::FromBlob(store.blob(), store.NumSequences());
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->NumSequences(), store.NumSequences());
   EXPECT_EQ(back->TotalBases(), store.TotalBases());
+  EXPECT_EQ(back->StorageBytes(), store.StorageBytes());
   for (uint32_t i = 0; i < seqs.size(); ++i) {
     std::string out;
     ASSERT_TRUE(back->Get(i, &out).ok());
@@ -90,49 +89,22 @@ TEST(SequenceStoreTest, SerializeDeserializeRoundTrip) {
   }
 }
 
-TEST(SequenceStoreTest, DeserializeDetectsCorruption) {
+TEST(SequenceStoreTest, FromBlobNeedsTheExactCount) {
   SequenceStore store;
-  ASSERT_TRUE(store.Append("ACGTACGTACGT").ok());
-  std::string data;
-  store.Serialize(&data);
-
-  // Flip a payload byte.
-  std::string bad = data;
-  bad[bad.size() / 2] ^= 0x40;
-  EXPECT_TRUE(SequenceStore::Deserialize(bad).status().IsCorruption());
-
-  // Truncate.
-  EXPECT_TRUE(SequenceStore::Deserialize(
-                  std::string_view(data).substr(0, data.size() - 3))
+  for (const auto& s : SampleSequences()) ASSERT_TRUE(store.Append(s).ok());
+  const uint64_t n = store.NumSequences();
+  // One fewer leaves bytes after the last sequence; one more runs past
+  // the blob.
+  EXPECT_TRUE(
+      SequenceStore::FromBlob(store.blob(), n - 1).status().IsCorruption());
+  EXPECT_TRUE(
+      SequenceStore::FromBlob(store.blob(), n + 1).status().IsCorruption());
+  EXPECT_TRUE(SequenceStore::FromBlob(store.blob().first(3), n)
                   .status()
                   .IsCorruption());
-
-  // Bad magic.
-  bad = data;
-  bad[0] = 'X';
-  EXPECT_TRUE(SequenceStore::Deserialize(bad).status().IsCorruption());
-
-  // Empty.
-  EXPECT_TRUE(SequenceStore::Deserialize("").status().IsCorruption());
-}
-
-TEST(SequenceStoreTest, SaveLoadFile) {
-  std::string path = TempDir() + "/cafe_store_test.bin";
-  SequenceStore store;
-  ASSERT_TRUE(store.Append("ACGTNNNN").ok());
-  ASSERT_TRUE(store.Save(path).ok());
-  Result<SequenceStore> back = SequenceStore::Load(path);
-  ASSERT_TRUE(back.ok());
-  std::string out;
-  ASSERT_TRUE(back->Get(0, &out).ok());
-  EXPECT_EQ(out, "ACGTNNNN");
-  ASSERT_TRUE(RemoveFile(path).ok());
-}
-
-TEST(SequenceStoreTest, LoadMissingFileIsIOError) {
-  EXPECT_TRUE(SequenceStore::Load("/nonexistent/cafe.bin")
-                  .status()
-                  .IsIOError());
+  Result<SequenceStore> empty = SequenceStore::FromBlob({}, 0);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->NumSequences(), 0u);
 }
 
 TEST(SequenceStoreTest, CompressionBeatsPlainStore) {
@@ -147,59 +119,6 @@ TEST(SequenceStoreTest, CompressionBeatsPlainStore) {
   }
   // Direct coding stores ~2 bits/base vs 8: expect close to 4x smaller.
   EXPECT_LT(packed.StorageBytes() * 3, plain.StorageBytes());
-}
-
-TEST(SequenceStoreTest, GetRangeMatchesFullDecode) {
-  Rng rng(12);
-  SequenceStore store;
-  std::string seq(777, 'A');
-  const std::string wildcards = "NRY";
-  for (char& c : seq) {
-    c = rng.Bernoulli(0.03) ? wildcards[rng.Uniform(3)]
-                            : CodeToBase(static_cast<int>(rng.Uniform(4)));
-  }
-  ASSERT_TRUE(store.Append(seq).ok());
-  std::string window;
-  for (int trial = 0; trial < 50; ++trial) {
-    size_t start = rng.Uniform(seq.size());
-    size_t count = rng.Uniform(seq.size() - start + 1);
-    ASSERT_TRUE(store.GetRange(0, start, count, &window).ok());
-    EXPECT_EQ(window, seq.substr(start, count))
-        << "start=" << start << " count=" << count;
-  }
-}
-
-TEST(SequenceStoreTest, GetRangeEdges) {
-  SequenceStore store;
-  ASSERT_TRUE(store.Append("ACGTNACGTA").ok());
-  std::string out;
-  ASSERT_TRUE(store.GetRange(0, 0, 10, &out).ok());
-  EXPECT_EQ(out, "ACGTNACGTA");
-  ASSERT_TRUE(store.GetRange(0, 4, 1, &out).ok());
-  EXPECT_EQ(out, "N");
-  ASSERT_TRUE(store.GetRange(0, 9, 1, &out).ok());
-  EXPECT_EQ(out, "A");
-  ASSERT_TRUE(store.GetRange(0, 3, 0, &out).ok());
-  EXPECT_EQ(out, "");
-  EXPECT_TRUE(store.GetRange(0, 5, 6, &out).IsOutOfRange());
-  EXPECT_TRUE(store.GetRange(0, 11, 0, &out).IsOutOfRange());
-  EXPECT_TRUE(store.GetRange(3, 0, 1, &out).IsNotFound());
-}
-
-TEST(PlainStoreTest, GetRangeMatchesDirectStore) {
-  SequenceStore packed;
-  PlainSequenceStore plain;
-  std::string seq = "ACGTNRYACGTACGTNNACGT";
-  ASSERT_TRUE(packed.Append(seq).ok());
-  ASSERT_TRUE(plain.Append(seq).ok());
-  std::string a, b;
-  for (size_t start = 0; start < seq.size(); start += 3) {
-    size_t count = std::min<size_t>(7, seq.size() - start);
-    ASSERT_TRUE(packed.GetRange(0, start, count, &a).ok());
-    ASSERT_TRUE(plain.GetRange(0, start, count, &b).ok());
-    EXPECT_EQ(a, b);
-  }
-  EXPECT_TRUE(plain.GetRange(0, 20, 5, &a).IsOutOfRange());
 }
 
 TEST(PlainStoreTest, BasicRoundTrip) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Doc/code cross-checks: the metric catalogue and the mutex inventory.
+"""Doc/code cross-checks: the metric catalogue and the code inventories.
 
 docs/OBSERVABILITY.md claims to document every counter and histogram
 name. This check keeps that true in both directions, grep-style:
@@ -53,6 +53,14 @@ kernel and every benchmark binary. Same contract, twice over:
                 with a target attribute, and every backticked
                 `bench_*` name must be a registered bench target
 
+docs/FORMATS.md claims to document every file format. Same contract:
+
+  code -> doc   every 8-byte magic literal under src/ (seven characters
+                and a NUL, written "CAFCOL2\\0") must be named in a
+                `— magic` heading of docs/FORMATS.md
+  doc -> code   every magic such a heading names must be a literal
+                under src/
+
 Usage: tools/doccheck.py [repo-root]      (exit 0 = consistent)
 """
 
@@ -103,6 +111,13 @@ TARGET_ATTR_RE = re.compile(
 # Dispatch-table rows: | `PackedScanAvx2` | `src/seqstore/…` | …
 PERF_KERNEL_ROW_RE = re.compile(r"^\|\s*`(\w+)`\s*\|\s*`(src/[\w./]+)`\s*\|")
 BENCH_REG_RE = re.compile(r"cafe_add_(?:bench|micro)\((\w+)\)")
+
+FORMATS_PATH = "docs/FORMATS.md"
+# `constexpr std::string_view kMagic("CAFCOL2\0", 8);`
+MAGIC_LITERAL_RE = re.compile(r'"(\w{7})\\0"')
+# ## Inverted index — magic `CAFIDX1\0` / `CAFIDX2\0`
+FORMAT_HEADING_RE = re.compile(r"^#+ .* — magic (.+)$")
+FORMAT_MAGIC_RE = re.compile(r"`(\w{7})\\0`")
 DOC_BENCH_RE = re.compile(r"`(bench_\w+)`")
 
 # Backticked `cafe_*` words that are repo binaries / libraries / CMake
@@ -304,6 +319,34 @@ def check_bench_inventory(root, perf_text, problems):
     return len(registered)
 
 
+def check_format_inventory(root, problems):
+    in_code = {}
+    for dirpath, _, files in os.walk(os.path.join(root, "src")):
+        for name in sorted(files):
+            if not name.endswith((".h", ".cc")):
+                continue
+            path = os.path.join(dirpath, name)
+            rel = os.path.relpath(path, root).replace(os.sep, "/")
+            with open(path, encoding="utf-8") as f:
+                for magic in MAGIC_LITERAL_RE.findall(f.read()):
+                    in_code.setdefault(magic, rel)
+    in_doc = set()
+    with open(os.path.join(root, FORMATS_PATH), encoding="utf-8") as f:
+        for line in f:
+            m = FORMAT_HEADING_RE.match(line.rstrip("\n"))
+            if m:
+                in_doc.update(FORMAT_MAGIC_RE.findall(m.group(1)))
+    for magic in sorted(set(in_code) - in_doc):
+        problems.append(
+            f"{in_code[magic]}: magic {magic!r} has no `— magic` heading "
+            f"in {FORMATS_PATH}")
+    for magic in sorted(in_doc - set(in_code)):
+        problems.append(
+            f"{FORMATS_PATH}: a heading documents magic {magic!r}, but no "
+            f"literal under src/ is that magic")
+    return len(in_code), len(in_doc)
+
+
 def main():
     root = sys.argv[1] if len(sys.argv) > 1 else "."
     doc_path = os.path.join(root, DOC_PATH)
@@ -353,6 +396,7 @@ def main():
         perf_text = f.read()
     kernel_code, kernel_doc = check_simd_inventory(root, perf_text, problems)
     bench_count = check_bench_inventory(root, perf_text, problems)
+    format_code, format_doc = check_format_inventory(root, problems)
 
     for p in problems:
         print(p)
@@ -360,7 +404,8 @@ def main():
           f"catalogue, {span_code} spans in code, {span_doc} in span "
           f"catalogue, {mutex_code} mutexes in code, {mutex_doc} in "
           f"inventory, {kernel_code} SIMD kernels in code, {kernel_doc} in "
-          f"dispatch table, {bench_count} bench targets, "
+          f"dispatch table, {bench_count} bench targets, {format_code} "
+          f"magics in code, {format_doc} in format headings, "
           f"{len(problems)} problem(s)")
     return 1 if problems else 0
 
