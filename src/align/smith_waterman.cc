@@ -101,46 +101,79 @@ int Aligner::ScoreOnly(std::string_view query, std::string_view target) const {
 }
 
 Result<LocalAlignment> Aligner::Align(std::string_view query,
-                                      std::string_view target,
-                                      uint64_t max_cells) const {
-  const size_t m = query.size();
-  const size_t n = target.size();
-  if (m == 0 || n == 0) {
-    return LocalAlignment{};
-  }
-  if (static_cast<uint64_t>(m) * n > max_cells) {
+                                      std::string_view target) const {
+  return TracebackDp(query, target, /*slope=*/0, /*offset=*/1,
+                     static_cast<int64_t>(target.size()));
+}
+
+// With row i's slot k at column slope * i + offset + k, the previous
+// row's slot k + slope is the vertical neighbour, and the diagonal is
+// the vertical read one slot earlier, carried in `diag`. Slot k + slope
+// is read before slot k is overwritten, so one array per matrix holds
+// both rows. Row 0 and column 0 are zeros (local alignment). Every slot
+// is bounds-checked on its own: a slot outside the target stores -inf,
+// and a neighbour outside the band reads -inf.
+Result<LocalAlignment> Aligner::TracebackDp(std::string_view query,
+                                            std::string_view target,
+                                            int64_t slope, int64_t offset,
+                                            int64_t width) const {
+  const int64_t m = static_cast<int64_t>(query.size());
+  const int64_t n = static_cast<int64_t>(target.size());
+  LocalAlignment out;
+  if (m == 0 || n == 0 || width < 1) return out;
+  if (static_cast<uint64_t>(m) >
+      kMaxTracebackCells / static_cast<uint64_t>(width)) {
     return Status::InvalidArgument(
-        "alignment matrix of " + std::to_string(m) + "x" + std::to_string(n) +
-        " exceeds max_cells; use BandedAlign for long targets");
+        "traceback matrix of " + std::to_string(m) + "x" +
+        std::to_string(width) + " cells exceeds the limit of " +
+        std::to_string(kMaxTracebackCells));
   }
   const int32_t go = scheme_.gap_open;
   const int32_t ge = scheme_.gap_extend;
 
-  std::vector<uint8_t> dir(m * n);
-  h_buf_.assign(n + 1, 0);
-  f_buf_.assign(n + 1, kNegInf);
+  std::vector<uint8_t> dir(static_cast<size_t>(m * width));
+  h_buf_.assign(width, kNegInf);
+  f_buf_.assign(width, kNegInf);
   int32_t* h = h_buf_.data();
   int32_t* f = f_buf_.data();
 
   int32_t best = 0;
-  size_t best_i = 0, best_j = 0;
-  for (size_t i = 1; i <= m; ++i) {
+  int64_t best_i = 0, best_j = 0;
+  for (int64_t i = 1; i <= m; ++i) {
     const int16_t* score_row = table_->Row(query[i - 1]);
-    uint8_t* dir_row = dir.data() + (i - 1) * n;
-    int32_t diag = 0;
+    uint8_t* dir_row = dir.data() + (i - 1) * width;
+    const int64_t first = slope * i + offset;
+    int32_t h_left = (first == 1) ? 0 : kNegInf;
     int32_t e = kNegInf;
-    int32_t h_left = 0;
-    for (size_t j = 1; j <= n; ++j) {
-      uint8_t d = 0;
+    // Previous row's column first - 1: slot 0 under slope 1; under
+    // slope 0 it is column 0, which the j == 1 rule below reads as 0.
+    int32_t diag = (slope == 1) ? h[0] : 0;
 
-      int32_t f_open = h[j] + go;
-      int32_t f_ext = f[j] + ge;
+    for (int64_t k = 0; k < width; ++k) {
+      const int64_t j = first + k;
+      const bool up_in_band = k + slope < width;
+      const int32_t ph = (i == 1) ? 0 : (up_in_band ? h[k + slope] : kNegInf);
+      const int32_t pf =
+          (i == 1) ? kNegInf : (up_in_band ? f[k + slope] : kNegInf);
+      const int32_t pd = (i == 1 || j == 1) ? 0 : diag;
+      diag = ph;
+      if (j < 1 || j > n) {
+        h[k] = kNegInf;
+        f[k] = kNegInf;
+        dir_row[k] = kHStop;
+        h_left = kNegInf;
+        e = kNegInf;
+        continue;
+      }
+
+      uint8_t d = 0;
+      int32_t f_open = ph + go;
+      int32_t f_ext = pf + ge;
       int32_t fj = f_open;
       if (f_ext > f_open) {
         fj = f_ext;
         d |= kFExtend;
       }
-      f[j] = fj;
 
       int32_t e_open = h_left + go;
       int32_t e_ext = e + ge;
@@ -151,7 +184,7 @@ Result<LocalAlignment> Aligner::Align(std::string_view query,
         e = e_open;
       }
 
-      int32_t hd = diag + score_row[static_cast<uint8_t>(target[j - 1])];
+      int32_t hd = pd + score_row[static_cast<uint8_t>(target[j - 1])];
       int32_t hv = 0;
       uint8_t src = kHStop;
       if (hd > hv) {
@@ -166,10 +199,10 @@ Result<LocalAlignment> Aligner::Align(std::string_view query,
         hv = fj;
         src = kHFromF;
       }
-      dir_row[j - 1] = d | src;
+      dir_row[k] = d | src;
 
-      diag = h[j];
-      h[j] = hv;
+      h[k] = hv;
+      f[k] = fj;
       h_left = hv;
       if (hv > best) {
         best = hv;
@@ -178,20 +211,20 @@ Result<LocalAlignment> Aligner::Align(std::string_view query,
       }
     }
   }
-  cells_ += static_cast<uint64_t>(m) * n;
+  cells_ += static_cast<uint64_t>(m) * static_cast<uint64_t>(width);
 
-  LocalAlignment out;
   out.score = best;
-  if (best == 0) {
-    return out;
-  }
+  if (best == 0) return out;
 
-  // Traceback from the best cell.
+  // Traceback from the best cell; it stops at a kHStop cell, at row or
+  // column 0, or where the path leaves the band.
   std::vector<EditOp> rops;
-  size_t i = best_i, j = best_j;
+  int64_t i = best_i, j = best_j;
   enum class State { kH, kE, kF } state = State::kH;
   while (i > 0 && j > 0) {
-    uint8_t d = dir[(i - 1) * n + (j - 1)];
+    const int64_t k = j - (slope * i + offset);
+    if (k < 0 || k >= width) break;
+    const uint8_t d = dir[(i - 1) * width + k];
     if (state == State::kH) {
       uint8_t src = d & kHMask;
       if (src == kHStop) break;

@@ -72,11 +72,15 @@ class Aligner {
   /// score and advances cells_computed() identically.
   int ScoreOnly(std::string_view query, std::string_view target) const;
 
-  /// Best local alignment with traceback. Fails with InvalidArgument when
-  /// the DP matrix would exceed `max_cells` (one byte per cell).
+  /// Most DP cells a traceback may record (one direction byte each).
+  static constexpr uint64_t kMaxTracebackCells = uint64_t{1} << 26;
+
+  /// Best local alignment with traceback, from the one
+  /// direction-recording DP that BandedAlign also runs. Fails with
+  /// InvalidArgument, before allocating, when |query| * |target|
+  /// exceeds kMaxTracebackCells.
   Result<LocalAlignment> Align(std::string_view query,
-                               std::string_view target,
-                               uint64_t max_cells = uint64_t{1} << 26) const;
+                               std::string_view target) const;
 
   /// Banded local alignment score. The band is centred on diagonal
   /// `diagonal` (= target position - query position) with half-width
@@ -88,9 +92,12 @@ class Aligner {
   int BandedScore(std::string_view query, std::string_view target,
                   int64_t diagonal, int band) const;
 
-  /// Banded local alignment with traceback. Same score and cell
-  /// accounting as BandedScore; it also records one direction byte per
-  /// in-band cell, so it is for reported hits, not for ranking.
+  /// Banded local alignment with traceback: Align's DP over the band's
+  /// cells. Same score and cell accounting as BandedScore; it also
+  /// records one direction byte per in-band cell, so it is for reported
+  /// hits, not for ranking. Fails with InvalidArgument, before
+  /// allocating, when |query| * (2 * band + 1) exceeds
+  /// kMaxTracebackCells.
   Result<LocalAlignment> BandedAlign(std::string_view query,
                                      std::string_view target,
                                      int64_t diagonal, int band) const;
@@ -108,6 +115,13 @@ class Aligner {
   void set_simd_level(SimdLevel level) { simd_level_ = level; }
 
  private:
+  // The traceback DP behind Align and BandedAlign. Row i (1-based) has
+  // `width` slots, slot k holding column slope * i + offset + k: slope 0
+  // and offset 1 give the full matrix, slope 1 a band of diagonals.
+  Result<LocalAlignment> TracebackDp(std::string_view query,
+                                     std::string_view target, int64_t slope,
+                                     int64_t offset, int64_t width) const;
+
   ScoringScheme scheme_;
   std::shared_ptr<const PairScoreTable> table_;
   SimdLevel simd_level_;

@@ -1,5 +1,4 @@
 #include <memory>
-#include <unordered_map>
 
 #include "collection/collection.h"
 #include "index/interval.h"
@@ -10,58 +9,6 @@
 
 namespace cafe {
 namespace {
-
-// Scratch "last doc seen" table used to count document frequencies during
-// the first pass; dense alongside the dense directory, hashed otherwise.
-class LastDocTable {
- public:
-  LastDocTable(int interval_length, bool dense) : dense_(dense) {
-    if (dense_) {
-      dense_table_.assign(VocabularyUniverse(interval_length), 0);
-    }
-  }
-
-  // Returns true the first time `term` is seen in `doc`.
-  bool MarkSeen(uint32_t term, uint32_t doc) {
-    uint32_t tag = doc + 1;
-    if (dense_) {
-      if (dense_table_[term] == tag) return false;
-      dense_table_[term] = tag;
-      return true;
-    }
-    auto [it, inserted] = sparse_table_.try_emplace(term, tag);
-    if (!inserted) {
-      if (it->second == tag) return false;
-      it->second = tag;
-    }
-    return true;
-  }
-
- private:
-  bool dense_;
-  std::vector<uint32_t> dense_table_;
-  std::unordered_map<uint32_t, uint32_t> sparse_table_;
-};
-
-// Per-term write cursors into the flat posting arrays.
-class CursorTable {
- public:
-  CursorTable(int interval_length, bool dense) : dense_(dense) {
-    if (dense_) {
-      dense_table_.assign(VocabularyUniverse(interval_length), 0);
-    }
-  }
-
-  uint64_t* Slot(uint32_t term) {
-    if (dense_) return &dense_table_[term];
-    return &sparse_table_[term];
-  }
-
- private:
-  bool dense_;
-  std::vector<uint64_t> dense_table_;
-  std::unordered_map<uint32_t, uint64_t> sparse_table_;
-};
 
 // Records one completed build into `registry` (no-op when null).
 void RecordIndexBuildMetrics(obs::MetricsRegistry* registry,
@@ -119,16 +66,17 @@ Result<InvertedIndex> IndexBuilder::Build(const SequenceCollection& collection,
   index.directory_ = TermDirectory(options.interval_length);
   index.doc_lengths_.resize(num_docs);
 
-  const int n = options.interval_length;
-  const bool dense = n <= TermDirectory::kDenseLimit;
   // Validate() above guarantees this resolves.
   Result<SeedExtractor> extractor =
-      SeedExtractor::Create(n, options.spaced_seed);
+      SeedExtractor::Create(options.interval_length, options.spaced_seed);
   CAFE_RETURN_IF_ERROR(extractor.status());
 
+  // Until its list is encoded, each entry's bit_offset holds the build's
+  // per-term scratch: in pass 1 the last doc seen plus one, in pass 2
+  // the write cursor into the flat arrays.
+  //
   // Pass 1: posting and document counts per term.
   {
-    LastDocTable last_doc(n, dense);
     std::string seq;
     for (uint32_t doc = 0; doc < num_docs; ++doc) {
       CAFE_RETURN_IF_ERROR(collection.GetSequence(doc, &seq));
@@ -137,7 +85,10 @@ Result<InvertedIndex> IndexBuilder::Build(const SequenceCollection& collection,
                          [&](uint32_t /*pos*/, uint32_t term) {
                            TermEntry* e = index.directory_.FindOrCreate(term);
                            ++e->posting_count;
-                           if (last_doc.MarkSeen(term, doc)) ++e->doc_count;
+                           if (e->bit_offset != uint64_t{doc} + 1) {
+                             e->bit_offset = uint64_t{doc} + 1;
+                             ++e->doc_count;
+                           }
                          });
     }
   }
@@ -159,10 +110,9 @@ Result<InvertedIndex> IndexBuilder::Build(const SequenceCollection& collection,
 
   // Cursor setup: contiguous slices of the flat arrays in term order.
   uint64_t total_postings = 0;
-  CursorTable cursors(n, dense);
-  index.directory_.ForEachTerm([&](uint32_t term, const TermEntry& e) {
-    *cursors.Slot(term) = total_postings;
-    total_postings += e.posting_count;
+  index.directory_.ForEachTermMutable([&](uint32_t /*term*/, TermEntry* e) {
+    e->bit_offset = total_postings;
+    total_postings += e->posting_count;
   });
 
   const bool positional =
@@ -178,11 +128,11 @@ Result<InvertedIndex> IndexBuilder::Build(const SequenceCollection& collection,
       CAFE_RETURN_IF_ERROR(collection.GetSequence(doc, &seq));
       extractor->ForEach(seq, options.stride,
                          [&](uint32_t pos, uint32_t term) {
-                           if (index.directory_.Find(term) == nullptr) return;
-                           uint64_t* slot = cursors.Slot(term);
-                           flat_docs[*slot] = doc;
-                           if (positional) flat_positions[*slot] = pos;
-                           ++*slot;
+                           TermEntry* e = index.directory_.Find(term);
+                           if (e == nullptr) return;  // stopped
+                           flat_docs[e->bit_offset] = doc;
+                           if (positional) flat_positions[e->bit_offset] = pos;
+                           ++e->bit_offset;
                          });
     }
   }

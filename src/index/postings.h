@@ -52,13 +52,14 @@ uint32_t EncodePostings(const uint32_t* docs, const uint32_t* positions,
 /// `positions` is nullptr (npos = 0) at document granularity. The
 /// positions buffer is owned by the decoder and reused across calls.
 /// Every doc handed to `fn` is below `num_docs` and was read from
-/// inside the blob: a corrupt list stops at the first doc id out of
-/// range, at the first tf larger than the bits left (each position takes
-/// at least one), and before the first entry whose read ran past the
-/// blob (past the end every gap decodes as 1, so a truncated list would
-/// otherwise hand out made-up consecutive doc ids). Returns the bit
-/// position where decoding stopped — for a well-formed list, the start
-/// of the next one.
+/// inside the blob, and the tfs handed out sum to at most
+/// `entry.posting_count`: a corrupt list stops at the first doc id out
+/// of range, at the first tf that takes the sum past `posting_count` or
+/// is larger than the bits left (each position takes at least one), and
+/// before the first entry whose read ran past the blob (past the end
+/// every gap decodes as 1, so a truncated list would otherwise hand out
+/// made-up consecutive doc ids). Returns the bit position where decoding
+/// stopped — for a well-formed list, the start of the next one.
 template <typename Fn>
 uint64_t DecodePostings(const uint8_t* blob, size_t blob_bytes,
                         uint64_t bit_offset, const TermEntry& entry,
@@ -74,12 +75,18 @@ uint64_t DecodePostings(const uint8_t* blob, size_t blob_bytes,
       coding::OptimalGolombParameter(entry.doc_count, num_docs);
   const uint64_t b_pos = entry.position_param;
   uint64_t doc = 0;
+  // Postings not yet handed out; every valid list spends exactly
+  // posting_count.
+  uint64_t postings_left = entry.posting_count;
   for (uint32_t i = 0; i < entry.doc_count; ++i) {
     const uint64_t gap = coding::DecodeGolomb(&r, b_doc);
     doc = i == 0 ? gap - 1 : doc + gap;
     if (doc >= num_docs) break;  // corrupt input
     const auto id = static_cast<uint32_t>(doc);
-    uint32_t tf = static_cast<uint32_t>(coding::DecodeGamma(&r));
+    const uint64_t tf_code = coding::DecodeGamma(&r);
+    if (tf_code > postings_left) break;  // corrupt input
+    postings_left -= tf_code;
+    const auto tf = static_cast<uint32_t>(tf_code);
     if (granularity == IndexGranularity::kDocument) {
       if (r.overflowed()) break;  // corrupt input
       fn(id, tf, static_cast<const uint32_t*>(nullptr), uint32_t{0});

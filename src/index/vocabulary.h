@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace cafe {
@@ -17,7 +18,9 @@ namespace cafe {
 /// Per-term bookkeeping: where its compressed postings list starts, and
 /// the statistics needed to decode it.
 struct TermEntry {
-  uint64_t bit_offset = 0;     // start of the list in the postings blob
+  // Start of the list in the postings blob. While IndexBuilder::Build
+  // runs, the term's build scratch until its list is encoded.
+  uint64_t bit_offset = 0;
   uint32_t doc_count = 0;      // number of sequences containing the term
   uint32_t posting_count = 0;  // total occurrences across the collection
   uint32_t position_param = 1;  // Golomb parameter for in-sequence gaps
@@ -34,6 +37,9 @@ class TermDirectory {
 
   /// Entry for `term`, or nullptr if the term never occurred.
   const TermEntry* Find(uint32_t term) const;
+  TermEntry* Find(uint32_t term) {
+    return const_cast<TermEntry*>(std::as_const(*this).Find(term));
+  }
 
   /// Entry for `term`, creating it if needed.
   TermEntry* FindOrCreate(uint32_t term);

@@ -97,29 +97,24 @@ uint64_t BitReader::ReadBits(int nbits) {
 
 uint64_t BitReader::ReadUnary() {
   uint64_t count = 0;
-  // Scan byte-at-a-time once aligned; bit-at-a-time at the fringes.
-  while (true) {
-    if (pos_ >= size_bits_) {
-      overflowed_ = true;
-      return count;
+  // A byte at a time from any bit offset: shifting out the bits already
+  // read leaves the unread ones at the top, zeros below them.
+  while (pos_ < size_bits_) {
+    const int offset = static_cast<int>(pos_ & 7);
+    const auto byte = static_cast<uint8_t>(data_[pos_ >> 3] << offset);
+    if (byte == 0) {
+      count += static_cast<uint64_t>(8 - offset);
+      pos_ += static_cast<size_t>(8 - offset);
+      continue;
     }
-    if ((pos_ & 7) == 0 && size_bits_ - pos_ >= 8) {
-      uint8_t byte = data_[pos_ >> 3];
-      if (byte == 0) {
-        count += 8;
-        pos_ += 8;
-        continue;
-      }
-      // Position of the highest set bit, from the MSB side.
-      int lead = __builtin_clz(byte) - 24;
-      count += static_cast<uint64_t>(lead);
-      pos_ += static_cast<size_t>(lead) + 1;
-      return count;
-    }
-    if (ReadBits(1) != 0) return count;
-    if (overflowed_) return count;
-    ++count;
+    // Position of the highest set bit, from the MSB side.
+    const int lead = __builtin_clz(byte) - 24;
+    count += static_cast<uint64_t>(lead);
+    pos_ += static_cast<size_t>(lead) + 1;
+    return count;
   }
+  overflowed_ = true;
+  return count;
 }
 
 void BitReader::AlignToByte() {

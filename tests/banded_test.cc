@@ -98,13 +98,11 @@ std::string Diverge(const std::string& q, Rng* rng) {
   return out;
 }
 
-// BandedScore (the clipped score-only loop) against BandedAlign (the
-// direction-recording loop, its oracle): equal scores and equal cell
-// accounting over bands 0-60, queries of 1-200 and targets of 1-400
-// bases (many shorter than the band), diagonals from wholly left to
-// wholly right of the matrix, ~2% N, three schemes, and a diverged copy
-// of the query planted on the diagonal in half the cases.
-TEST(BandedTest, BandedAlignMatchesBandedScore) {
+// The sweep's four schemes. Validate rejects `opening` (a gap pays to
+// open). Under valid schemes an out-of-band neighbour read as 0 instead
+// of -inf never changes a score; under this one it does, so the sweep
+// pins the kernel's -inf edges too.
+std::vector<Aligner> SweepAligners() {
   ScoringScheme blastn;
   blastn.match = 1;
   blastn.mismatch = -3;
@@ -117,38 +115,63 @@ TEST(BandedTest, BandedAlignMatchesBandedScore) {
   soft.gap_open = -3;
   soft.gap_extend = -1;
   soft.wildcard_score = 1;
-  // Validate rejects `opening` (a gap pays to open). Under valid
-  // schemes an out-of-band neighbour read as 0 instead of -inf never
-  // changes a score; under this one it does, so the sweep pins the
-  // kernel's -inf edges too.
   ScoringScheme opening;
   opening.gap_open = 2;
   opening.gap_extend = -3;
-  std::vector<Aligner> aligners = {Aligner(ScoringScheme()), Aligner(blastn),
-                                   Aligner(soft), Aligner(opening)};
-  Rng rng(888);
+  return {Aligner(ScoringScheme()), Aligner(blastn), Aligner(soft),
+          Aligner(opening)};
+}
+
+struct SweepCase {
+  std::string q;
+  std::string t;
+  int64_t diag = 0;
+  int band = 0;
+};
+
+// One sweep case: a band of 0-60, a query of 1-200 and a target of
+// 1-400 bases (many shorter than the band), a diagonal from wholly left
+// to wholly right of the matrix, ~2% N, and a diverged copy of the
+// query planted on the diagonal in even trials.
+SweepCase NextSweepCase(int trial, Rng* rng) {
   auto with_ns = [&](std::string s) {
     for (char& c : s) {
-      if (rng.Uniform(50) == 0) c = 'N';
+      if (rng->Uniform(50) == 0) c = 'N';
     }
     return s;
   };
+  SweepCase c;
+  c.band = static_cast<int>(rng->Uniform(61));
+  c.q = with_ns(RandomSeq(1 + rng->Uniform(200), rng));
+  std::string t = RandomSeq(1 + rng->Uniform(400), rng);
+  const int64_t m = static_cast<int64_t>(c.q.size());
+  const int64_t n = static_cast<int64_t>(t.size());
+  c.diag = rng->UniformInt(-m - c.band - 2, n + c.band + 2);
+  if (trial % 2 == 0) {
+    const std::string copy = Diverge(c.q, rng);
+    for (size_t p = 0; p < copy.size(); ++p) {
+      const int64_t j = c.diag + static_cast<int64_t>(p);
+      if (j >= 0 && j < n) t[static_cast<size_t>(j)] = copy[p];
+    }
+  }
+  c.t = with_ns(std::move(t));
+  return c;
+}
+
+// BandedScore (the clipped score-only loop) against BandedAlign (the
+// direction-recording loop, its oracle): equal scores and equal cell
+// accounting over the sweep's cases under its four schemes.
+TEST(BandedTest, BandedAlignMatchesBandedScore) {
+  std::vector<Aligner> aligners = SweepAligners();
+  Rng rng(888);
   for (int trial = 0; trial < 10000; ++trial) {
     Aligner& aligner = aligners[trial % aligners.size()];
-    const int band = static_cast<int>(rng.Uniform(61));
-    const std::string q = with_ns(RandomSeq(1 + rng.Uniform(200), &rng));
-    std::string t = RandomSeq(1 + rng.Uniform(400), &rng);
+    const SweepCase c = NextSweepCase(trial, &rng);
+    const std::string& q = c.q;
+    const std::string& t = c.t;
+    const int band = c.band;
+    const int64_t diag = c.diag;
     const int64_t m = static_cast<int64_t>(q.size());
-    const int64_t n = static_cast<int64_t>(t.size());
-    const int64_t diag = rng.UniformInt(-m - band - 2, n + band + 2);
-    if (trial % 2 == 0) {
-      const std::string copy = Diverge(q, &rng);
-      for (size_t p = 0; p < copy.size(); ++p) {
-        const int64_t j = diag + static_cast<int64_t>(p);
-        if (j >= 0 && j < n) t[static_cast<size_t>(j)] = copy[p];
-      }
-    }
-    t = with_ns(std::move(t));
 
     const uint64_t before = aligner.cells_computed();
     const int score = aligner.BandedScore(q, t, diag, band);
@@ -163,6 +186,43 @@ TEST(BandedTest, BandedAlignMatchesBandedScore) {
     ASSERT_EQ(score_cells, align_cells) << "trial " << trial;
     ASSERT_EQ(score_cells, static_cast<uint64_t>(m) * (2 * band + 1));
   }
+}
+
+// Appends one traceback result, and the cells it cost, to `out`.
+void AppendAlignment(const Result<LocalAlignment>& a, uint64_t cells,
+                     std::string* out) {
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  *out += std::to_string(a->score) + ' ' + std::to_string(a->query_begin) +
+          ' ' + std::to_string(a->query_end) + ' ' +
+          std::to_string(a->target_begin) + ' ' +
+          std::to_string(a->target_end) + ' ' + a->Cigar() + ' ' +
+          std::to_string(cells) + '\n';
+}
+
+// Pins Align's and BandedAlign's outputs (score, coordinates, CIGAR and
+// cells computed) on the first 2,000 sweep cases under all four schemes
+// to one digest, so any change in what either traceback returns shows
+// here.
+TEST(BandedTest, TracebackOutputsPinned) {
+  std::vector<Aligner> aligners = SweepAligners();
+  Rng rng(888);
+  std::string record;
+  for (int trial = 0; trial < 2000; ++trial) {
+    Aligner& aligner = aligners[trial % aligners.size()];
+    const SweepCase c = NextSweepCase(trial, &rng);
+    uint64_t before = aligner.cells_computed();
+    Result<LocalAlignment> banded = aligner.BandedAlign(c.q, c.t, c.diag,
+                                                        c.band);
+    AppendAlignment(banded, aligner.cells_computed() - before, &record);
+    before = aligner.cells_computed();
+    Result<LocalAlignment> full = aligner.Align(c.q, c.t);
+    AppendAlignment(full, aligner.cells_computed() - before, &record);
+  }
+  uint64_t digest = 14695981039346656037ull;  // FNV-1a, 64-bit
+  for (char ch : record) {
+    digest = (digest ^ static_cast<uint8_t>(ch)) * 1099511628211ull;
+  }
+  EXPECT_EQ(digest, 18368120570446541337ull);
 }
 
 TEST(BandedTest, BandedAlignTracebackCoordinates) {
@@ -204,6 +264,18 @@ TEST(BandedTest, HomologRecoveredThroughIndels) {
   int banded = aligner.BandedScore(q, t, 0, 8);
   int full = aligner.ScoreOnly(q, t);
   EXPECT_EQ(banded, full);
+}
+
+TEST(BandedTest, BandedAlignMaxCellsGuard) {
+  Aligner aligner;
+  // A query of 8,193 bases and a band of 4,096 (8,193 slots per row)
+  // record just over kMaxTracebackCells (2^26) direction bytes, however
+  // short the target: rejected before the DP runs.
+  std::string q(8193, 'A');
+  ASSERT_GT(uint64_t{8193} * (2 * 4096 + 1), Aligner::kMaxTracebackCells);
+  Result<LocalAlignment> a = aligner.BandedAlign(q, "ACGT", 0, 4096);
+  EXPECT_TRUE(a.status().IsInvalidArgument());
+  EXPECT_EQ(aligner.cells_computed(), 0u);
 }
 
 TEST(BandedTest, CellAccountingGrowsWithBand) {

@@ -186,6 +186,63 @@ TEST(UnaryTest, OverflowOnMissingTerminator) {
   EXPECT_TRUE(r.overflowed());
 }
 
+// Bit-by-bit reference for ReadUnary from bit `pos`: the zero bits
+// before the next one bit, the position after it, and whether the
+// buffer ran out first.
+struct UnaryRead {
+  uint64_t value = 0;
+  size_t end = 0;
+  bool overflowed = false;
+};
+
+UnaryRead ReferenceUnary(const std::vector<uint8_t>& bytes, size_t pos) {
+  UnaryRead out;
+  out.end = pos;
+  while (out.end < bytes.size() * 8) {
+    const bool bit = ((bytes[out.end >> 3] >> (7 - (out.end & 7))) & 1) != 0;
+    ++out.end;
+    if (bit) return out;
+    ++out.value;
+  }
+  out.overflowed = true;
+  return out;
+}
+
+// Four reads from every start bit of each buffer, the buffer end
+// included, against the reference: runs of all-zero and all-one bytes,
+// and random bytes.
+TEST(UnaryTest, EveryStartOffsetMatchesBitByBitReference) {
+  std::vector<std::vector<uint8_t>> buffers = {
+      {0x00}, {0xFF}, {0x00, 0x00, 0x00}, {0xFF, 0xFF}, {0x01, 0x00, 0x80}};
+  Rng rng(4321);
+  for (int i = 0; i < 300; ++i) {
+    std::vector<uint8_t> bytes(1 + rng.Uniform(6));
+    for (uint8_t& byte : bytes) {
+      const uint64_t kind = rng.Uniform(4);
+      byte = kind == 0   ? 0x00
+             : kind == 1 ? 0xFF
+                         : static_cast<uint8_t>(rng.Uniform(256));
+    }
+    buffers.push_back(std::move(bytes));
+  }
+  for (const std::vector<uint8_t>& bytes : buffers) {
+    for (size_t start = 0; start <= bytes.size() * 8; ++start) {
+      BitReader r(bytes);
+      r.SeekToBit(start);
+      UnaryRead want;
+      want.end = start;
+      for (int read = 0; read < 4; ++read) {
+        const bool overflowed = want.overflowed;
+        want = ReferenceUnary(bytes, want.end);
+        want.overflowed = want.overflowed || overflowed;
+        ASSERT_EQ(r.ReadUnary(), want.value) << "start " << start;
+        ASSERT_EQ(r.bit_position(), want.end) << "start " << start;
+        ASSERT_EQ(r.overflowed(), want.overflowed) << "start " << start;
+      }
+    }
+  }
+}
+
 TEST(BitIoPropertyTest, RandomRoundTrip) {
   Rng rng(1234);
   for (int trial = 0; trial < 50; ++trial) {

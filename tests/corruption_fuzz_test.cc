@@ -208,16 +208,20 @@ void ExpectCleanRejection(const Status& s) {
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
-// An accepted index must decode every list without faulting, and hand
-// out only doc ids below num_docs.
+// An accepted index must decode every list without faulting, hand out
+// only doc ids below num_docs, and no more postings (the sum of tf) than
+// the list's posting_count.
 void CheckIndex(const std::string& file) {
   Result<InvertedIndex> index = InvertedIndex::Deserialize(file);
   if (!index.ok()) return ExpectCleanRejection(index.status());
-  index->directory().ForEachTerm([&](uint32_t term, const TermEntry&) {
+  index->directory().ForEachTerm([&](uint32_t term, const TermEntry& e) {
+    uint64_t postings = 0;
     index->ForEachPosting(
-        term, [&](uint32_t doc, uint32_t, const uint32_t*, uint32_t) {
+        term, [&](uint32_t doc, uint32_t tf, const uint32_t*, uint32_t) {
           EXPECT_LT(doc, index->num_docs());
+          postings += tf;
         });
+    EXPECT_LE(postings, e.posting_count) << "term " << term;
   });
 }
 
@@ -238,6 +242,54 @@ TEST(CorruptionFuzzTest, ResealedSpacedSeedIndexNeverCrashes) {
   const std::string good = SerializedIndex("1101100011");
   ASSERT_EQ(good.substr(0, 7), "CAFIDX2");
   RunMutations(12, ResealedFile(good, IndexPrefixBytes(good)), CheckIndex);
+}
+
+// At document granularity posting_count is the sum of tf, which gamma
+// codes in a few bits, so opening cannot bound it by the list's bits: a
+// 2,000-base poly-A sequence puts 1,993 postings of AAAAAAAA in a 24-bit
+// list. A file that stores a lower count opens, and decoding stops the
+// list at the tf that takes it past the count.
+TEST(CorruptionFuzzTest, LoweredDocumentPostingCountStopsTheList) {
+  SequenceCollection collection;
+  ASSERT_TRUE(collection.Add("polyA", "", std::string(2000, 'A')).ok());
+  IndexOptions options;
+  options.granularity = IndexGranularity::kDocument;
+  Result<InvertedIndex> built = IndexBuilder::Build(collection, options);
+  ASSERT_TRUE(built.ok());
+  ASSERT_EQ(built->FindTerm(0)->posting_count, 1993u);
+  std::string good;
+  built->Serialize(&good);
+
+  // The one directory entry: term 0 and offset 0 (each stored + 1),
+  // doc_count, posting_count and position_param.
+  const auto entry = [](uint64_t posting_count) {
+    std::string out;
+    coding::ByteWriter w(&out);
+    for (uint64_t v : {uint64_t{1}, uint64_t{1}, posting_count, uint64_t{1},
+                       uint64_t{1}}) {
+      w.PutVByte(v);
+    }
+    return out;
+  };
+  const size_t at = good.find(entry(1993));
+  ASSERT_NE(at, std::string::npos);
+  std::string bad = good.substr(0, good.size() - 4);
+  bad.replace(at, entry(1993).size(), entry(1992));
+  coding::ByteWriter(&bad).PutU32(Crc32(bad.data(), bad.size()));
+
+  const auto postings = [](const std::string& file) {
+    Result<InvertedIndex> index = InvertedIndex::Deserialize(file);
+    EXPECT_TRUE(index.ok()) << index.status().ToString();
+    uint64_t sum = 0;
+    index->ForEachPosting(
+        0, [&](uint32_t, uint32_t tf, const uint32_t*, uint32_t) {
+          sum += tf;
+        });
+    return sum;
+  };
+  EXPECT_EQ(postings(good), 1993u);
+  EXPECT_EQ(postings(bad), 0u);
+  CheckIndex(bad);
 }
 
 // An accepted collection must hand out every sequence, each one valid

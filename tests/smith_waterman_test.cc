@@ -200,10 +200,14 @@ TEST(SmithWatermanTest, WildcardNeutralAlignment) {
 
 TEST(SmithWatermanTest, MaxCellsGuard) {
   Aligner aligner;
-  std::string q(1000, 'A');
-  std::string t(1000, 'A');
-  Result<LocalAlignment> a = aligner.Align(q, t, /*max_cells=*/1000);
+  // 8,193^2 cells is just over kMaxTracebackCells (2^26): rejected
+  // before the DP runs, so no cell is counted.
+  std::string q(8193, 'A');
+  std::string t(8193, 'A');
+  ASSERT_GT(uint64_t{8193} * 8193, Aligner::kMaxTracebackCells);
+  Result<LocalAlignment> a = aligner.Align(q, t);
   EXPECT_TRUE(a.status().IsInvalidArgument());
+  EXPECT_EQ(aligner.cells_computed(), 0u);
 }
 
 TEST(SmithWatermanTest, CellAccounting) {
