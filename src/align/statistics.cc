@@ -141,56 +141,15 @@ Result<GumbelParams> CalibrateGumbel(
   return params;
 }
 
-Result<double> UngappedEntropy(const ScoringScheme& scheme,
-                               const std::array<double, 4>& composition) {
-  Result<double> lambda = UngappedLambda(scheme, composition);
-  if (!lambda.ok()) return lambda.status();
-  double psum =
-      composition[0] + composition[1] + composition[2] + composition[3];
-  std::array<double, 4> p = composition;
-  for (double& v : p) v /= psum;
-  double h = 0;
-  for (int i = 0; i < 4; ++i) {
-    for (int j = 0; j < 4; ++j) {
-      int s = scheme.Score(CodeToBase(i), CodeToBase(j));
-      h += p[i] * p[j] * s * std::exp(*lambda * s);
-    }
-  }
-  return *lambda * h;
-}
-
-EffectiveLengths ComputeEffectiveLengths(uint64_t query_length,
-                                         uint64_t database_bases,
-                                         uint64_t num_sequences,
-                                         const GumbelParams& params,
-                                         double entropy) {
-  EffectiveLengths out{query_length, database_bases};
-  if (params.lambda <= 0 || params.k <= 0 || entropy <= 0 ||
-      query_length == 0 || database_bases == 0 || num_sequences == 0) {
-    return out;
-  }
-  double l = std::log(params.k * static_cast<double>(query_length) *
-                      static_cast<double>(database_bases)) /
-             entropy;
-  if (l < 0) l = 0;
-  auto clamp = [](double v) {
-    return v < 1.0 ? uint64_t{1} : static_cast<uint64_t>(v);
-  };
-  out.query = clamp(static_cast<double>(query_length) - l);
-  out.database = clamp(static_cast<double>(database_bases) -
-                       static_cast<double>(num_sequences) * l);
-  return out;
-}
-
 double BitScore(int raw_score, const GumbelParams& params) {
   return (params.lambda * raw_score - std::log(params.k)) / kLn2;
 }
 
 double Evalue(int raw_score, uint64_t query_length, uint64_t database_bases,
               const GumbelParams& params) {
-  return params.k * static_cast<double>(query_length) *
-         static_cast<double>(database_bases) *
-         std::exp(-params.lambda * raw_score);
+  const double mn = static_cast<double>(query_length) *
+                    static_cast<double>(database_bases);
+  return params.k * mn * std::exp(-params.lambda * raw_score);
 }
 
 }  // namespace cafe

@@ -54,26 +54,6 @@ Result<GumbelParams> CalibrateGumbel(
     uint64_t seed,
     const std::array<double, 4>& composition = kUniformComposition);
 
-/// Relative entropy H of the target (aligned-pair) distribution at the
-/// given lambda: H = lambda * sum_ij p_i p_j s_ij exp(lambda s_ij), in
-/// nats per aligned pair. Drives the edge-effect length correction.
-Result<double> UngappedEntropy(const ScoringScheme& scheme,
-                               const std::array<double, 4>& composition);
-
-/// BLAST-style edge-effect correction: an alignment of expected length
-/// l = ln(K m n)/H cannot start within l of a sequence end, so E-values
-/// use effective lengths m' = m - l, n' = n - (n/m_avg)*l. This returns
-/// the corrected (m', n') clamped to at least 1.
-struct EffectiveLengths {
-  uint64_t query = 0;
-  uint64_t database = 0;
-};
-EffectiveLengths ComputeEffectiveLengths(uint64_t query_length,
-                                         uint64_t database_bases,
-                                         uint64_t num_sequences,
-                                         const GumbelParams& params,
-                                         double entropy);
-
 /// bits = (lambda*S - ln K) / ln 2.
 double BitScore(int raw_score, const GumbelParams& params);
 

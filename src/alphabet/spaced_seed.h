@@ -52,9 +52,6 @@ class SpacedSeed {
   int weight() const { return static_cast<int>(care_.size()); }
   /// Offsets of the care positions within the window, ascending.
   const std::vector<uint8_t>& care_offsets() const { return care_; }
-  /// True for the all-ones pattern (equivalent to a contiguous
-  /// interval of length weight()).
-  bool contiguous() const { return span() == weight(); }
 
   /// Encodes the window starting at window[0]: the care-position bases
   /// packed MSB-first into a 2*weight()-bit term. Returns -1 when any

@@ -59,7 +59,7 @@ struct SearchTrace {
   uint64_t chain_candidates_dropped = 0;
   /// Sequences that received fine (DP) scoring.
   uint64_t candidates_aligned = 0;
-  /// DP cells computed (banded + full, including rescore/traceback).
+  /// DP cells computed (banded + full, including the traceback).
   uint64_t cells_computed = 0;
   /// Hits reported to the caller.
   uint64_t hits_reported = 0;
@@ -69,7 +69,7 @@ struct SearchTrace {
   /// Chaining stage (between coarse and fine; 0 when chaining is off).
   double chain_micros = 0.0;
   double fine_micros = 0.0;
-  /// Post-processing: full rescoring and traceback of reported hits.
+  /// Post-processing: traceback and E-values of reported hits.
   double post_micros = 0.0;
   double total_micros = 0.0;
 

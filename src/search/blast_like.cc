@@ -11,10 +11,8 @@ namespace cafe {
 Result<SearchResult> BlastLikeSearch::Search(std::string_view query,
                                              const SearchOptions& options) {
   CAFE_RETURN_IF_ERROR(options.Validate());
-  const int w = params_.seed_length;
-  if (w < kMinIntervalLength || w > kMaxIntervalLength) {
-    return Status::InvalidArgument("seed_length out of range");
-  }
+  constexpr int w = kSeedLength;
+  static_assert(w >= kMinIntervalLength && w <= kMaxIntervalLength);
   if (query.size() < static_cast<size_t>(w)) {
     return Status::InvalidArgument("query shorter than the seed length");
   }
@@ -61,14 +59,14 @@ Result<SearchResult> BlastLikeSearch::Search(std::string_view query,
         if (de != diag_end.end() && tpos < de->second) continue;
         UngappedSegment seg =
             XDropExtend(query, seq, qpos, tpos, static_cast<uint32_t>(w),
-                        table, params_.xdrop);
+                        table, kXDrop);
         diag_end[diag] = seg.target_end;
         if (seg.score > best_ungapped) {
           best_ungapped = seg.score;
           best_diag = static_cast<int64_t>(seg.target_begin) -
                       seg.query_begin;
         }
-        if (seg.score >= params_.gapped_trigger) triggered = true;
+        if (seg.score >= kGappedTrigger) triggered = true;
       }
     });
 
@@ -91,22 +89,10 @@ Result<SearchResult> BlastLikeSearch::Search(std::string_view query,
   }
   result.hits = top.Take();
 
-  if (options.traceback) {
-    for (SearchHit& hit : result.hits) {
-      CAFE_RETURN_IF_ERROR(collection_->GetSequence(hit.seq_id, &seq));
-      Result<LocalAlignment> aln = aligner.Align(query, seq);
-      if (!aln.ok()) return aln.status();
-      hit.alignment = std::move(*aln);
-    }
-  }
-
   trace.candidates_kept = trace.candidates_ranked;
   trace.cells_computed = aligner.cells_computed();
-  trace.hits_reported = result.hits.size();
-  if (options.statistics.has_value()) {
-    AnnotateStatistics(&result, query.size(), collection_->TotalBases(),
-                       *options.statistics);
-  }
+  CAFE_RETURN_IF_ERROR(
+      ReportHits(*collection_, query, options, options.band, &result));
   // No coarse phase to split out: the whole scan is the fine stage.
   search_span.End();
   trace.fine_micros = trace.total_micros;

@@ -13,33 +13,29 @@
 
 namespace cafe {
 
-struct BlastLikeParams {
-  /// Word (seed) length; BLASTN's classic default is 11.
-  int seed_length = 11;
-  /// X-drop threshold for ungapped extension, in score units.
-  int xdrop = 20;
-  /// Ungapped score that triggers a gapped (banded) alignment.
-  int gapped_trigger = 40;
-};
-
 class BlastLikeSearch final : public SearchEngine {
  public:
-  explicit BlastLikeSearch(const SequenceCollection* collection,
-                           const BlastLikeParams& params = BlastLikeParams())
-      : collection_(collection), params_(params) {}
+  /// Word (seed) length; BLASTN's classic default.
+  static constexpr int kSeedLength = 11;
+  /// X-drop threshold for ungapped extension, in score units.
+  static constexpr int kXDrop = 20;
+  /// Ungapped score that triggers a gapped (banded) alignment.
+  static constexpr int kGappedTrigger = 40;
+
+  explicit BlastLikeSearch(const SequenceCollection* collection)
+      : collection_(collection) {}
 
   std::string name() const override { return "blast-like"; }
 
   Result<SearchResult> Search(std::string_view query,
                               const SearchOptions& options) override;
 
-  /// Stateless apart from the collection pointer and fixed params;
-  /// concurrent queries are safe.
+  /// Stateless apart from the collection pointer; concurrent queries
+  /// are safe.
   bool SupportsConcurrentSearch() const override { return true; }
 
  private:
   const SequenceCollection* collection_;
-  BlastLikeParams params_;
 };
 
 }  // namespace cafe

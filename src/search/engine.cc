@@ -1,11 +1,10 @@
 #include "search/engine.h"
 
 #include <algorithm>
-#include <climits>
-#include <cmath>
 
+#include "align/smith_waterman.h"
 #include "alphabet/nucleotide.h"
-#include "alphabet/spaced_seed.h"
+#include "collection/collection.h"
 #include "util/thread_pool.h"
 
 namespace cafe {
@@ -52,10 +51,6 @@ Status SearchOptions::Validate() const {
   if (chain_mode != ChainMode::kOff && min_chain_score == 0) {
     return Status::InvalidArgument("min_chain_score must be >= 1");
   }
-  if (!seed_pattern.empty()) {
-    Result<SpacedSeed> seed = SpacedSeed::Parse(seed_pattern);
-    if (!seed.ok()) return seed.status();
-  }
   return Status::OK();
 }
 
@@ -74,11 +69,6 @@ void TopHits::Add(SearchHit hit) {
   std::pop_heap(heap_.begin(), heap_.end(), WorseFirst);
   heap_.back() = std::move(hit);
   std::push_heap(heap_.begin(), heap_.end(), WorseFirst);
-}
-
-int TopHits::Floor() const {
-  if (heap_.size() < limit_ || heap_.empty()) return INT_MIN;
-  return heap_.front().score;
 }
 
 Result<std::vector<SearchResult>> SearchEngine::BatchSearch(
@@ -150,18 +140,38 @@ Result<SearchResult> SearchWithStrands(SearchEngine* engine,
   return merged;
 }
 
-void AnnotateStatistics(SearchResult* result, uint64_t query_length,
-                        uint64_t database_bases,
-                        const GumbelParams& params) {
-  if (params.lambda <= 0 || params.k <= 0) return;
-  const double ln2 = 0.6931471805599453;
-  const double mn = static_cast<double>(query_length) *
-                    static_cast<double>(database_bases);
-  for (SearchHit& hit : result->hits) {
-    hit.bit_score =
-        (params.lambda * hit.score - std::log(params.k)) / ln2;
-    hit.evalue = params.k * mn * std::exp(-params.lambda * hit.score);
+Status ReportHits(const SequenceCollection& collection,
+                  std::string_view query, const SearchOptions& options,
+                  int traceback_band, SearchResult* result) {
+  // A truncated result skips the traceback: the contract after a
+  // deadline is "return what you have, fast".
+  if (options.traceback && !result->truncated) {
+    Aligner aligner(options.scoring);
+    std::string seq;
+    for (SearchHit& hit : result->hits) {
+      CAFE_RETURN_IF_ERROR(collection.GetSequence(hit.seq_id, &seq));
+      Result<LocalAlignment> aln =
+          hit.diagonal.has_value()
+              ? aligner.BandedAlign(query, seq, *hit.diagonal,
+                                    traceback_band)
+              : aligner.Align(query, seq);
+      // The one way a traceback fails is the kMaxTracebackCells guard,
+      // checked before any cell is computed: the hit keeps its score
+      // and reports no alignment.
+      if (aln.ok()) hit.alignment = std::move(*aln);
+    }
+    result->trace.cells_computed += aligner.cells_computed();
   }
+  const std::optional<GumbelParams>& params = options.statistics;
+  if (params.has_value() && params->lambda > 0 && params->k > 0) {
+    for (SearchHit& hit : result->hits) {
+      hit.bit_score = BitScore(hit.score, *params);
+      hit.evalue =
+          Evalue(hit.score, query.size(), collection.TotalBases(), *params);
+    }
+  }
+  result->trace.hits_reported = result->hits.size();
+  return Status::OK();
 }
 
 std::vector<SearchHit> TopHits::Take() {

@@ -25,6 +25,8 @@
 
 namespace cafe {
 
+class SequenceCollection;
+
 /// Which strand of the query a hit was found on.
 enum class Strand : uint8_t {
   kForward,
@@ -85,26 +87,11 @@ struct SearchOptions {
   /// to survive the chaining stage. Ignored when chain_mode is kOff.
   uint32_t min_chain_score = 2;
 
-  /// Expected seed extraction pattern of the index ('1'/'0', see
-  /// alphabet/spaced_seed.h). Empty accepts whatever the index was
-  /// built with; non-empty makes partitioned search fail with
-  /// InvalidArgument when the index's pattern differs — a guard for
-  /// callers that baked assumptions about seed shape into their
-  /// queries. The all-ones pattern matches a contiguous-interval index
-  /// of the same length.
-  std::string seed_pattern;
-
   /// Populate LocalAlignment (with traceback) for reported hits.
   bool traceback = false;
 
   /// Hits scoring below this are not reported.
   int min_score = 1;
-
-  /// Partitioned search only: re-score the reported hits with full
-  /// (unbanded) Smith-Waterman after banded candidate scoring, so
-  /// reported scores are never clipped by the band. Costs one full DP
-  /// per reported hit.
-  bool rescore_full = false;
 
   /// When set, SearchWithStrands also evaluates the reverse complement
   /// of the query and merges hits from both strands.
@@ -163,11 +150,17 @@ struct SearchHit {
   /// reverse hits, alignment coordinates refer to the reverse complement
   /// of the query.
   Strand strand = Strand::kForward;
+  /// The diagonal (target pos - query pos) the fine phase scored this
+  /// hit around with a banded alignment, if it did; the traceback is
+  /// then banded around it too.
+  std::optional<int64_t> diagonal;
   /// Normalized score and expectation; populated when
   /// SearchOptions::statistics is set (otherwise 0 and -1).
   double bit_score = 0.0;
   double evalue = -1.0;
-  /// Populated when SearchOptions::traceback is set.
+  /// Populated when SearchOptions::traceback is set, except for a hit
+  /// whose traceback would exceed Aligner::kMaxTracebackCells: that hit
+  /// keeps its score and reports an empty alignment.
   LocalAlignment alignment;
 };
 
@@ -220,12 +213,17 @@ Result<SearchResult> SearchWithStrands(SearchEngine* engine,
                                        std::string_view query,
                                        const SearchOptions& options);
 
-/// Annotates every hit with bit score and E-value under `params`,
-/// using the classic Karlin-Altschul relations
-///   bits = (lambda * S - ln K) / ln 2
-///   E    = K * m * n * exp(-lambda * S).
-void AnnotateStatistics(SearchResult* result, uint64_t query_length,
-                        uint64_t database_bases, const GumbelParams& params);
+/// Ends every engine's Search on the hits it reports. With
+/// options.traceback (and an untruncated result), aligns each hit again
+/// with traceback: banded at `traceback_band` around hit.diagonal when
+/// the hit carries one, over the full matrix otherwise. With
+/// options.statistics, sets bit scores and E-values against the
+/// collection's total bases (align/statistics.h). Sets hits_reported and
+/// adds the traceback cells to result->trace.cells_computed.
+[[nodiscard]] Status ReportHits(const SequenceCollection& collection,
+                                std::string_view query,
+                                const SearchOptions& options,
+                                int traceback_band, SearchResult* result);
 
 /// Keeps the `limit` highest-scoring hits; ties broken by lower seq_id.
 class TopHits {
@@ -233,9 +231,6 @@ class TopHits {
   explicit TopHits(uint32_t limit) : limit_(limit) {}
 
   void Add(SearchHit hit);
-
-  /// Lowest score currently retained (INT_MIN until full).
-  int Floor() const;
 
   /// Extracts hits in descending score order.
   std::vector<SearchHit> Take();

@@ -31,24 +31,12 @@ Result<SearchResult> ExhaustiveSearch::Search(std::string_view query,
   }
   result.hits = top.Take();
 
-  if (options.traceback) {
-    for (SearchHit& hit : result.hits) {
-      CAFE_RETURN_IF_ERROR(collection_->GetSequence(hit.seq_id, &seq));
-      Result<LocalAlignment> aln = aligner.Align(query, seq);
-      if (!aln.ok()) return aln.status();
-      hit.alignment = std::move(*aln);
-    }
-  }
-
   // No coarse phase: every sequence is a kept candidate.
   trace.candidates_ranked = num_docs;
   trace.candidates_kept = num_docs;
   trace.cells_computed = aligner.cells_computed();
-  trace.hits_reported = result.hits.size();
-  if (options.statistics.has_value()) {
-    AnnotateStatistics(&result, query.size(), collection_->TotalBases(),
-                       *options.statistics);
-  }
+  CAFE_RETURN_IF_ERROR(
+      ReportHits(*collection_, query, options, options.band, &result));
   // No coarse phase to split out: the whole scan is the fine stage.
   search_span.End();
   trace.fine_micros = trace.total_micros;

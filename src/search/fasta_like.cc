@@ -8,10 +8,9 @@ namespace cafe {
 Result<SearchResult> FastaLikeSearch::Search(std::string_view query,
                                              const SearchOptions& options) {
   CAFE_RETURN_IF_ERROR(options.Validate());
-  const int k = params_.ktup;
-  if (k < kMinIntervalLength || k > 12) {
-    return Status::InvalidArgument("ktup out of range");
-  }
+  constexpr int k = kKtup;
+  // The k-tuple lookup below is a dense table of 4^k entries.
+  static_assert(k >= kMinIntervalLength && k <= 12);
   if (query.size() < static_cast<size_t>(k)) {
     return Status::InvalidArgument("query shorter than ktup");
   }
@@ -62,7 +61,7 @@ Result<SearchResult> FastaLikeSearch::Search(std::string_view query,
     }
     for (int64_t idx : touched) histo[idx] = 0;
 
-    if (best_hits < params_.min_diagonal_hits) continue;
+    if (best_hits < kMinDiagonalHits) continue;
     ++trace.candidates_ranked;
 
     // Rescore the best region with a banded alignment (FASTA opt phase).
@@ -78,22 +77,10 @@ Result<SearchResult> FastaLikeSearch::Search(std::string_view query,
   }
   result.hits = top.Take();
 
-  if (options.traceback) {
-    for (SearchHit& hit : result.hits) {
-      CAFE_RETURN_IF_ERROR(collection_->GetSequence(hit.seq_id, &seq));
-      Result<LocalAlignment> aln = aligner.Align(query, seq);
-      if (!aln.ok()) return aln.status();
-      hit.alignment = std::move(*aln);
-    }
-  }
-
   trace.candidates_kept = trace.candidates_ranked;
   trace.cells_computed = aligner.cells_computed();
-  trace.hits_reported = result.hits.size();
-  if (options.statistics.has_value()) {
-    AnnotateStatistics(&result, query.size(), collection_->TotalBases(),
-                       *options.statistics);
-  }
+  CAFE_RETURN_IF_ERROR(
+      ReportHits(*collection_, query, options, options.band, &result));
   // No coarse phase to split out: the whole scan is the fine stage.
   search_span.End();
   trace.fine_micros = trace.total_micros;

@@ -12,31 +12,27 @@
 
 namespace cafe {
 
-struct FastaLikeParams {
-  /// k-tuple length (FASTA's ktup; 6 is the classic nucleotide choice).
-  int ktup = 6;
-  /// Minimum diagonal hit count for a sequence to be rescored.
-  uint32_t min_diagonal_hits = 2;
-};
-
 class FastaLikeSearch final : public SearchEngine {
  public:
-  explicit FastaLikeSearch(const SequenceCollection* collection,
-                           const FastaLikeParams& params = FastaLikeParams())
-      : collection_(collection), params_(params) {}
+  /// k-tuple length (FASTA's ktup; the classic nucleotide choice).
+  static constexpr int kKtup = 6;
+  /// Minimum diagonal hit count for a sequence to be rescored.
+  static constexpr uint32_t kMinDiagonalHits = 2;
+
+  explicit FastaLikeSearch(const SequenceCollection* collection)
+      : collection_(collection) {}
 
   std::string name() const override { return "fasta-like"; }
 
   Result<SearchResult> Search(std::string_view query,
                               const SearchOptions& options) override;
 
-  /// Stateless apart from the collection pointer and fixed params;
-  /// concurrent queries are safe.
+  /// Stateless apart from the collection pointer; concurrent queries
+  /// are safe.
   bool SupportsConcurrentSearch() const override { return true; }
 
  private:
   const SequenceCollection* collection_;
-  FastaLikeParams params_;
 };
 
 }  // namespace cafe

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <optional>
 
 #include "align/smith_waterman.h"
-#include "index/inverted_index.h"
 #include "obs/span.h"
 #include "search/chain.h"
 #include "util/thread_pool.h"
@@ -72,6 +70,7 @@ void AlignCandidate(const SequenceCollection& collection,
   hit.seq_id = cand.doc;
   hit.score = score;
   hit.coarse_score = cand.score;
+  if (cand.has_diagonal) hit.diagonal = cand.diagonal;
   w->top.Add(std::move(hit));
 }
 
@@ -83,20 +82,6 @@ Result<SearchResult> PartitionedSearch::Search(std::string_view query,
   if (query.size() < static_cast<size_t>(index_->options().interval_length)) {
     return Status::InvalidArgument(
         "query shorter than the index interval length");
-  }
-  if (!options.seed_pattern.empty()) {
-    // A caller that pins the seed shape gets a hard error instead of
-    // silently wrong terms when the index was built differently.
-    const IndexOptions& iopt = index_->options();
-    const std::string effective =
-        iopt.spaced_seed.empty()
-            ? std::string(static_cast<size_t>(iopt.interval_length), '1')
-            : iopt.spaced_seed;
-    if (options.seed_pattern != effective) {
-      return Status::InvalidArgument("seed_pattern does not match the index "
-                                     "(index extracts with '" +
-                                     effective + "')");
-    }
   }
 
   SearchResult result;
@@ -208,62 +193,13 @@ Result<SearchResult> PartitionedSearch::Search(std::string_view query,
 
   // Post-processing on the reported hits (at most max_results of them)
   // stays sequential: it is cheap, and keeping it single-threaded keeps
-  // the output trivially deterministic. A truncated result skips it —
-  // the contract after a deadline is "return what you have, fast".
+  // the output trivially deterministic. The chain's traceback band
+  // (>= options.band) widens the traceback window so the reported
+  // alignment is not clipped to a band narrower than the anchors it
+  // chained.
   obs::Span post_span(spans, "post.process", &trace.post_micros);
-  // Only rescoring and traceback align here; the default pipeline does
-  // neither, so it builds no aligner.
-  std::optional<Aligner> post_aligner;
-  if ((options.rescore_full || options.traceback) && !result.truncated) {
-    post_aligner.emplace(options.scoring);
-  }
-  std::string seq;
-  if (options.rescore_full && !result.truncated) {
-    // Remove band clipping from the reported scores: one full DP per
-    // reported hit (cheap — max_results sequences, not the collection).
-    for (SearchHit& hit : result.hits) {
-      CAFE_RETURN_IF_ERROR(collection_->GetSequence(hit.seq_id, &seq));
-      hit.score = post_aligner->ScoreOnly(query, seq);
-    }
-    std::sort(result.hits.begin(), result.hits.end(),
-              [](const SearchHit& a, const SearchHit& b) {
-                if (a.score != b.score) return a.score > b.score;
-                return a.seq_id < b.seq_id;
-              });
-  }
-
-  if (options.traceback && !result.truncated) {
-    for (SearchHit& hit : result.hits) {
-      CAFE_RETURN_IF_ERROR(collection_->GetSequence(hit.seq_id, &seq));
-      // Re-derive the candidate diagonal for a banded traceback; fall
-      // back to the full matrix when the coarse phase had no positions.
-      // The chain's traceback band (>= options.band) widens the window
-      // so the reported alignment is not clipped to a band narrower
-      // than the anchors it chained.
-      auto cand = std::find_if(
-          survivors.begin(), survivors.end(),
-          [&](const CoarseCandidate& c) { return c.doc == hit.seq_id; });
-      if (cand != survivors.end() && cand->has_diagonal) {
-        Result<LocalAlignment> aln = post_aligner->BandedAlign(
-            query, seq, cand->diagonal, chained.traceback_band);
-        if (!aln.ok()) return aln.status();
-        hit.alignment = std::move(*aln);
-      } else {
-        Result<LocalAlignment> aln = post_aligner->Align(query, seq);
-        if (!aln.ok()) return aln.status();
-        hit.alignment = std::move(*aln);
-      }
-    }
-  }
-
-  if (post_aligner.has_value()) {
-    trace.cells_computed += post_aligner->cells_computed();
-  }
-  trace.hits_reported = result.hits.size();
-  if (options.statistics.has_value()) {
-    AnnotateStatistics(&result, query.size(), collection_->TotalBases(),
-                       *options.statistics);
-  }
+  CAFE_RETURN_IF_ERROR(ReportHits(*collection_, query, options,
+                                  chained.traceback_band, &result));
   post_span.End();
   search_span.End();
   return result;

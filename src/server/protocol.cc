@@ -56,13 +56,9 @@ SearchOptions SearchRequest::ToSearchOptions() const {
   SearchOptions options;
   options.max_results = max_results;
   options.fine_candidates = fine_candidates;
-  options.band = band;
-  options.frame_width = frame_width;
-  options.min_score = min_score;
   options.coarse_mode =
       diagonal_mode ? CoarseRankMode::kDiagonal : CoarseRankMode::kHitCount;
   options.search_both_strands = both_strands;
-  options.rescore_full = rescore_full;
   return options;
 }
 
@@ -83,12 +79,8 @@ std::string EncodeSearchRequest(const SearchRequest& request) {
   ByteWriter w(&out);
   w.PutU32(request.max_results);
   w.PutU32(request.fine_candidates);
-  w.PutU32(static_cast<uint32_t>(request.band));
-  w.PutU32(request.frame_width);
-  w.PutU32(static_cast<uint32_t>(request.min_score));
   w.PutU8(static_cast<uint8_t>(request.diagonal_mode));
   w.PutU8(static_cast<uint8_t>(request.both_strands));
-  w.PutU8(static_cast<uint8_t>(request.rescore_full));
   w.PutU32(request.deadline_millis);
   w.PutU32String(request.query);
   w.PutU64(request.trace_id);
@@ -97,28 +89,18 @@ std::string EncodeSearchRequest(const SearchRequest& request) {
 
 Status DecodeSearchRequest(std::string_view payload, SearchRequest* out) {
   ByteReader r(payload, "search request");
-  uint8_t diagonal = 0, both = 0, rescore = 0;
-  uint32_t band = 0, min_score = 0;
+  uint8_t diagonal = 0, both = 0;
   CAFE_RETURN_IF_ERROR(r.GetU32(&out->max_results));
   CAFE_RETURN_IF_ERROR(r.GetU32(&out->fine_candidates));
-  CAFE_RETURN_IF_ERROR(r.GetU32(&band));
-  CAFE_RETURN_IF_ERROR(r.GetU32(&out->frame_width));
-  CAFE_RETURN_IF_ERROR(r.GetU32(&min_score));
   CAFE_RETURN_IF_ERROR(r.GetU8(&diagonal));
   CAFE_RETURN_IF_ERROR(r.GetU8(&both));
-  CAFE_RETURN_IF_ERROR(r.GetU8(&rescore));
   CAFE_RETURN_IF_ERROR(r.GetU32(&out->deadline_millis));
   CAFE_RETURN_IF_ERROR(r.GetU32String(&out->query));
   CAFE_RETURN_IF_ERROR(r.GetU64(&out->trace_id));
   CAFE_RETURN_IF_ERROR(r.ExpectDone());
-  out->band = static_cast<int32_t>(band);
-  out->min_score = static_cast<int32_t>(min_score);
-  if (diagonal > 1 || both > 1 || rescore > 1) {
-    return r.Fail("flag byte out of range");
-  }
+  if (diagonal > 1 || both > 1) return r.Fail("flag byte out of range");
   out->diagonal_mode = diagonal != 0;
   out->both_strands = both != 0;
-  out->rescore_full = rescore != 0;
   return Status::OK();
 }
 

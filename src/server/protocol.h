@@ -38,7 +38,7 @@ inline constexpr uint32_t kFrameMagic = 0x45464143u;  // "CAFE"
 /// other version with NotSupported. Every client and server is built
 /// from this tree, so there is no compatibility window — a payload
 /// missing a field is Corruption.
-inline constexpr uint16_t kProtocolVersion = 3;
+inline constexpr uint16_t kProtocolVersion = 4;
 inline constexpr size_t kFrameHeaderBytes = 16;
 
 /// Upper bound on a frame payload. Anything larger is Corruption —
@@ -64,17 +64,14 @@ struct Hello {
 };
 
 /// The SearchOptions subset that travels on the wire, plus the query.
-/// Everything a remote caller may choose; server-side knobs (threads,
-/// traces, statistics calibration) stay server-side.
+/// Everything a remote caller may choose; every other option (band,
+/// frame width, minimum score, threads, traces, statistics) stays at
+/// the server's setting.
 struct SearchRequest {
   uint32_t max_results = 10;
   uint32_t fine_candidates = 100;
-  int32_t band = 48;
-  uint32_t frame_width = 16;
-  int32_t min_score = 1;
   bool diagonal_mode = true;  // false = CoarseRankMode::kHitCount
   bool both_strands = false;
-  bool rescore_full = false;
   /// Per-request deadline in milliseconds, measured from admission;
   /// 0 = no deadline.
   uint32_t deadline_millis = 0;

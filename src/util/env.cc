@@ -44,11 +44,6 @@ Status RemoveFile(const std::string& path) {
   return Status::OK();
 }
 
-bool FileExists(const std::string& path) {
-  std::ifstream in(path);
-  return in.good();
-}
-
 int64_t GetEnvInt(const char* name, int64_t default_value) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return default_value;

@@ -21,8 +21,6 @@ namespace cafe {
 /// Removes a file; missing files are not an error.
 [[nodiscard]] Status RemoveFile(const std::string& path);
 
-bool FileExists(const std::string& path);
-
 /// Integer environment variable with a default (used by the benches so the
 /// experiment scale can be adjusted without recompiling).
 int64_t GetEnvInt(const char* name, int64_t default_value);

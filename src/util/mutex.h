@@ -37,8 +37,9 @@
 // CAFE_NO_THREAD_SAFETY_ANALYSIS is the escape hatch for the rare
 // function whose locking discipline is correct but inexpressible
 // (e.g. lock handoff between functions). Every use MUST carry a
-// comment justifying why the analysis cannot see the invariant; the
-// static-analysis CI job greps uses against that contract.
+// comment justifying why the analysis cannot see the invariant, on
+// the same or the previous line; tools/lint_cafe.py
+// (cafe-justified-escape-hatch) checks every use against that contract.
 
 #ifndef CAFE_UTIL_MUTEX_H_
 #define CAFE_UTIL_MUTEX_H_

@@ -110,19 +110,11 @@ TEST(BlastLikeSearchTest, AgreesWithExhaustiveTopHit) {
   }
 }
 
-TEST(BlastLikeSearchTest, RejectsBadParams) {
+TEST(BlastLikeSearchTest, RejectsQueryShorterThanSeed) {
   Fixture f = MakeFixture();
-  BlastLikeParams params;
-  params.seed_length = 2;
-  BlastLikeSearch engine(&f.collection, params);
+  BlastLikeSearch engine(&f.collection);
   SearchOptions options;
-  EXPECT_TRUE(engine.Search(f.queries[0].sequence, options)
-                  .status()
-                  .IsInvalidArgument());
-  BlastLikeSearch ok_engine(&f.collection);
-  EXPECT_TRUE(ok_engine.Search("ACGT", options)  // shorter than seed
-                  .status()
-                  .IsInvalidArgument());
+  EXPECT_TRUE(engine.Search("ACGT", options).status().IsInvalidArgument());
 }
 
 TEST(BlastLikeSearchTest, UnrelatedQueryFindsNothingStrong) {
@@ -160,27 +152,28 @@ TEST(FastaLikeSearchTest, AgreesWithExhaustiveTopHit) {
   EXPECT_EQ(rf->hits[0].seq_id, re->hits[0].seq_id);
 }
 
-TEST(FastaLikeSearchTest, RejectsBadParams) {
+TEST(FastaLikeSearchTest, RejectsQueryShorterThanKtup) {
   Fixture f = MakeFixture();
-  FastaLikeParams params;
-  params.ktup = 1;
-  FastaLikeSearch engine(&f.collection, params);
+  FastaLikeSearch engine(&f.collection);
   SearchOptions options;
-  EXPECT_TRUE(engine.Search(f.queries[0].sequence, options)
-                  .status()
-                  .IsInvalidArgument());
+  EXPECT_TRUE(engine.Search("ACGT", options).status().IsInvalidArgument());
 }
 
 TEST(FastaLikeSearchTest, MinDiagonalHitsFilters) {
-  Fixture f = MakeFixture();
-  FastaLikeParams params;
-  params.min_diagonal_hits = 1000000;  // impossible
-  FastaLikeSearch engine(&f.collection, params);
+  // Sequence 0 shares one 6-tuple with the query, sequence 1 two on one
+  // diagonal: only sequence 1 reaches kMinDiagonalHits and is rescored.
+  static_assert(FastaLikeSearch::kKtup == 6 &&
+                FastaLikeSearch::kMinDiagonalHits == 2);
+  SequenceCollection col;
+  ASSERT_TRUE(col.Add("one", "", "GGGGGGGGGGACGTACGGGGGGGGGG").ok());
+  ASSERT_TRUE(col.Add("two", "", "GGGGGGGGGGACGTACTGGGGGGGGG").ok());
+  FastaLikeSearch engine(&col);
   SearchOptions options;
-  Result<SearchResult> r = engine.Search(f.queries[0].sequence, options);
+  Result<SearchResult> r = engine.Search("ACGTACTTTTTTTTTT", options);
   ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r->hits.empty());
-  EXPECT_EQ(r->trace.candidates_aligned, 0u);
+  ASSERT_EQ(r->hits.size(), 1u);
+  EXPECT_EQ(r->hits[0].seq_id, 1u);
+  EXPECT_EQ(r->trace.candidates_aligned, 1u);
 }
 
 TEST(EngineNamesTest, Distinct) {

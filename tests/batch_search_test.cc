@@ -62,6 +62,8 @@ void ExpectSameResult(const SearchResult& a, const SearchResult& b) {
     EXPECT_EQ(a.hits[h].strand, b.hits[h].strand) << "hit " << h;
     EXPECT_EQ(a.hits[h].bit_score, b.hits[h].bit_score) << "hit " << h;
     EXPECT_EQ(a.hits[h].evalue, b.hits[h].evalue) << "hit " << h;
+    EXPECT_EQ(a.hits[h].alignment.Cigar(), b.hits[h].alignment.Cigar())
+        << "hit " << h;
   }
   EXPECT_EQ(a.trace.CountersJson(), b.trace.CountersJson());
 }
@@ -149,14 +151,14 @@ TEST(BatchSearchTest, TracedBatchNestsEachQueryUnderItsOwnSearch) {
   EXPECT_EQ(spans.dropped(), 0u);
 }
 
-TEST(BatchSearchTest, BothStrandsAndRescoreStayDeterministic) {
+TEST(BatchSearchTest, BothStrandsAndTracebackStayDeterministic) {
   Fixture f = MakeFixture(/*num_queries=*/3);
   PartitionedSearch engine(&f.collection, &f.index);
   SearchOptions options;
   options.max_results = 8;
   options.fine_candidates = 25;
   options.search_both_strands = true;
-  options.rescore_full = true;
+  options.traceback = true;
 
   options.threads = 1;
   Result<std::vector<SearchResult>> sequential =

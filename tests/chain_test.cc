@@ -349,20 +349,6 @@ TEST(ChainTest, SpacedSeedIndexSearchesEndToEnd) {
   }
 }
 
-TEST(ChainTest, SeedPatternGuard) {
-  Fixture f = MakeFixture(IndexGranularity::kPositional);
-  PartitionedSearch engine(&f.collection, &f.index);
-  SearchOptions options;
-  // All-ones of the right length matches a contiguous index...
-  options.seed_pattern = "11111111";
-  EXPECT_TRUE(engine.Search(f.queries[0].sequence, options).ok());
-  // ...anything else is a mismatch.
-  options.seed_pattern = "11011011011";
-  EXPECT_TRUE(engine.Search(f.queries[0].sequence, options)
-                  .status()
-                  .IsInvalidArgument());
-}
-
 TEST(ChainTest, ValidateRejectsBadOptions) {
   Fixture f = MakeFixture(IndexGranularity::kPositional);
   PartitionedSearch engine(&f.collection, &f.index);
@@ -386,11 +372,6 @@ TEST(ChainTest, ValidateRejectsBadOptions) {
     SearchOptions options;
     options.chain_mode = ChainMode::kFilter;
     options.min_chain_score = 0;
-    EXPECT_TRUE(engine.Search(q, options).status().IsInvalidArgument());
-  }
-  {
-    SearchOptions options;
-    options.seed_pattern = "1x1";
     EXPECT_TRUE(engine.Search(q, options).status().IsInvalidArgument());
   }
 }

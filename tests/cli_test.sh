@@ -50,6 +50,29 @@ printf '>probe\n%s\n' "$QUERY" > "$DIR/q.fa"
     --query-file "$DIR/q.fa" --top 1 --traceback > "$DIR/log" 2>&1
 grep -q "identity 100%" "$DIR/log"
 
+# A hit whose traceback is over the cell limit keeps its row and gets a
+# one-line note in place of its alignment. Hit-count ranking carries no
+# diagonal, so a 7,000-base query traces back over the whole 10,000-base
+# sequence it was cut from (7e7 cells, over the 2^26 limit); the
+# 1,000-base piece of it still gets its alignment.
+awk 'BEGIN { srand(7); s = ""
+  for (i = 0; i < 10000; i++) s = s substr("ACGT", int(rand() * 4) + 1, 1)
+  print ">long"; print s; print ">short"; print substr(s, 2001, 1000) }' \
+    > "$DIR/long.fa"
+printf '>q7000\n%s\n' "$(sed -n '2p' "$DIR/long.fa" | cut -c1-7000)" \
+    > "$DIR/q7000.fa"
+"$CLI" build --fasta "$DIR/long.fa" --collection "$DIR/long.col" \
+    --index "$DIR/long.idx" > "$DIR/log" 2>&1
+"$CLI" search --collection "$DIR/long.col" --index "$DIR/long.idx" \
+    --query-file "$DIR/q7000.fa" --mode hitcount --traceback \
+    > "$DIR/log" 2>&1
+grep -Eq "^ *1 +long +" "$DIR/log"
+grep -Eq "^ *2 +short +" "$DIR/log"
+test "$(grep -c "no alignment" "$DIR/log")" -eq 1
+grep -q "^long: no alignment, the traceback is over the limit of 67108864 cells$" \
+    "$DIR/log"
+grep -q "identity 100%" "$DIR/log"
+
 # Observability: --stats appends the trace funnel; --stats=json makes
 # stdout a single JSON document (validated when python3 is available).
 "$CLI" search --collection "$DIR/db.col" --index "$DIR/db.idx" \

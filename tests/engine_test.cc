@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <climits>
+
+#include "align/smith_waterman.h"
+#include "search/blast_like.h"
+#include "search/exhaustive.h"
+#include "search/fasta_like.h"
+#include "search/partitioned.h"
+#include "sim/generator.h"
 
 namespace cafe {
 namespace {
@@ -53,17 +59,6 @@ TEST(TopHitsTest, TieBreakPrefersLowerSeqId) {
   EXPECT_EQ(hits[1].seq_id, 4u);
 }
 
-TEST(TopHitsTest, FloorTracksWorstRetained) {
-  TopHits top(2);
-  EXPECT_EQ(top.Floor(), INT_MIN);
-  top.Add(Hit(1, 5));
-  EXPECT_EQ(top.Floor(), INT_MIN);  // not full yet
-  top.Add(Hit(2, 9));
-  EXPECT_EQ(top.Floor(), 5);
-  top.Add(Hit(3, 7));
-  EXPECT_EQ(top.Floor(), 7);
-}
-
 TEST(TopHitsTest, ManyInsertsMatchFullSort) {
   TopHits top(16);
   std::vector<SearchHit> all;
@@ -86,6 +81,74 @@ TEST(TopHitsTest, ManyInsertsMatchFullSort) {
     EXPECT_EQ(hits[i].seq_id, all[i].seq_id) << i;
     EXPECT_EQ(hits[i].score, all[i].score) << i;
   }
+}
+
+// A query of 8,193 random bases and a collection of itself and a
+// 200-base piece of it. Every engine here traces the self hit back over
+// the full matrix, 8,193 x 8,193 cells: just over the limit.
+struct OverLimitFixture {
+  std::string query;
+  SequenceCollection collection;
+};
+
+OverLimitFixture MakeOverLimitFixture() {
+  static_assert(uint64_t{8193} * 8193 > Aligner::kMaxTracebackCells);
+  sim::CollectionOptions copt;
+  copt.wildcard_rate = 0;
+  sim::CollectionGenerator gen(copt);
+  OverLimitFixture f;
+  f.query = gen.RandomSequence(8193);
+  EXPECT_TRUE(f.collection.Add("self", "", f.query).ok());
+  EXPECT_TRUE(f.collection.Add("piece", "", f.query.substr(1000, 200)).ok());
+  return f;
+}
+
+// With traceback, the over-limit hit keeps its score and reports no
+// alignment, and the search succeeds. The piece keeps its alignment,
+// and only its traceback cells (8,193 x 200) are counted.
+void ExpectOverLimitHitKeepsScore(SearchEngine* engine,
+                                  const std::string& query,
+                                  SearchOptions options) {
+  Result<SearchResult> plain = engine->Search(query, options);
+  options.traceback = true;
+  Result<SearchResult> traced = engine->Search(query, options);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ASSERT_TRUE(traced.ok()) << traced.status().ToString();
+  ASSERT_EQ(traced->hits.size(), 2u);
+  EXPECT_EQ(traced->hits[0].seq_id, 0u);
+  EXPECT_EQ(traced->hits[0].score, plain->hits[0].score);
+  EXPECT_TRUE(traced->hits[0].alignment.ops.empty());
+  EXPECT_EQ(traced->hits[1].alignment.score, traced->hits[1].score);
+  EXPECT_EQ(traced->trace.cells_computed,
+            plain->trace.cells_computed + uint64_t{8193} * 200);
+}
+
+TEST(ReportHitsTest, BaselineTracebackOverCellLimitKeepsScore) {
+  OverLimitFixture f = MakeOverLimitFixture();
+  ExhaustiveSearch exhaustive(&f.collection);
+  BlastLikeSearch blast(&f.collection);
+  FastaLikeSearch fasta(&f.collection);
+  for (SearchEngine* engine :
+       {static_cast<SearchEngine*>(&exhaustive),
+        static_cast<SearchEngine*>(&blast),
+        static_cast<SearchEngine*>(&fasta)}) {
+    SCOPED_TRACE(engine->name());
+    ExpectOverLimitHitKeepsScore(engine, f.query, SearchOptions());
+  }
+}
+
+TEST(ReportHitsTest, HitCountTracebackOverCellLimitKeepsScore) {
+  // Hit-count ranking carries no diagonal, so the traceback runs over
+  // the full matrix.
+  OverLimitFixture f = MakeOverLimitFixture();
+  IndexOptions iopt;
+  iopt.interval_length = 8;
+  Result<InvertedIndex> index = IndexBuilder::Build(f.collection, iopt);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  PartitionedSearch engine(&f.collection, &*index);
+  SearchOptions options;
+  options.coarse_mode = CoarseRankMode::kHitCount;
+  ExpectOverLimitHitKeepsScore(&engine, f.query, options);
 }
 
 }  // namespace

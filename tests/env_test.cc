@@ -29,13 +29,12 @@ TEST(EnvTest, ReadMissingFileFails) {
   EXPECT_TRUE(s.IsIOError());
 }
 
-TEST(EnvTest, FileExists) {
-  std::string path = TestPath("exists");
-  EXPECT_FALSE(FileExists(path));
+TEST(EnvTest, RemoveFileRemovesIt) {
+  std::string path = TestPath("removed");
   ASSERT_TRUE(WriteStringToFile(path, "x").ok());
-  EXPECT_TRUE(FileExists(path));
   ASSERT_TRUE(RemoveFile(path).ok());
-  EXPECT_FALSE(FileExists(path));
+  std::string data;
+  EXPECT_TRUE(ReadFileToString(path, &data).IsIOError());
 }
 
 TEST(EnvTest, RemoveMissingIsOk) {

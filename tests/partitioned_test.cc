@@ -185,38 +185,6 @@ TEST(PartitionedSearchTest, StoppedIndexStillFindsHomologs) {
   EXPECT_EQ(r->hits[0].seq_id, q.true_positives[0]);
 }
 
-TEST(PartitionedSearchTest, RescoreFullMatchesExhaustiveScores) {
-  Fixture f = MakeFixture(IndexGranularity::kPositional);
-  PartitionedSearch part(&f.collection, &f.index);
-  ExhaustiveSearch exh(&f.collection);
-  SearchOptions options;
-  options.fine_candidates = 25;
-  options.rescore_full = true;
-  for (const sim::PlantedQuery& q : f.queries) {
-    Result<SearchResult> rp = part.Search(q.sequence, options);
-    Result<SearchResult> re = exh.Search(q.sequence, options);
-    ASSERT_TRUE(rp.ok() && re.ok());
-    ASSERT_FALSE(rp->hits.empty());
-    // With full rescoring, the top hit's score is exactly the oracle's.
-    EXPECT_EQ(rp->hits[0].seq_id, re->hits[0].seq_id);
-    EXPECT_EQ(rp->hits[0].score, re->hits[0].score);
-  }
-}
-
-TEST(PartitionedSearchTest, RescoreNeverLowersScores) {
-  Fixture f = MakeFixture(IndexGranularity::kPositional);
-  PartitionedSearch part(&f.collection, &f.index);
-  SearchOptions banded;
-  banded.fine_candidates = 20;
-  SearchOptions rescored = banded;
-  rescored.rescore_full = true;
-  Result<SearchResult> rb = part.Search(f.queries[0].sequence, banded);
-  Result<SearchResult> rr = part.Search(f.queries[0].sequence, rescored);
-  ASSERT_TRUE(rb.ok() && rr.ok());
-  ASSERT_FALSE(rb->hits.empty());
-  EXPECT_GE(rr->hits[0].score, rb->hits[0].score);
-}
-
 TEST(PartitionedSearchTest, MinScoreFilters) {
   Fixture f = MakeFixture(IndexGranularity::kPositional);
   PartitionedSearch engine(&f.collection, &f.index);

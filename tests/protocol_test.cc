@@ -67,12 +67,8 @@ SearchRequest MakeRequest() {
   SearchRequest r;
   r.max_results = 7;
   r.fine_candidates = 55;
-  r.band = 32;
-  r.frame_width = 24;
-  r.min_score = 3;
   r.diagonal_mode = false;
   r.both_strands = true;
-  r.rescore_full = true;
   r.deadline_millis = 1500;
   r.query = "ACGTACGTNRY";
   return r;
@@ -96,12 +92,10 @@ TEST(ProtocolTest, GoldenBytes) {
   EXPECT_EQ(Hex(EncodeHello(hello)), "0a0000006361666520302e342e30");
 
   SearchRequest request = MakeRequest();
-  request.band = -3;
-  request.min_score = 300;
   request.query = "ACGTNRY";
   request.trace_id = 0x0123456789abcdefULL;
   EXPECT_EQ(Hex(EncodeSearchRequest(request)),
-            "0700000037000000fdffffff180000002c010000000101dc050000"
+            "07000000370000000001dc050000"
             "07000000414347544e5259efcdab8967452301");
 
   SearchResponse response;
@@ -131,7 +125,7 @@ TEST(ProtocolTest, GoldenBytes) {
   const ssize_t n = recv(sp.fds[1], frame, sizeof(frame), 0);
   ASSERT_GT(n, 0);
   EXPECT_EQ(Hex(std::string_view(frame, static_cast<size_t>(n))),
-            "43414645030001000e000000c75292550a0000006361666520302e342e30");
+            "43414645040001000e000000c75292550a0000006361666520302e342e30");
 }
 
 TEST(ProtocolTest, HelloRoundTrip) {
@@ -148,12 +142,8 @@ TEST(ProtocolTest, SearchRequestRoundTrip) {
   ASSERT_TRUE(DecodeSearchRequest(EncodeSearchRequest(in), &out).ok());
   EXPECT_EQ(out.max_results, in.max_results);
   EXPECT_EQ(out.fine_candidates, in.fine_candidates);
-  EXPECT_EQ(out.band, in.band);
-  EXPECT_EQ(out.frame_width, in.frame_width);
-  EXPECT_EQ(out.min_score, in.min_score);
   EXPECT_EQ(out.diagonal_mode, in.diagonal_mode);
   EXPECT_EQ(out.both_strands, in.both_strands);
-  EXPECT_EQ(out.rescore_full, in.rescore_full);
   EXPECT_EQ(out.deadline_millis, in.deadline_millis);
   EXPECT_EQ(out.query, in.query);
 }
@@ -380,12 +370,8 @@ TEST(ProtocolTest, ToSearchOptionsMapsEveryWireField) {
   SearchOptions o = r.ToSearchOptions();
   EXPECT_EQ(o.max_results, r.max_results);
   EXPECT_EQ(o.fine_candidates, r.fine_candidates);
-  EXPECT_EQ(o.band, r.band);
-  EXPECT_EQ(o.frame_width, r.frame_width);
-  EXPECT_EQ(o.min_score, r.min_score);
   EXPECT_EQ(o.coarse_mode, CoarseRankMode::kHitCount);  // diagonal off
   EXPECT_TRUE(o.search_both_strands);
-  EXPECT_TRUE(o.rescore_full);
   EXPECT_EQ(o.deadline, nullptr);  // deadlines stay per-request
 }
 
@@ -473,7 +459,7 @@ TEST(ProtocolTest, VersionsOutsideTheWindowAreRejected) {
   // The window is the one version kProtocolVersion: the older versions
   // and the next one all fail with NotSupported.
   const std::string payload = "xy";
-  for (uint16_t version : {0, 1, 2, kProtocolVersion + 1}) {
+  for (uint16_t version : {0, 1, 2, 3, kProtocolVersion + 1}) {
     SocketPair sp;
     SendRaw(sp.fds[0],
             RawFrame(kFrameMagic, version, 2, payload.size(),

@@ -36,7 +36,6 @@ TEST(SpacedSeedTest, ParsesValidPattern) {
   ASSERT_TRUE(seed.ok()) << seed.status().ToString();
   EXPECT_EQ(seed->span(), 7);
   EXPECT_EQ(seed->weight(), 5);
-  EXPECT_FALSE(seed->contiguous());
   EXPECT_EQ(seed->care_offsets(),
             (std::vector<uint8_t>{0, 1, 3, 5, 6}));
 }
@@ -44,7 +43,6 @@ TEST(SpacedSeedTest, ParsesValidPattern) {
 TEST(SpacedSeedTest, AllOnesIsContiguous) {
   Result<SpacedSeed> seed = SpacedSeed::Parse("11111111");
   ASSERT_TRUE(seed.ok());
-  EXPECT_TRUE(seed->contiguous());
   EXPECT_EQ(seed->span(), seed->weight());
 }
 

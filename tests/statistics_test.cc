@@ -130,55 +130,6 @@ TEST(CalibrateGumbelTest, RejectsBadArgs) {
   EXPECT_TRUE(CalibrateGumbel(s, 10, 10, 1, 1).status().IsInvalidArgument());
 }
 
-TEST(UngappedEntropyTest, PositiveAndScalesWithScores) {
-  ScoringScheme s;
-  Result<double> h = UngappedEntropy(s, kUniformComposition);
-  ASSERT_TRUE(h.ok());
-  EXPECT_GT(*h, 0.0);
-  // Doubling all scores halves lambda, leaving H = lambda*E[s e^{ls}]
-  // invariant; verify within numerical tolerance.
-  ScoringScheme doubled;
-  doubled.match = 2 * s.match;
-  doubled.mismatch = 2 * s.mismatch;
-  doubled.gap_open = 2 * s.gap_open;
-  doubled.gap_extend = 2 * s.gap_extend;
-  Result<double> h2 = UngappedEntropy(doubled, kUniformComposition);
-  ASSERT_TRUE(h2.ok());
-  EXPECT_NEAR(*h2, *h, 1e-6);
-}
-
-TEST(UngappedEntropyTest, PropagatesLambdaFailure) {
-  ScoringScheme s;
-  s.match = 5;
-  s.mismatch = -1;
-  EXPECT_FALSE(UngappedEntropy(s, kUniformComposition).ok());
-}
-
-TEST(EffectiveLengthsTest, ShrinksBothSides) {
-  GumbelParams params{0.19, 0.35};
-  EffectiveLengths eff =
-      ComputeEffectiveLengths(200, 1000000, 1000, params, 0.7);
-  EXPECT_LT(eff.query, 200u);
-  EXPECT_LT(eff.database, 1000000u);
-  EXPECT_GE(eff.query, 1u);
-  EXPECT_GE(eff.database, 1u);
-}
-
-TEST(EffectiveLengthsTest, ClampsToOne) {
-  GumbelParams params{0.19, 0.35};
-  // A tiny query with an enormous database: l exceeds the query length.
-  EffectiveLengths eff =
-      ComputeEffectiveLengths(30, 1000000000, 1, params, 0.7);
-  EXPECT_EQ(eff.query, 1u);
-}
-
-TEST(EffectiveLengthsTest, DegenerateParamsPassThrough) {
-  GumbelParams zero;
-  EffectiveLengths eff = ComputeEffectiveLengths(100, 1000, 10, zero, 0.7);
-  EXPECT_EQ(eff.query, 100u);
-  EXPECT_EQ(eff.database, 1000u);
-}
-
 TEST(ScoreConversionTest, BitScoreMonotonic) {
   GumbelParams params{0.19, 0.35};
   EXPECT_LT(BitScore(50, params), BitScore(100, params));

@@ -43,6 +43,8 @@ import os
 import re
 import sys
 
+from lint_cafe import strip_code_noise
+
 RULE_VIEW = "astcheck-view-escape"
 RULE_LOCK = "astcheck-lock-scope"
 
@@ -87,34 +89,6 @@ MEMBER_ASSIGN_RE = re.compile(r"(?:this\s*->\s*)?\b(\w+_)\s*=[^=]")
 CONTAINER_STORE_RE = re.compile(
     r"(?:this\s*->\s*)?\b(\w+_)\s*(?:\.|->)\s*"
     r"(?:push_back|emplace_back|emplace|insert|assign|push)\s*\(")
-
-
-def strip_code_noise(line):
-    """Removes string/char literals and // comments so the regexes only
-    see code. Block comments are handled by the caller's state."""
-    out = []
-    i = 0
-    n = len(line)
-    while i < n:
-        c = line[i]
-        if c == "/" and i + 1 < n and line[i + 1] == "/":
-            break
-        if c in "\"'":
-            quote = c
-            i += 1
-            while i < n:
-                if line[i] == "\\":
-                    i += 2
-                    continue
-                if line[i] == quote:
-                    break
-                i += 1
-            i += 1
-            out.append(quote + quote)  # keep an empty literal as a token
-            continue
-        out.append(c)
-        i += 1
-    return "".join(out)
 
 
 def code_lines(lines):

@@ -11,11 +11,13 @@
 //       (--query ACGT... | --query-file q.fa)
 //       [--top 10] [--candidates 100] [--band 48] [--mode diagonal|hitcount]
 //       [--both-strands] [--evalues] [--traceback]
-//       [--chain off|filter] [--min-chain N] [--seed-pattern P]
-//       [--index-mode memory|mmap]
+//       [--chain off|filter] [--min-chain N] [--index-mode memory|mmap]
 //       [--threads N]   (default: one per hardware thread; 1 = sequential)
 //       [--stats[=json]] [--trace-out FILE]
 //   cafe_cli batch ...   (search over --query-file; same flags)
+//
+// --traceback prints each hit's alignment, or a one-line note for a hit
+// whose traceback is over Aligner::kMaxTracebackCells.
 //
 // --stats prints the observability layer (src/obs/): each query's
 // search trace plus the process metrics registry, as text after the normal
@@ -33,6 +35,7 @@
 #include <memory>
 #include <string>
 
+#include "align/smith_waterman.h"
 #include "align/statistics.h"
 #include "alphabet/nucleotide.h"
 #include "collection/collection.h"
@@ -75,8 +78,9 @@ int Usage() {
       "  search   --collection FILE --index FILE\n"
       "           (--query SEQ | --query-file FILE) [--top N]\n"
       "           [--candidates N] [--band N] [--mode diagonal|hitcount]\n"
-      "           [--both-strands] [--evalues] [--traceback]\n"
-      "           [--chain off|filter] [--min-chain N] [--seed-pattern P]\n"
+      "           [--both-strands] [--evalues]\n"
+      "           [--traceback]  (a hit over 2^26 traceback cells: a note)\n"
+      "           [--chain off|filter] [--min-chain N]\n"
       "           [--index-mode memory|mmap]\n"
       "           [--threads N]  (0 = one per hardware thread)\n"
       "           [--stats[=json]]  (per-query traces + metrics)\n"
@@ -169,10 +173,22 @@ Status CmdBuild(FlagParser& flags) {
   obs::MetricsRegistry registry;
   if (!stats_mode->empty()) options.metrics = &registry;
   WallTimer timer;
-  Result<InvertedIndex> index = IndexBuilder::Build(*col, options);
-  if (!index.ok()) return index.status();
-  CAFE_RETURN_IF_ERROR(col->Save(col_path));
-  CAFE_RETURN_IF_ERROR(index->Save(idx_path));
+  // What the check and the output need of the built index. The index
+  // itself is released before the check reopens the saved file, so two
+  // term directories (384 MiB each when dense at --interval 12) are
+  // never resident at once.
+  uint64_t num_terms = 0, num_postings = 0, index_bytes = 0;
+  uint32_t num_docs = 0;
+  {
+    Result<InvertedIndex> index = IndexBuilder::Build(*col, options);
+    if (!index.ok()) return index.status();
+    CAFE_RETURN_IF_ERROR(col->Save(col_path));
+    CAFE_RETURN_IF_ERROR(index->Save(idx_path));
+    num_terms = index->stats().num_terms;
+    num_postings = index->stats().total_postings;
+    num_docs = index->num_docs();
+    index_bytes = index->SerializedBytes();
+  }
   // Verify the bytes that landed on disk: reopen through the zero-copy
   // mmap path (one CRC sweep + directory parse, no blob copy) and
   // check the directory it sees against the index just built.
@@ -180,9 +196,9 @@ Status CmdBuild(FlagParser& flags) {
     Result<InvertedIndex> verify =
         InvertedIndex::Load(idx_path, IndexMode::kMmap);
     if (!verify.ok()) return verify.status();
-    if (verify->stats().num_terms != index->stats().num_terms ||
-        verify->stats().total_postings != index->stats().total_postings ||
-        verify->num_docs() != index->num_docs()) {
+    if (verify->stats().num_terms != num_terms ||
+        verify->stats().total_postings != num_postings ||
+        verify->num_docs() != num_docs) {
       return Status::Corruption(
           "saved index disagrees with the built index: " + idx_path);
     }
@@ -194,18 +210,17 @@ Status CmdBuild(FlagParser& flags) {
                 "\"index\":{\"terms\":%" PRIu64 ",\"postings\":%" PRIu64
                 ",\"bytes\":%" PRIu64 "},"
                 "\"metrics\":%s}\n",
-                col->NumSequences(), col->TotalBases(),
-                index->stats().num_terms, index->stats().total_postings,
-                index->SerializedBytes(), registry.SnapshotJson().c_str());
+                col->NumSequences(), col->TotalBases(), num_terms,
+                num_postings, index_bytes, registry.SnapshotJson().c_str());
     return Status::OK();
   }
   std::printf(
       "collection: %u sequences, %s bases -> %s\n"
       "index: %s terms, %s postings, built in %.1fs -> %s (%s)\n",
       col->NumSequences(), WithCommas(col->TotalBases()).c_str(),
-      col_path.c_str(), WithCommas(index->stats().num_terms).c_str(),
-      WithCommas(index->stats().total_postings).c_str(), timer.Seconds(),
-      idx_path.c_str(), HumanBytes(index->SerializedBytes()).c_str());
+      col_path.c_str(), WithCommas(num_terms).c_str(),
+      WithCommas(num_postings).c_str(), timer.Seconds(), idx_path.c_str(),
+      HumanBytes(index_bytes).c_str());
   if (*stats_mode == "text") {
     std::printf("\nmetrics:\n%s", registry.SnapshotText().c_str());
   }
@@ -316,7 +331,6 @@ Status CmdSearch(FlagParser& flags, bool batch_mode) {
   std::string chain_flag = flags.GetString("chain", "off");
   options.min_chain_score =
       static_cast<uint32_t>(flags.GetInt("min-chain", 2));
-  options.seed_pattern = flags.GetString("seed-pattern", "");
   // 0 = one worker per hardware thread (the serving default); 1 forces
   // the sequential reference path.
   int64_t threads_flag = flags.GetInt("threads", 0);
@@ -487,12 +501,21 @@ Status CmdSearch(FlagParser& flags, bool batch_mode) {
     if (options.traceback) {
       std::string target;
       for (const SearchHit& h : result->hits) {
-        if (h.alignment.ops.empty()) continue;
+        const char* strand =
+            h.strand == Strand::kReverse ? " (minus strand)" : "";
+        // A reported hit has a positive score, so an empty alignment
+        // means its traceback was over the cell limit.
+        if (h.alignment.ops.empty()) {
+          std::printf("\n%s%s: no alignment, the traceback is over the "
+                      "limit of %" PRIu64 " cells\n",
+                      col->Name(h.seq_id).c_str(), strand,
+                      Aligner::kMaxTracebackCells);
+          continue;
+        }
         CAFE_RETURN_IF_ERROR(col->GetSequence(h.seq_id, &target));
         std::string oriented =
             h.strand == Strand::kForward ? q : ReverseComplement(q);
-        std::printf("\n%s%s\n", col->Name(h.seq_id).c_str(),
-                    h.strand == Strand::kReverse ? " (minus strand)" : "");
+        std::printf("\n%s%s\n", col->Name(h.seq_id).c_str(), strand);
         std::printf("%s", h.alignment.Format(oriented, target).c_str());
       }
     }

@@ -45,6 +45,11 @@ Checks that clang-tidy / compiler warnings cannot express:
                   Per-query facts go on SearchTrace, and the serving
                   layer (server/dispatcher.cc) records them, once per
                   request
+  justified-escape-hatch  CAFE_NO_THREAD_SAFETY_ANALYSIS outside its
+                  definition in src/util/mutex.h carries a justification
+                  comment on the same or the previous line (the contract
+                  in src/util/mutex.h): an exemption from clang
+                  -Wthread-safety says why it is sound
 
 Files under tools/ are binaries, not library code; only the fprintf
 rule applies there, and only to cafe_serve.cc (the long-running
@@ -74,6 +79,7 @@ RULE_FPRINTF = "cafe-no-raw-fprintf"
 RULE_MUTEX = "cafe-no-raw-mutex"
 RULE_POSTINGS = "cafe-one-postings-pass"
 RULE_ENGINE_METRICS = "cafe-no-engine-metrics"
+RULE_ESCAPE = "cafe-justified-escape-hatch"
 
 THROW_RE = re.compile(r"\bthrow\b")
 # `new X`, `new (nothrow) X`, `new X[...]`; `delete p`, `delete[] p`.
@@ -95,6 +101,7 @@ POSTINGS_RE = re.compile(r"\b(?:ForEachPosting|ScanPostings)\s*\(")
 METRICS_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"obs/metrics\.h"')
 ENGINE_METRICS_RE = re.compile(
     r"\bGet(?:Counter|Histogram)\s*\(|\bobs::(?:Counter|Histogram)\b")
+ESCAPE_RE = re.compile(r"\bCAFE_NO_THREAD_SAFETY_ANALYSIS\b")
 
 
 def strip_code_noise(line):
@@ -242,6 +249,12 @@ def lint_lines(relpath, lines, findings):
             report(RULE_ENGINE_METRICS,
                    "metrics registry in engine code; put the per-query "
                    "fact on SearchTrace (the dispatcher records it)")
+        if (ESCAPE_RE.search(code) and not mutex_ok
+                and "//" not in raw and "//" not in prev_raw):
+            report(RULE_ESCAPE,
+                   "unjustified CAFE_NO_THREAD_SAFETY_ANALYSIS; say why "
+                   "the exemption is sound in a comment on this or the "
+                   "previous line (src/util/mutex.h)")
         prev_raw = raw
 
 
@@ -340,6 +353,23 @@ SELFTEST_CASES = [
     ("src/search/x.cc", "// no GetCounter( here: use SearchTrace", None),
     ("src/align/x.cc",
      '#include "obs/metrics.h"  // NOLINT(cafe-no-engine-metrics)', None),
+    # Thread-safety escape hatches carry their justification.
+    ("src/a/b.cc", "void Reset() CAFE_NO_THREAD_SAFETY_ANALYSIS {",
+     RULE_ESCAPE),
+    ("src/a/b.cc",
+     "// Runs before any worker starts.\nint n = 0;\n"
+     "void Reset() CAFE_NO_THREAD_SAFETY_ANALYSIS {", RULE_ESCAPE),
+    ("src/a/b.cc",
+     "void Reset() CAFE_NO_THREAD_SAFETY_ANALYSIS {  // single-threaded",
+     None),
+    ("src/a/b.cc",
+     "// Runs before any worker starts.\n"
+     "void Reset() CAFE_NO_THREAD_SAFETY_ANALYSIS {", None),
+    ("src/util/mutex.h",
+     "#ifndef CAFE_UTIL_MUTEX_H_\n#define CAFE_NO_THREAD_SAFETY_ANALYSIS \\",
+     None),
+    ("src/a/b.cc", 'const char* s = "CAFE_NO_THREAD_SAFETY_ANALYSIS";',
+     None),
     ("src/a/b.cc", "// std::thread belongs in thread_pool", None),
     ("src/a/b.cc", 'const char* s = "std::thread";', None),
     ("src/a/b.cc", "/* assert(x) */ int y = 0;", None),
